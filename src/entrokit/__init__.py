@@ -7,8 +7,8 @@ from .polynomials import IntPolynomial, RatPolynomial, cyclotomic, \
 from .roots import CertifiedRoot, CircleClassification, classify_unit_circle, \
     find_roots
 from .mahler import mahler_measure, mahler_of_algebraic
-from .linalg import Lattice, RatMatrix, char_poly, hnf, kernel_subspace, \
-    lattice_intersect, lattice_preimage
+from .linalg import Lattice, RatMatrix, char_poly, hnf, int_char_poly, \
+    kernel_subspace, lattice_intersect, lattice_preimage
 from .linear_entropy import LinearFlow, algebraic_entropy, classify_growth, \
     eigenvalue_lower_bound, pinsker_subspace, topological_entropy, \
     trajectory_oracle

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .adjoint import adjoint_entropy_at, dichotomy_probe
@@ -25,7 +24,7 @@ from .linalg import Lattice, RatMatrix, matrix_from_json
 from .linear_entropy import LinearFlow, algebraic_entropy, topological_entropy, \
     trajectory_oracle
 from .mahler import mahler_measure
-from .polynomials import poly_from_json
+from .polynomials import parse_fraction, poly_from_json
 from .search import SearchSpec, espectrum_sample, lehmer_search
 from .set_maps import SymbolicSelfMap, covariant_entropy, contravariant_entropy, \
     cotrajectory_profile, validate
@@ -40,8 +39,17 @@ def _default_tol() -> float:
 
 def _load_json_or_inline(arg: str):
     path = Path(arg)
-    if path.suffix == ".json" or path.exists():
-        return json.loads(path.read_text())
+    try:
+        is_file = path.exists()
+    except OSError:
+        # e.g. a name longer than NAME_MAX: it cannot be a file, so it is inline
+        is_file = False
+    if path.suffix == ".json" or is_file:
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise InputError(f"cannot read {arg}: {exc.strerror}") from None
+        return json.loads(text)
     return None
 
 
@@ -57,7 +65,7 @@ def parse_matrix(arg: str) -> RatMatrix:
     if obj is not None:
         return matrix_from_json(obj)
     rows = [[c.strip() for c in row.split(",")] for row in arg.split(";")]
-    return RatMatrix([[Fraction(c) for c in row] for row in rows])
+    return RatMatrix([[parse_fraction(c) for c in row] for row in rows])
 
 
 def parse_lattice(arg: str) -> Lattice:
@@ -125,7 +133,7 @@ def _cmd_topological(args):
 
 
 def _cmd_padic(args):
-    flow = LinearFlow.padic_scalar(args.p, Fraction(args.xi))
+    flow = LinearFlow.padic_scalar(args.p, parse_fraction(args.xi))
     value = algebraic_entropy(flow)
     return {"p": args.p, "xi": args.xi, "value": value.to_json()}, \
         [f"algebraic entropy of x -> ({args.xi})*x on Q_{args.p}: {value}"]

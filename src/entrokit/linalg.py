@@ -6,9 +6,11 @@ is upper triangular with positive diagonal and each above-diagonal entry
 reduced modulo its row's diagonal.  Equality of lattices is equality of
 canonical bases.
 
-The characteristic polynomial is computed by Faddeev-LeVerrier over exact
-rationals, so the only numerical stage in the entropy pipeline is root
-finding.
+The characteristic polynomial and the determinant come from one kernel,
+division-free Berkowitz over Python ints (``int_char_poly``); rational
+matrices are scaled to integer ones by the lcm of their denominators first.
+No stage here is numerical, so the only numerical stage in the entropy
+pipeline is root finding.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, RankDeficient, SingularMap
-from .polynomials import RatPolynomial
+from .polynomials import RatPolynomial, _divisors, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,6 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix(list(zip(*self.entries)))
 
-    def trace(self):
-        return sum(self.entries[i][i] for i in range(self.n))
-
     def power(self, k: int) -> "RatMatrix":
         if k < 0:
             raise InputError("negative matrix powers are not supported")
@@ -100,7 +99,8 @@ class RatMatrix:
         return RatMatrix(rows)
 
     def determinant(self) -> Fraction:
-        return _det_fraction([list(row) for row in self.entries])
+        d, b = _clear_denominators(self)
+        return (-1) ** self.n * Fraction(int_char_poly(b)[0], d ** self.n)
 
     def inverse(self) -> "RatMatrix":
         n = self.n
@@ -120,37 +120,43 @@ class RatMatrix:
         return RatMatrix([row[n:] for row in aug])
 
 
-def _det_fraction(rows) -> Fraction:
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+def _clear_denominators(a: RatMatrix):
+    """(d, B) with d the lcm of the entry denominators and B = d*A in ints."""
+    d = math.lcm(*[x.denominator for row in a.entries for x in row])
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a.entries]
+
+
+def int_char_poly(rows) -> tuple:
+    """Ascending int coefficients of det(tI - A) for square integer rows.
+
+    Division-free Berkowitz (Inf. Proc. Letters 18, 1984): the polynomial of
+    each leading principal submatrix is a Toeplitz product with that of the
+    previous one, whose entries are 1, -a_rr and -R A_r^k S for the new
+    row R and column S of the border.
+    """
+    poly = [1]  # descending coefficients of the current principal minor
+    for r, row in enumerate(rows):
+        col = [rows[i][r] for i in range(r)]
+        toeplitz = [1, -row[r]]
+        for k in range(r):
+            toeplitz.append(-sum(x * y for x, y in zip(row, col)))
+            if k < r - 1:
+                col = [sum(x * y for x, y in zip(rows[i], col)) for i in range(r)]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)]
+    return tuple(reversed(poly))
 
 
 def char_poly(a: RatMatrix) -> RatPolynomial:
-    """Monic characteristic polynomial det(tI - A) by Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(tI - A).
+
+    With B = d*A for the lcm d of the denominators, coefficient k of
+    det(tI - A) is c_k(B) / d^(n-k), where c_k(B) comes from int_char_poly.
+    """
+    d, b = _clear_denominators(a)
     n = a.n
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    m = RatMatrix.identity(n)
-    for k in range(1, n + 1):
-        am = a * m if k > 1 else a
-        c = -am.trace() / k
-        coeffs[n - k] = c
-        if k < n:
-            m = am + RatMatrix.identity(n).scale(c)
-    return RatPolynomial(coeffs)
+    return RatPolynomial([Fraction(c, d ** (n - k))
+                          for k, c in enumerate(int_char_poly(b))])
 
 
 def kernel_subspace(a: RatMatrix):
@@ -363,7 +369,7 @@ class Lattice:
     def exponent(self) -> int:
         """Exponent of Z^n / L: lcm of the orders of the unit vectors."""
         idx = self.index
-        divisors = sorted(_all_divisors(idx))
+        divisors = _divisors(idx)
         out = 1
         for i in range(self.n):
             unit = [0] * self.n
@@ -376,17 +382,6 @@ class Lattice:
 
     def to_json(self) -> dict:
         return {"columns": [[str(x) for x in col] for col in self.basis]}
-
-
-def _all_divisors(n: int):
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
 
 
 def hnf(columns) -> Lattice:
@@ -433,9 +428,4 @@ def matrix_to_json(a: RatMatrix) -> dict:
 
 def matrix_from_json(obj) -> RatMatrix:
     rows = obj["rows"] if isinstance(obj, dict) else obj
-    return RatMatrix([[Fraction(str(x)) for x in row] for row in rows])
-
-
-def lattice_from_json(obj) -> Lattice:
-    cols = obj["columns"] if isinstance(obj, dict) else obj
-    return Lattice.from_columns([[int(str(x)) for x in col] for col in cols])
+    return RatMatrix([[parse_fraction(x) for x in row] for row in rows])

@@ -15,7 +15,6 @@ exact_log value with no numerics at all.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ZeroPolynomial
 from .polynomials import (
@@ -84,22 +83,3 @@ def mahler_of_algebraic(minpoly: IntPolynomial, tol: float = 1e-12) -> EntropyVa
     if minpoly.degree < 1:
         raise ZeroPolynomial("a minimal polynomial must be nonconstant")
     return mahler_measure(minpoly, tol)
-
-
-def mahler_positive(f, tol: float = 1e-12) -> bool:
-    """Exactly decide m(f) > 0.
-
-    Exact zero detection makes this a true decision procedure: after the
-    exact peeling the cofactor is cyclotomic-free, and by Kronecker's theorem
-    a cyclotomic-free cofactor forces a strictly positive measure.
-    """
-    return not mahler_measure(f, tol).is_zero()
-
-
-def measure_as_fraction_log(value: EntropyValue) -> Fraction | None:
-    """The multiplier q when value = q*log(b), else None.  Test helper."""
-    if value.kind == "exact_log":
-        return value.multiplier
-    if value.kind == "exact_zero":
-        return Fraction(0)
-    return None

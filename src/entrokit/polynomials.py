@@ -87,12 +87,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def shifted(self, k: int):
-        """t**k * self."""
-        if self.is_zero():
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
     def compose_power(self, k: int):
         """self(t**k)."""
         out = [0] * (k * self.degree + 1) if self.coeffs else []
@@ -355,12 +349,6 @@ def reciprocal(f: IntPolynomial) -> IntPolynomial:
     return out if out.lead > 0 else -out
 
 
-def is_reciprocal(f: IntPolynomial) -> bool:
-    if f.is_zero() or f.constant_term() == 0:
-        return False
-    return reciprocal(f).coeffs in (f.coeffs, (-f).coeffs)
-
-
 # ----------------------------------------------------------------------
 # gcd over Q and squarefree decomposition
 
@@ -621,9 +609,18 @@ def poly_to_json(f) -> dict:
                        else str(c.numerator) for c in f.coeffs]}
 
 
+def parse_fraction(text) -> Fraction:
+    """Exact rational from decimal or "p/q" text; a zero denominator is an
+    InputError rather than a ZeroDivisionError."""
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in {text!r}") from None
+
+
 def poly_from_json(obj) -> RatPolynomial:
     if isinstance(obj, dict):
         coeffs = obj["coeffs"]
     else:
         coeffs = obj
-    return RatPolynomial([Fraction(str(c)) for c in coeffs])
+    return RatPolynomial([parse_fraction(c) for c in coeffs])

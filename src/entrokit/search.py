@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceeded, InputError
-from .linalg import RatMatrix, char_poly
+from .linalg import int_char_poly
 from .mahler import mahler_measure
 from .polynomials import IntPolynomial
 from .values import EntropyValue
@@ -183,8 +183,9 @@ def espectrum_sample(dimension: int, entry_bound: int,
                      budget: int = 2_000_000) -> SpectrumReport:
     """Algebraic entropies of every integer matrix in the box, as a sorted
     multiset; the smallest positive value is highlighted.  Measures are
-    cached by characteristic polynomial, which collapses the box by orders
-    of magnitude."""
+    cached on the integer characteristic polynomial, which int_char_poly
+    computes straight from the enumerated rows; the cache collapses the box
+    by orders of magnitude."""
     if dimension < 1 or dimension > 3:
         raise InputError("spectrum sampling is desk-scale: dimension 1..3")
     if entry_bound < 0:
@@ -198,11 +199,10 @@ def espectrum_sample(dimension: int, entry_bound: int,
     scanned = 0
     for flat in product(entries, repeat=n2):
         scanned += 1
-        a = RatMatrix([flat[i * dimension:(i + 1) * dimension]
-                       for i in range(dimension)])
-        key = char_poly(a).coeffs
+        key = int_char_poly([flat[i * dimension:(i + 1) * dimension]
+                             for i in range(dimension)])
         if key not in cache:
-            cache[key] = mahler_measure(char_poly(a))
+            cache[key] = mahler_measure(IntPolynomial(key))
         values.append(cache[key])
     values.sort(key=lambda v: (v.as_float(), str(v.kind)))
     minimal = next((v for v in values if not v.is_zero()), None)

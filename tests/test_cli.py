@@ -72,6 +72,24 @@ def test_exit_code_invalid_input(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mahler", "--poly", "1/0,1"],
+    ["padic", "--p", "5", "--xi", "1/0"],
+    ["yuzvinski", "--matrix", "1/0,1;0,1"],
+    ["mahler", "--poly", "missing.json"],
+])
+def test_exit_code_zero_denominator_or_missing_file(capsys, argv):
+    assert dispatch(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_inline_value_longer_than_a_file_name(capsys):
+    # 200 terms make a 399-character argument, longer than NAME_MAX
+    code, report = run_json(capsys, ["mahler", "--poly", ",".join(["1"] * 200)])
+    assert code == 0
+    assert report["result"]["value"]["kind"] == "exact_zero"
+
+
 def test_exit_code_budget(capsys):
     code = dispatch(["oracle", "--matrix", "2", "--set", "0;1",
                      "--horizon", "40", "--budget", "100"])

@@ -10,6 +10,7 @@ from entrokit.linalg import (
     RatMatrix,
     char_poly,
     hnf,
+    int_char_poly,
     integer_kernel,
     kernel_subspace,
     lattice_intersect,
@@ -60,6 +61,33 @@ def test_char_poly_block_sum():
     a = RatMatrix([[0, 1], [1, 1]])
     b = RatMatrix([[2]])
     assert char_poly(a.block_diag(b)).coeffs == (char_poly(a) * char_poly(b)).coeffs
+
+
+def test_char_poly_and_determinant_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    for trial in range(60):
+        n = 1 + trial % 6
+        rational = (trial // 6) % 2 == 1
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6) if rational else 1)
+                 for _ in range(n)] for _ in range(n)]
+        oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                               for row in rows])
+        want = oracle.charpoly().all_coeffs()[::-1]
+        a = RatMatrix(rows)
+        assert char_poly(a).coeffs == tuple(Fraction(int(c.p), int(c.q)) for c in want)
+        det = oracle.det()
+        assert a.determinant() == Fraction(int(det.p), int(det.q))
+
+
+def test_int_char_poly_edge_cases():
+    assert int_char_poly([[7]]) == (-7, 1)
+    assert int_char_poly([[-3]]) == (3, 1)
+    # strictly upper triangular, hence nilpotent: det(tI - A) = t^4
+    nilpotent = [[0, 2, -1, 5], [0, 0, 3, 4], [0, 0, 0, -6], [0, 0, 0, 0]]
+    assert int_char_poly(nilpotent) == (0, 0, 0, 0, 1)
+    # nilpotent but not triangular: A = [[2, 4], [-1, -2]], A^2 = 0
+    assert int_char_poly([[2, 4], [-1, -2]]) == (0, 0, 1)
 
 
 def test_kernel_subspace():
