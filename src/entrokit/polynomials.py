@@ -5,10 +5,11 @@ The zero polynomial is the empty coefficient tuple; it is representable but
 rejected by every measure-related operation.
 
 The module supplies the exact machinery the rest of the toolkit leans on:
-content/primitive part, cyclotomic generation (iterated exact division of
-t**m - 1), purely exact detection of polynomials whose roots are all roots of
-unity, the reciprocal transform, resultants via fraction-free determinants,
-and the classical root-growth sequence D_n = prod_i |1 - lambda_i**n|.
+content/primitive part, exact division over Z, cyclotomic generation (Phi_m
+built from smaller cyclotomic polynomials), purely exact detection of
+polynomials whose roots are all roots of unity, the reciprocal transform,
+resultants via fraction-free determinants, and the classical root-growth
+sequence D_n = prod_i |1 - lambda_i**n|.
 """
 from __future__ import annotations
 
@@ -158,12 +159,6 @@ class RatPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return RatPolynomial(())
@@ -173,14 +168,6 @@ class RatPolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return RatPolynomial(out)
-
-    def __sub__(self, other):
-        a, b = list(self.coeffs), list(other.coeffs)
-        if len(a) < len(b):
-            a += [Fraction(0)] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            a[i] -= c
-        return RatPolynomial(a)
 
 
 # ----------------------------------------------------------------------
@@ -212,35 +199,34 @@ def content_primitive(f) -> tuple[Fraction, IntPolynomial]:
 # ----------------------------------------------------------------------
 # exact division
 
-def divmod_exact(f: IntPolynomial, d: IntPolynomial):
-    """Quotient and remainder of f by d over Q, returned as rational polys."""
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in f.coeffs]
-    dc = d.coeffs
-    quot = [Fraction(0)] * max(len(rem) - len(dc) + 1, 0)
-    lead = Fraction(dc[-1])
-    for top in range(len(rem) - 1, len(dc) - 2, -1):
-        q = rem[top] / lead
-        if q:
-            quot[top - (len(dc) - 1)] = q
-            for j, c in enumerate(dc):
-                rem[top - (len(dc) - 1) + j] -= q * c
-    return RatPolynomial(quot), RatPolynomial(rem)
-
-
 def try_exact_divide(f: IntPolynomial, d: IntPolynomial):
-    """f // d over Z when the division is exact, else None."""
+    """f / d when the quotient has integer coefficients, else None.
+
+    Long division over Z, stopped at the first step where the leading
+    coefficient of d does not divide: for any d, monic or not, the quotient
+    over Q is integral exactly when every step divides.
+    """
     if f.is_zero():
         return f
-    if d.degree > f.degree:
+    if d.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    n = d.degree
+    if n > f.degree:
         return None
-    quot, rem = divmod_exact(f, d)
-    if not rem.is_zero():
+    *low, lead = d.coeffs
+    rem = list(f.coeffs)
+    quot = [0] * (len(rem) - n)
+    for base in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[base + n], lead)
+        if r:
+            return None
+        if q:
+            quot[base] = q
+            for j, c in enumerate(low):
+                rem[base + j] -= q * c
+    if any(rem[:n]):
         return None
-    if any(c.denominator != 1 for c in quot.coeffs):
-        return None
-    return IntPolynomial([int(c) for c in quot.coeffs])
+    return IntPolynomial(quot)
 
 
 # ----------------------------------------------------------------------
@@ -248,14 +234,24 @@ def try_exact_divide(f: IntPolynomial, d: IntPolynomial):
 
 @lru_cache(maxsize=None)
 def cyclotomic(m: int) -> IntPolynomial:
-    """The m-th cyclotomic polynomial, by exact division of t**m - 1."""
+    """The m-th cyclotomic polynomial, built from smaller ones.
+
+    Phi_m(t) = Phi_r(t**(m/r)) for the radical r of m, and for squarefree
+    m = p*n with p prime, Phi_m(t) = Phi_n(t**p) / Phi_n(t): one exact
+    division over Z per distinct prime of m.
+    """
     if m < 1:
         raise InputError("cyclotomic index must be a positive integer")
-    poly = IntPolynomial((-1,) + (0,) * (m - 1) + (1,))
-    for d in range(1, m):
-        if m % d == 0:
-            poly = try_exact_divide(poly, cyclotomic(d))
-            assert poly is not None
+    if m == 1:
+        return IntPolynomial((-1, 1))
+    primes = [p for p in _divisors(m)[1:] if len(_divisors(p)) == 2]
+    rad = math.prod(primes)
+    if rad < m:
+        return cyclotomic(rad).compose_power(m // rad)
+    # dividing by the largest prime keeps the divisor Phi_n smallest
+    base = cyclotomic(m // primes[-1])
+    poly = try_exact_divide(base.compose_power(primes[-1]), base)
+    assert poly is not None
     return poly
 
 
@@ -356,13 +352,6 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Primitive gcd over Z, computed by the monic Euclid algorithm over Q."""
     a = [Fraction(c) for c in f.coeffs]
     b = [Fraction(c) for c in g.coeffs]
-
-    def trimmed(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trimmed(a), trimmed(b)
     while b:
         # a mod b
         lead = b[-1]
@@ -371,8 +360,7 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
             if q:
                 for j, c in enumerate(b):
                     a[top - (len(b) - 1) + j] -= q * c
-        a = trimmed(a)
-        a, b = b, a
+        a, b = b, list(_trim(a))
     if not a:
         return IntPolynomial(())
     _, prim = content_primitive(RatPolynomial(a))
@@ -384,15 +372,8 @@ _SQUAREFREE_PRIME = 1_000_003
 
 def _squarefree_mod_p(f: IntPolynomial, p: int = _SQUAREFREE_PRIME) -> bool:
     """gcd(f, f') = 1 over GF(p) certifies squarefreeness over Q (one-sided)."""
-    a = [c % p for c in f.coeffs]
-    b = [(i * c) % p for i, c in enumerate(f.coeffs)][1:]
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(list(b))
+    a = list(_trim([c % p for c in f.coeffs]))
+    b = list(_trim([(i * c) % p for i, c in enumerate(f.coeffs)][1:]))
     if len(a) - 1 != f.degree:
         return False  # leading coefficient vanished mod p; stay conservative
     while b:
@@ -402,8 +383,7 @@ def _squarefree_mod_p(f: IntPolynomial, p: int = _SQUAREFREE_PRIME) -> bool:
             if q:
                 for j, c in enumerate(b):
                     a[top - (len(b) - 1) + j] = (a[top - (len(b) - 1) + j] - q * c) % p
-        a = trim(a)
-        a, b = b, a
+        a, b = b, list(_trim(a))
     return len(a) == 1
 
 
@@ -423,21 +403,16 @@ def squarefree_decomposition(f: IntPolynomial):
         return [(f, 1)]
     parts = []
     g = poly_gcd(f, f.derivative())
+    # f and every gcd below are primitive, so by Gauss's lemma each
+    # division is exact over Z
     c = try_exact_divide(f, g)
-    if c is None:  # g computed primitive; division is exact up to content
-        c = content_primitive(divmod_exact(f, g)[0])[1]
     i = 1
     while c.degree > 0:
         d = poly_gcd(c, g)
         factor = try_exact_divide(c, d)
-        if factor is None:
-            factor = content_primitive(divmod_exact(c, d)[0])[1]
         if factor.degree > 0:
             parts.append((factor, i))
-        nxt = try_exact_divide(g, d)
-        if nxt is None:
-            nxt = content_primitive(divmod_exact(g, d)[0])[1]
-        c, g = d, nxt
+        c, g = d, try_exact_divide(g, d)
         i += 1
     return parts
 
@@ -446,9 +421,11 @@ def rational_roots(f: IntPolynomial, factor_cap: int = 10**12):
     """Extract all rational roots with multiplicity, exactly.
 
     Returns (roots, cofactor): roots is a list of (Fraction root, mult); the
-    cofactor has no rational roots.  Polynomials whose extreme coefficients
-    exceed factor_cap are returned unfactored (the numeric stage handles
-    them; only exactness of the reporting degrades).
+    cofactor has no rational roots, and f is the cofactor times the
+    primitive linear factors (b t - a) of the roots a/b.  A linear cofactor
+    is peeled directly.  Otherwise polynomials whose extreme coefficients
+    exceed factor_cap are left unfactored (the numeric stage handles them;
+    only exactness of the reporting degrades).
     """
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
@@ -457,25 +434,33 @@ def rational_roots(f: IntPolynomial, factor_cap: int = 10**12):
     while g.degree >= 1 and g.constant_term() == 0:
         roots.append((Fraction(0), 1))
         g = IntPolynomial(g.coeffs[1:])
-    if g.degree < 1:
-        return _merge_roots(roots), g
-    if abs(g.constant_term()) > factor_cap or abs(g.lead) > factor_cap:
-        return _merge_roots(roots), g
-    for p in _divisors(abs(g.constant_term())):
-        for q in _divisors(abs(g.lead)):
-            if math.gcd(p, q) != 1:
-                continue
-            for root in (Fraction(p, q), Fraction(-p, q)):
-                linear = IntPolynomial((-root.numerator, root.denominator))
-                while True:
-                    quot = try_exact_divide(g, linear)
-                    if quot is None:
-                        break
-                    roots.append((root, 1))
-                    g = quot
-                if g.degree < 1:
-                    return _merge_roots(roots), g
+    if g.degree > 1 and abs(g.constant_term()) <= factor_cap \
+            and abs(g.lead) <= factor_cap:
+        for root in _candidate_roots(g):
+            linear = IntPolynomial((-root.numerator, root.denominator))
+            while g.degree > 1:
+                quot = try_exact_divide(g, linear)
+                if quot is None:
+                    break
+                roots.append((root, 1))
+                g = quot
+            if g.degree <= 1:
+                break
+    if g.degree == 1:
+        root = Fraction(-g.coeffs[0], g.coeffs[1])
+        roots.append((root, 1))
+        g = IntPolynomial((g.coeffs[1] // root.denominator,))
     return _merge_roots(roots), g
+
+
+def _candidate_roots(g: IntPolynomial):
+    """Every p/q in lowest terms with p | g(0) and q | lead, both signs."""
+    qs = _divisors(abs(g.lead))
+    for p in _divisors(abs(g.constant_term())):
+        for q in qs:
+            if math.gcd(p, q) == 1:
+                yield Fraction(p, q)
+                yield Fraction(-p, q)
 
 
 def _merge_roots(roots):

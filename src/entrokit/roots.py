@@ -29,7 +29,6 @@ from .polynomials import (
     reciprocal,
     squarefree_decomposition,
     strip_cyclotomic_factors,
-    try_exact_divide,
 )
 
 _SLACK = 1.125          # multiplicative pad on inclusion radii
@@ -121,8 +120,9 @@ def _initial_guesses(n: int, bound: float):
 
 def _aberth_float(f: IntPolynomial, tol: float):
     n = f.degree
-    coeffs = [float(c) for c in f.coeffs]
-    if any(math.isinf(c) for c in coeffs):
+    try:
+        coeffs = [float(c) for c in f.coeffs]
+    except OverflowError:  # beyond double range: leave it to mpmath
         return None
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
 
@@ -275,8 +275,8 @@ def classify_unit_circle(f: IntPolynomial, tol: float = 1e-12) -> CircleClassifi
         k += 1
     inside = [CertifiedRoot(0j, 0.0, k)] if k else []
     outside, caveat = [], []
+    selfinv = None  # gcd(g, g*), computed only when a root stays on the circle
     if cofactor.degree >= 1:
-        selfinv = poly_gcd(cofactor, reciprocal(cofactor))
         for root in find_roots(cofactor, tol):
             lo = abs(root.approx) - root.radius
             hi = abs(root.approx) + root.radius
@@ -290,10 +290,13 @@ def classify_unit_circle(f: IntPolynomial, tol: float = 1e-12) -> CircleClassifi
                     outside.append(root)
                 elif resolved == "inside":
                     inside.append(root)
-                elif selfinv.degree >= 1 and _belongs_to(selfinv, root):
-                    caveat.append(root)
                 else:
-                    raise UnresolvedBoundary(root.approx)
+                    if selfinv is None:
+                        selfinv = poly_gcd(cofactor, reciprocal(cofactor))
+                    if selfinv.degree >= 1 and _belongs_to(selfinv, root):
+                        caveat.append(root)
+                    else:
+                        raise UnresolvedBoundary(root.approx)
     return CircleClassification(tuple(inside), tuple(on_exact),
                                 tuple(outside), tuple(caveat))
 

@@ -179,6 +179,14 @@ class SymbolicSelfMap:
         if not isinstance(obj, dict) or not (known & set(obj)) or (set(obj) - known):
             raise InputError(
                 "a self-map needs the keys core/out_rays/in_strings/in_trees")
+        if not isinstance(obj.get("core", {}), dict) or any(
+                not isinstance(obj.get(key, []), list)
+                for key in ("out_rays", "in_strings", "in_trees")):
+            raise InputError("core must be an object, out_rays/in_strings/in_trees lists")
+        for key in ("in_strings", "in_trees"):
+            if any(not isinstance(e, dict) or not {"id", "attach"} <= set(e)
+                   for e in obj.get(key, [])):
+                raise InputError(f"every {key} entry needs the keys id and attach")
         return SymbolicSelfMap.build(
             obj.get("core", {}),
             obj.get("out_rays", ()),

@@ -90,6 +90,34 @@ def test_inline_value_longer_than_a_file_name(capsys):
     assert report["result"]["value"]["kind"] == "exact_zero"
 
 
+def test_coefficient_beyond_double_range(capsys):
+    # a linear factor is peeled exactly, whatever the size of its root
+    code, report = run_json(capsys, ["mahler", "--poly", "1e400,1"])
+    assert code == 0
+    assert report["result"]["value"] == {"kind": "exact_log", "base": 10 ** 400,
+                                         "multiplier": "1/1"}
+    # roots of size 1e200 go to mpmath; certified or not, never a traceback
+    assert dispatch(["mahler", "--poly", "1e400,0,1"]) in (0, 3)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["set-entropy", "--map"],
+    ["cotrajectory", "--set", "z", "--horizon", "3", "--map"],
+])
+@pytest.mark.parametrize("bad_map", [
+    {"core": {"z": "z"}, "out_rays": [], "in_strings": [{"attach": "z"}], "in_trees": []},
+    {"core": {"z": "z"}, "in_trees": [{"id": "x"}]},
+    {"core": {"z": "z"}, "in_strings": 5},
+    {"core": 5},
+])
+def test_exit_code_malformed_self_map(capsys, tmp_path, argv, bad_map):
+    path = tmp_path / "bad_map.json"
+    path.write_text(json.dumps(bad_map))
+    assert dispatch(argv + [str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exit_code_budget(capsys):
     code = dispatch(["oracle", "--matrix", "2", "--set", "0;1",
                      "--horizon", "40", "--budget", "100"])

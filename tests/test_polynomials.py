@@ -17,6 +17,7 @@ from entrokit.polynomials import (
     is_zero_mahler,
     poly_from_json,
     poly_to_json,
+    rational_roots,
     reciprocal,
     resultant,
     squarefree_decomposition,
@@ -66,13 +67,40 @@ def test_cyclotomic_small():
     assert q.coeffs == cyclotomic(12).coeffs == (1, 0, -1, 0, 1)
 
 
-@pytest.mark.parametrize("m", range(1, 31))
+@pytest.mark.parametrize("m", range(1, 401))
 def test_cyclotomic_product_identity(m):
     prod = IntPolynomial((1,))
     for d in range(1, m + 1):
         if m % d == 0:
             prod = prod * cyclotomic(d)
     assert prod.coeffs == ((-1,) + (0,) * (m - 1) + (1,))
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 201):
+        want = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
+        assert cyclotomic(m).coeffs == tuple(int(c) for c in reversed(want))
+
+
+def test_rational_roots_rebuild_the_input():
+    # f = cofactor * prod (b t - a)**k; a linear cofactor is peeled even
+    # beyond factor_cap, and its content stays in the cofactor
+    cases = [
+        (IntPolynomial((6, 4)), [(Fraction(-3, 2), 1)], (2,)),
+        (IntPolynomial((10 ** 400, 1)), [(Fraction(-10 ** 400), 1)], (1,)),
+        (IntPolynomial((0, -2, 1)) * IntPolynomial((-1, 3)) * IntPolynomial((1, 1, 1)),
+         [(0, 1), (Fraction(1, 3), 1), (2, 1)], (1, 1, 1)),
+    ]
+    for f, want_roots, want_cofactor in cases:
+        roots, cofactor = rational_roots(f)
+        assert roots == want_roots and cofactor.coeffs == want_cofactor
+        rebuilt = cofactor
+        for root, k in roots:
+            for _ in range(k):
+                rebuilt = rebuilt * IntPolynomial((-root.numerator, root.denominator))
+        assert rebuilt == f
 
 
 def test_is_zero_mahler():
@@ -160,3 +188,36 @@ def test_poly_json_round_trip():
     assert poly_from_json(poly_to_json(f)).coeffs == f.coeffs
     g = IntPolynomial((1, 0, -2))
     assert poly_from_json(poly_to_json(g)).coeffs == (1, 0, -2)
+
+
+# ----------------------------------------------------------------------
+# exact division over Z, against the product and against sympy
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # the property tests below need hypothesis
+    given = None
+
+if given is not None:
+    _coeffs = st.lists(st.integers(-30, 30), min_size=1, max_size=8)
+    _nonzero = _coeffs.filter(lambda c: c[-1] != 0)
+
+    @given(_coeffs, _nonzero)
+    def test_try_exact_divide_recovers_quotient(q0, d):
+        q0, d = IntPolynomial(q0), IntPolynomial(d)
+        assert try_exact_divide(q0 * d, d) == q0
+
+    @given(_coeffs, _nonzero, st.lists(st.integers(-2, 2), max_size=3))
+    def test_try_exact_divide_agrees_with_sympy(q0, d, r):
+        # f = q0 * d + r is often, but not always, divisible by d
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        d = IntPolynomial(d)
+        f = IntPolynomial(q0) * d + IntPolynomial(r)
+        q = try_exact_divide(f, d)
+        if q is not None:
+            assert q * d == f
+        sf, sd = (sympy.Poly(list(reversed(p.coeffs)) or [0], x, domain=sympy.ZZ)
+                  for p in (f, d))
+        _, rem = sf.div(sd, auto=False)
+        assert (q is None) == (not rem.is_zero)

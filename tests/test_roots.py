@@ -1,8 +1,11 @@
 import math
+import random
 
 import pytest
 
 from entrokit.polynomials import IntPolynomial, cyclotomic
+import entrokit.polynomials
+import entrokit.roots
 from entrokit.roots import classify_unit_circle, find_roots
 
 from oracles import bisect_real_root
@@ -100,3 +103,26 @@ def test_classify_outside_product_matches_mahler():
     cl = classify_unit_circle(f)
     log_product = sum(r.multiplicity * math.log(abs(r.approx)) for r in cl.outside)
     assert mahler_measure(f).as_float() == pytest.approx(log_product, abs=1e-9)
+
+
+def test_self_inversive_gcd_only_for_boundary_roots(monkeypatch):
+    calls = {"poly_gcd": 0, "_resolve_boundary": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(entrokit.roots, "poly_gcd")
+    counted(entrokit.polynomials, "poly_gcd")
+    counted(entrokit.roots, "_resolve_boundary")
+    rng = random.Random(64)
+    f = IntPolynomial([rng.choice((-1, 1)) for _ in range(65)])
+    cl = classify_unit_circle(f)
+    assert cl.total_multiplicity() == 64
+    assert not cl.on_circle_caveat and calls["_resolve_boundary"] == 0
+    assert calls["poly_gcd"] == 0
