@@ -24,7 +24,7 @@ from .linalg import Lattice, RatMatrix, matrix_from_json
 from .linear_entropy import LinearFlow, algebraic_entropy, topological_entropy, \
     trajectory_oracle
 from .mahler import mahler_measure
-from .polynomials import parse_fraction, poly_from_json
+from .polynomials import json_list, parse_fraction, poly_from_json
 from .search import SearchSpec, espectrum_sample, lehmer_search
 from .set_maps import SymbolicSelfMap, covariant_entropy, contravariant_entropy, \
     cotrajectory_profile, validate
@@ -71,7 +71,7 @@ def parse_matrix(arg: str) -> RatMatrix:
 def parse_lattice(arg: str) -> Lattice:
     obj = _load_json_or_inline(arg)
     if obj is not None:
-        cols = obj["columns"] if isinstance(obj, dict) else obj
+        cols = json_list(obj, "columns", rows=True)
     else:
         cols = [[c.strip() for c in col.split(",")] for col in arg.split(";")]
     return Lattice.from_columns([[int(str(x)) for x in col] for col in cols])
@@ -87,14 +87,14 @@ def parse_map(arg: str) -> SymbolicSelfMap:
 def parse_nodes(arg: str):
     obj = _load_json_or_inline(arg)
     if obj is not None:
-        return list(obj["nodes"] if isinstance(obj, dict) else obj)
+        return json_list(obj, "nodes")
     return [c.strip() for c in arg.split(",")]
 
 
 def parse_vectors(arg: str):
     obj = _load_json_or_inline(arg)
     if obj is not None:
-        vecs = obj["vectors"] if isinstance(obj, dict) else obj
+        vecs = json_list(obj, "vectors", rows=True)
         return [tuple(int(str(x)) for x in v) for v in vecs]
     return [tuple(int(c) for c in vec.split(",")) for vec in arg.split(";")]
 

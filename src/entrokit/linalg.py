@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, RankDeficient, SingularMap
-from .polynomials import RatPolynomial, _divisors, parse_fraction
+from .polynomials import RatPolynomial, _divisors, json_list, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -104,20 +104,36 @@ class RatMatrix:
 
     def inverse(self) -> "RatMatrix":
         n = self.n
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise SingularMap("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return RatMatrix([row[n:] for row in aug])
+        rows, pivots = _rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                              for i, row in enumerate(self.entries)], n)
+        if len(pivots) < n:
+            raise SingularMap("matrix is singular")
+        return RatMatrix([row[n:] for row in rows])
+
+
+def _rref(rows, ncols: int):
+    """Gauss-Jordan over Q on the first ncols columns of the Fraction rows.
+
+    Returns (reduced rows, pivot columns): row i of the result has a 1 in
+    pivot column i and zeros in every other pivot column, and the rows past
+    the pivots are zero in the first ncols columns.
+    """
+    rows = [list(row) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots
 
 
 def _clear_denominators(a: RatMatrix):
@@ -162,25 +178,9 @@ def char_poly(a: RatMatrix) -> RatPolynomial:
 def kernel_subspace(a: RatMatrix):
     """Exact basis of ker(A) over Q, as a list of Fraction tuples."""
     n = a.n
-    rows = [list(row) for row in a.entries]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots = _rref(a.entries, n)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -193,31 +193,14 @@ def solve_columns(columns, target):
     """Solve sum_j x_j * columns[j] = target exactly; None if inconsistent."""
     if not columns:
         return None if any(t != 0 for t in target) else []
-    n = len(columns[0])
     m = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(m)] + [Fraction(target[i])]
-           for i in range(n)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            return None
+    rows, pivots = _rref([[Fraction(col[i]) for col in columns] + [Fraction(t)]
+                          for i, t in enumerate(target)], m)
+    if any(row[m] != 0 for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * m
     for i, col in enumerate(pivots):
-        x[col] = aug[i][m]
+        x[col] = rows[i][m]
     return x
 
 
@@ -427,5 +410,5 @@ def matrix_to_json(a: RatMatrix) -> dict:
 
 
 def matrix_from_json(obj) -> RatMatrix:
-    rows = obj["rows"] if isinstance(obj, dict) else obj
-    return RatMatrix([[parse_fraction(x) for x in row] for row in rows])
+    return RatMatrix([[parse_fraction(x) for x in row]
+                      for row in json_list(obj, "rows", rows=True)])

@@ -21,8 +21,9 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, InputError, WrongDomain
 from .linalg import RatMatrix, char_poly, kernel_subspace, solve_columns
-from .mahler import mahler_measure
-from .polynomials import IntPolynomial, content_primitive, strip_cyclotomic_factors
+from .mahler import exact_peel, log_value, mahler_measure, outside_sum, sum_logs
+from .polynomials import IntPolynomial, content_primitive, cyclotomic, is_prime, \
+    strip_cyclotomic_factors
 from .roots import classify_unit_circle
 from .values import EntropyValue
 
@@ -40,7 +41,7 @@ class LinearFlow:
         if self.domain not in DOMAINS:
             raise InputError(f"unknown domain {self.domain!r}")
         if self.domain == "qp_scalar":
-            if self.prime < 2 or any(self.prime % d == 0 for d in range(2, int(self.prime ** 0.5) + 1)):
+            if not is_prime(self.prime):
                 raise InputError(f"{self.prime} is not a prime")
         elif self.matrix is None:
             raise InputError("matrix domains need a matrix")
@@ -85,34 +86,12 @@ def padic_valuation(x: Fraction, p: int) -> int:
 def _eigenvalue_sum_outside(matrix: RatMatrix, tol: float) -> EntropyValue:
     """Sum of log|lambda| over eigenvalues outside the unit circle, exact
     when the primitive characteristic polynomial splits exactly."""
-    _, prim = content_primitive(char_poly(matrix))
-    from .polynomials import rational_roots
-
-    p = prim
-    while p.degree >= 1 and p.constant_term() == 0:
-        p = IntPolynomial(p.coeffs[1:])
-    _, p = strip_cyclotomic_factors(p)
-    roots, cofactor = rational_roots(p)
-    outside_int = Fraction(1)
-    for root, mult in roots:
-        if abs(root) > 1:
-            outside_int *= abs(root) ** mult
+    roots, cofactor = exact_peel(content_primitive(char_poly(matrix))[1])
+    outside = math.prod((abs(r) ** mult for r, mult in roots if abs(r) > 1),
+                        start=Fraction(1))
     if cofactor.degree == 0:
-        if outside_int == 1:
-            return EntropyValue.zero()
-        if outside_int.denominator == 1:
-            return EntropyValue.log_of(int(outside_int))
-        return EntropyValue.approximate(
-            math.log(outside_int.numerator) - math.log(outside_int.denominator), 1e-12)
-    classification = classify_unit_circle(cofactor, tol)
-    value = math.log(float(outside_int))
-    error = 1e-15 * abs(value)
-    for root in classification.outside:
-        value += root.multiplicity * math.log(abs(root.approx))
-        error += root.multiplicity * root.radius / (abs(root.approx) - root.radius)
-    for root in classification.on_circle_caveat:
-        error += root.multiplicity * max(0.0, math.log(abs(root.approx) + root.radius))
-    return EntropyValue.approximate(value, error)
+        return log_value(outside)
+    return outside_sum(classify_unit_circle(cofactor, tol), math.log(outside))
 
 
 def algebraic_entropy(flow: LinearFlow, tol: float = 1e-12) -> EntropyValue:
@@ -142,38 +121,22 @@ def eigenvalue_lower_bound(flow: LinearFlow, tol: float = 1e-12) -> EntropyValue
     """max(0, max log|eigenvalue|): a certified lower bound for h_alg."""
     if flow.domain not in ("zn", "qn"):
         raise WrongDomain("the eigenvalue bound applies on zn or qn")
-    _, prim = content_primitive(char_poly(flow.matrix))
-    from .polynomials import rational_roots
-
-    p = prim
-    while p.degree >= 1 and p.constant_term() == 0:
-        p = IntPolynomial(p.coeffs[1:])
-    _, p = strip_cyclotomic_factors(p)
-    roots, cofactor = rational_roots(p)
-    best = Fraction(1)
-    for root, _ in roots:
-        if abs(root) > best:
-            best = abs(root)
+    roots, cofactor = exact_peel(content_primitive(char_poly(flow.matrix))[1])
+    best = max([abs(r) for r, _ in roots if abs(r) > 1], default=Fraction(1))
     if cofactor.degree == 0:
-        if best == 1:
-            return EntropyValue.zero()
-        if best.denominator == 1:
-            return EntropyValue.log_of(int(best))
-        return EntropyValue.approximate(
-            math.log(best.numerator) - math.log(best.denominator), 1e-12)
+        return log_value(best)
     classification = classify_unit_circle(cofactor, tol)
-    value = math.log(float(best))
-    error = 1e-15
+    value, radius_error = math.log(best), 0.0
     for root in classification.outside:
         mod = abs(root.approx)
         if math.log(mod) > value:
             value = math.log(mod)
-            error = root.radius / (mod - root.radius)
+            radius_error = root.radius / (mod - root.radius)
     if value == 0.0 and not classification.outside:
         # no eigenvalue strictly beats the circle; caveat roots sit on it
         return EntropyValue.zero() if not classification.on_circle_caveat \
             else EntropyValue.approximate(0.0, tol)
-    return EntropyValue.approximate(value, error)
+    return EntropyValue.approximate(value, radius_error + sum_logs([(1, value)])[1])
 
 
 # ----------------------------------------------------------------------
@@ -287,8 +250,6 @@ def pinsker_subspace(a: RatMatrix):
     factors, _ = strip_cyclotomic_factors(prim if prim.lead > 0 else -prim)
     if not factors:
         return []
-    from .polynomials import cyclotomic
-
     q = IntPolynomial((1,))
     for m, mult in factors:
         for _ in range(mult):

@@ -10,7 +10,10 @@ The computation peels off everything that can be decided exactly -- powers
 of t, cyclotomic factors, rational linear factors -- and only then touches
 floating point, on the cyclotomic-free, rational-root-free cofactor.  A
 polynomial that decomposes completely therefore yields an exact_zero or
-exact_log value with no numerics at all.
+exact_log value with no numerics at all.  That peel (``exact_peel``), the
+exact log of what it leaves (``log_value``) and the certified sum over the
+outside roots (``outside_sum``) are shared with the eigenvalue entropies of
+``linear_entropy``.
 """
 from __future__ import annotations
 
@@ -24,53 +27,91 @@ from .polynomials import (
     rational_roots,
     strip_cyclotomic_factors,
 )
-from .roots import classify_unit_circle
+from .roots import CircleClassification, classify_unit_circle
 from .values import EntropyValue
+
+_U = 2.0 ** -53  # unit roundoff of a double
+
+
+def exact_peel(p: IntPolynomial):
+    """(rational roots, cofactor) of a primitive p after dropping its powers
+    of t and its cyclotomic factors: the cofactor has neither, nor any
+    rational root, so only it needs numerics."""
+    while p.degree >= 1 and p.constant_term() == 0:
+        p = IntPolynomial(p.coeffs[1:])
+    _, p = strip_cyclotomic_factors(p)
+    return rational_roots(p)
+
+
+def sum_logs(terms):
+    """(value, bound) for the float sum of weight * log over (weight, log)
+    pairs, added in order, each log a computed ``math.log``.
+
+    Each log is off by the rounding of its argument to a double and by the
+    library log, a few ulps, bounded here by 4u(1 + |log|) with room for the
+    rounding of the bound itself; the weighted sum adds at most
+    gamma_k * sum |weight * log| (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, sections 3.1 and 4.2).
+    """
+    value = scale = slack = 0.0
+    for weight, log in terms:
+        value += weight * log
+        scale += abs(weight * log)
+        slack += abs(weight) * 4 * _U * (1 + abs(log))
+    k = len(terms)
+    return value, slack + k * _U / (1 - k * _U) * scale
+
+
+def log_value(q) -> EntropyValue:
+    """log q for a rational q >= 1: exact for an integer, certified otherwise."""
+    if q.denominator == 1:
+        return EntropyValue.log_of(q.numerator)
+    return EntropyValue.approximate(
+        *sum_logs([(1, math.log(q.numerator)), (-1, math.log(q.denominator))]))
+
+
+def outside_sum(classification: CircleClassification, *logs) -> EntropyValue:
+    """The logs of the exact part plus the sum of log|z| over the roots
+    outside the circle, with multiplicity, certified.
+
+    A root known to lie within r of its approximation z moves log|z| by at
+    most r / (|z| - r); a root on the circle with a caveat contributes
+    somewhere in [0, log(|z| + r)] and is counted as 0.
+    """
+    terms = [(1, log) for log in logs]
+    error = 0.0
+    for root in classification.outside:
+        terms.append((root.multiplicity, math.log(abs(root.approx))))
+        error += root.multiplicity * root.radius / (abs(root.approx) - root.radius)
+    for root in classification.on_circle_caveat:
+        hi, slack = sum_logs([(1, math.log(abs(root.approx) + root.radius))])
+        error += root.multiplicity * max(0.0, hi + slack)
+    value, rounding = sum_logs(terms)
+    return EntropyValue.approximate(value, error + rounding)
 
 
 def mahler_measure(f, tol: float = 1e-12) -> EntropyValue:
     """Logarithmic Mahler measure of the primitive part of f."""
-    if isinstance(f, RatPolynomial):
-        if f.is_zero():
-            raise ZeroPolynomial("zero polynomial")
-        _, p = content_primitive(f)
-    elif isinstance(f, IntPolynomial):
-        if f.is_zero():
-            raise ZeroPolynomial("zero polynomial")
-        p = f.primitive()
-    else:
+    if not isinstance(f, (IntPolynomial, RatPolynomial)):
         raise TypeError(f"expected a polynomial, got {type(f).__name__}")
+    if f.is_zero():
+        raise ZeroPolynomial("zero polynomial")
+    p = f.primitive() if isinstance(f, IntPolynomial) else content_primitive(f)[1]
     if p.degree == 0:
         return EntropyValue.zero()
 
-    # exact part: M accumulates |lead| * prod(|roots| > 1) over the factors
-    # that come off exactly; each rational root a/b inside a primitive factor
-    # (b t - a) contributes max(|a|, |b|), keeping M a positive integer.
-    while p.degree >= 1 and p.constant_term() == 0:
-        p = IntPolynomial(p.coeffs[1:])
-    _cyclo, p = strip_cyclotomic_factors(p)
-    roots, cofactor = rational_roots(p)
+    # exact part: each rational root a/b of a primitive factor (b t - a)
+    # contributes max(|a|, |b|), keeping the product a positive integer; the
+    # leftover constant of a complete decomposition is +-1, since the input
+    # and every peeled factor are primitive
+    roots, cofactor = exact_peel(p)
     measure_int = 1
     for root, mult in roots:
         measure_int *= max(abs(root.numerator), abs(root.denominator)) ** mult
     if cofactor.degree == 0:
-        # complete exact decomposition; the leftover constant is +-1 because
-        # the input was primitive and every peeled factor was primitive
-        if measure_int == 1:
-            return EntropyValue.zero()
-        return EntropyValue.log_of(measure_int)
-
-    classification = classify_unit_circle(cofactor, tol)
-    value = math.log(measure_int) + math.log(abs(cofactor.lead))
-    error = 0.0
-    for root in classification.outside:
-        value += root.multiplicity * math.log(abs(root.approx))
-        # d(log|z|) <= r / (|z| - r) for |z| - r > 0
-        error += root.multiplicity * root.radius / (abs(root.approx) - root.radius)
-    for root in classification.on_circle_caveat:
-        # true contribution lies in [0, log(|z| + r)]; counted as 0
-        error += root.multiplicity * max(0.0, math.log(abs(root.approx) + root.radius))
-    return EntropyValue.approximate(value, error)
+        return log_value(measure_int)
+    return outside_sum(classify_unit_circle(cofactor, tol),
+                       math.log(measure_int), math.log(abs(cofactor.lead)))
 
 
 def mahler_of_algebraic(minpoly: IntPolynomial, tol: float = 1e-12) -> EntropyValue:

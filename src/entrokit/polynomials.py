@@ -244,7 +244,7 @@ def cyclotomic(m: int) -> IntPolynomial:
         raise InputError("cyclotomic index must be a positive integer")
     if m == 1:
         return IntPolynomial((-1, 1))
-    primes = [p for p in _divisors(m)[1:] if len(_divisors(p)) == 2]
+    primes = [p for p in _divisors(m) if is_prime(p)]
     rad = math.prod(primes)
     if rad < m:
         return cyclotomic(rad).compose_power(m // rad)
@@ -470,6 +470,11 @@ def _merge_roots(roots):
     return sorted(merged.items())
 
 
+def is_prime(n: int) -> bool:
+    """Trial division up to the integer square root."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def _divisors(n: int):
     if n == 0:
         return []
@@ -603,9 +608,17 @@ def parse_fraction(text) -> Fraction:
         raise InputError(f"zero denominator in {text!r}") from None
 
 
+def json_list(obj, key: str, rows: bool = False) -> list:
+    """The list held by a JSON input, either bare or under obj[key]; with
+    rows, each of its items must be a list as well.  Any other shape is an
+    InputError."""
+    items = obj.get(key) if isinstance(obj, dict) else obj
+    if not isinstance(items, list):
+        raise InputError(f"expected a list, or an object with a {key!r} list")
+    if rows and not all(isinstance(row, list) for row in items):
+        raise InputError(f"each entry of {key!r} must be a list")
+    return items
+
+
 def poly_from_json(obj) -> RatPolynomial:
-    if isinstance(obj, dict):
-        coeffs = obj["coeffs"]
-    else:
-        coeffs = obj
-    return RatPolynomial([parse_fraction(c) for c in coeffs])
+    return RatPolynomial([parse_fraction(c) for c in json_list(obj, "coeffs")])

@@ -25,6 +25,7 @@ import mpmath
 from .errors import InputError, NoConvergence, UnresolvedBoundary
 from .polynomials import (
     IntPolynomial,
+    cyclotomic,
     poly_gcd,
     reciprocal,
     squarefree_decomposition,
@@ -59,23 +60,17 @@ class CircleClassification:
     on_circle_caveat: tuple
 
     def total_multiplicity(self) -> int:
-        phi = _phi_cache()
-        on = sum(phi(m) * k for m, k in self.on_circle_exact)
+        on = sum(cyclotomic(m).degree * k for m, k in self.on_circle_exact)
         return on + sum(r.multiplicity for r in
                         self.inside + self.outside + self.on_circle_caveat)
 
 
-def _phi_cache():
-    from .polynomials import cyclotomic
-
-    def phi(m):
-        return cyclotomic(m).degree
-
-    return phi
-
-
 def find_roots(f: IntPolynomial, tol: float = 1e-12) -> list:
-    """All complex roots of f with certified inclusion radii <= tol.
+    """All complex roots of f with certified inclusion radii below tol.
+
+    A root that only certifies in mpmath precision may instead have a
+    radius below tol * |z| when |z| > 1, which still fixes log|z| to about
+    tol; that is how roots far outside the double range get certified.
 
     Multiple roots are recovered exactly through the squarefree
     decomposition, so the iteration itself only ever sees simple roots;
@@ -216,7 +211,8 @@ def _aberth_mp(f: IntPolynomial, tol: float):
                     break
                 radius = _SLACK * n * abs(ev(coeffs, z) / dv)
                 radius = float(radius) + 10.0 ** (-dps + 3)
-                if not radius < tol:
+                # relative to |z| beyond the circle: log|z| moves by r/(|z| - r)
+                if not radius < tol * max(1, abs(z)):
                     ok = False
                     break
                 pairs.append((complex(z), radius))

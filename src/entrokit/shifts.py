@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError
+from .polynomials import is_prime
 from .set_maps import (
     SymbolicSelfMap,
     covariant_entropy,
@@ -92,7 +93,7 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
     if spec.variant != "direct_sum":
         raise InputError("the subgroup oracle runs on the direct-sum variant")
     p = spec.group_order
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise InputError("the oracle needs a prime group order")
     if horizon < 1:
         raise InputError("horizon must be positive")

@@ -3,9 +3,12 @@
 Everything here deliberately avoids the library's own numerical paths:
 real roots come from rational bisection on exact polynomial signs, lattice
 questions from brute-force enumeration of residues, characteristic
-polynomials of 2x2 matrices from the cofactor formula.
+polynomials of 2x2 matrices from the cofactor formula, Mahler measures
+from mpmath ``polyroots`` at 100 digits.
 """
 from fractions import Fraction
+
+import mpmath
 
 
 def bisect_real_root(coeffs, lo, hi, steps=220):
@@ -72,3 +75,21 @@ def lattice_members_box(lat, radius):
 def charpoly_2x2(a, b, c, d):
     """t^2 - (a+d) t + (ad - bc), ascending coefficients."""
     return (a * d - b * c, -(a + d), 1)
+
+
+def mahler_reference(coeffs, dps=100):
+    """(log|lead| + sum of log|root| over the roots outside the circle,
+    max(0, largest log|root|)) of integer ascending coefficients, from
+    mpmath polyroots at dps digits."""
+    with mpmath.workdps(dps):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)],
+                                 maxsteps=500, extraprec=4 * dps)
+        logs = [mpmath.log(abs(r)) for r in roots]
+        return (mpmath.log(abs(coeffs[-1])) + sum(x for x in logs if x > 0),
+                max([mpmath.mpf(0)] + logs))
+
+
+def interval_contains(value: dict, reference) -> bool:
+    """True when the JSON form of an approx value encloses the reference."""
+    with mpmath.workdps(100):
+        return abs(mpmath.mpf(value["value"]) - reference) <= mpmath.mpf(value["error"])

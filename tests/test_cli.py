@@ -1,9 +1,12 @@
 import json
 import pathlib
 
+import mpmath
 import pytest
 
 from entrokit.cli import dispatch
+
+from oracles import interval_contains, mahler_reference
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -96,9 +99,11 @@ def test_coefficient_beyond_double_range(capsys):
     assert code == 0
     assert report["result"]["value"] == {"kind": "exact_log", "base": 10 ** 400,
                                          "multiplier": "1/1"}
-    # roots of size 1e200 go to mpmath; certified or not, never a traceback
-    assert dispatch(["mahler", "--poly", "1e400,0,1"]) in (0, 3)
-    capsys.readouterr()
+    # roots +-1e200 i go to mpmath and certify relative to their modulus
+    code, report = run_json(capsys, ["mahler", "--poly", "1e400,0,1"])
+    assert code == 0
+    with mpmath.workdps(100):
+        assert interval_contains(report["result"]["value"], 400 * mpmath.log(10))
 
 
 @pytest.mark.parametrize("argv", [
@@ -138,3 +143,39 @@ def test_exact_values_never_serialized_as_floats(capsys):
     value = report["result"]["value"]
     assert value["kind"] == "exact_log"
     assert isinstance(value["multiplier"], str)
+
+
+@pytest.mark.parametrize("argv, coeffs", [
+    (["mahler", "--poly", "1e20,0,1"], [10 ** 20, 0, 1]),
+    (["mahler", "--poly", "3,0,0,0,1e30,7"], [3, 0, 0, 0, 10 ** 30, 7]),
+    (["yuzvinski", "--matrix", "0,20000000000000000000;1,0", "--domain", "rn"],
+     [-2 * 10 ** 19, 0, 1]),
+])
+def test_error_bound_covers_float_rounding(capsys, argv, coeffs):
+    # roots far from the circle: the radius terms are tiny, so the bound has
+    # to cover the rounding of the logs and of their sum
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert interval_contains(report["result"]["value"], mahler_reference(coeffs)[0])
+
+
+SCHEMA_COMMANDS = {
+    "coeffs": ["mahler", "--poly"],
+    "rows": ["yuzvinski", "--matrix"],
+    "columns": ["adjoint", "--matrix", "2", "--lattice"],
+    "nodes": ["cotrajectory", "--map", str(DATA / "left_shift.json"),
+              "--horizon", "3", "--set"],
+    "vectors": ["oracle", "--matrix", "2", "--horizon", "3", "--set"],
+}
+
+
+@pytest.mark.parametrize("key, bad", [
+    pytest.param(key, bad, id=f"{key}-{what}") for key in SCHEMA_COMMANDS
+    for what, bad in (("missing-key", {"x": 1}), ("bare-number", 5), ("non-list", {key: 5}))
+] + [pytest.param(key, {key: [1, 2]}, id=f"{key}-non-list-row")
+     for key in ("rows", "columns", "vectors")])
+def test_exit_code_malformed_json_schema(capsys, tmp_path, key, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert dispatch(SCHEMA_COMMANDS[key] + [str(path)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from entrokit.linalg import (
     lattice_preimage,
     matrix_from_json,
     matrix_to_json,
+    solve_columns,
 )
 
 from oracles import charpoly_2x2, lattice_members_box
@@ -88,6 +89,55 @@ def test_int_char_poly_edge_cases():
     assert int_char_poly(nilpotent) == (0, 0, 0, 0, 1)
     # nilpotent but not triangular: A = [[2, 4], [-1, -2]], A^2 = 0
     assert int_char_poly([[2, 4], [-1, -2]]) == (0, 0, 1)
+
+
+def _random_rational_rows(rng, n, rank):
+    """n x n Fraction rows of the given rank (a product of n x rank and
+    rank x n factors, so rank-deficient ones come up as often as full)."""
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    left = [[entry() for _ in range(rank)] for _ in range(n)]
+    right = [[entry() for _ in range(n)] for _ in range(rank)]
+    return [[sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+def test_gauss_jordan_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+
+    def to_sympy(rows):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in rows])
+
+    def to_fraction(x):
+        return Fraction(int(x.p), int(x.q))
+
+    for trial in range(120):
+        n = 1 + trial % 5
+        rows = _random_rational_rows(rng, n, rng.randint(0, n))
+        a, oracle = RatMatrix(rows), to_sympy(rows)
+        rank = oracle.rank()
+        if rank == n:
+            want = [[to_fraction(x) for x in oracle.inv().row(i)] for i in range(n)]
+            assert [list(row) for row in a.inverse().entries] == want
+        else:
+            with pytest.raises(SingularMap):
+                a.inverse()
+        want = [tuple(to_fraction(x) for x in v) for v in oracle.nullspace()]
+        assert kernel_subspace(a) == want
+        # the columns of A against a random target, and against one inside
+        # their span: None exactly when appending the target grows the rank
+        columns = [tuple(row[j] for row in rows) for j in range(n)]
+        inside = [sum((rng.randint(-3, 3) * c[i] for c in columns), Fraction(0))
+                  for i in range(n)]
+        for target in ([Fraction(rng.randint(-4, 4)) for _ in range(n)], inside):
+            x = solve_columns(columns, target)
+            grows = oracle.row_join(to_sympy([[t] for t in target])).rank() > rank
+            assert (x is None) == grows
+            if x is not None:
+                assert [sum((xj * c[i] for xj, c in zip(x, columns)), Fraction(0))
+                        for i in range(n)] == target
 
 
 def test_kernel_subspace():

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from entrokit.errors import InputError, WrongDomain
@@ -18,6 +19,8 @@ from entrokit.linear_entropy import (
     trajectory_oracle,
 )
 from entrokit.mahler import mahler_measure
+
+from oracles import interval_contains, mahler_reference
 
 FIB = RatMatrix([[0, 1], [1, 1]])
 GOLDEN = math.log((1 + 5 ** 0.5) / 2)
@@ -217,3 +220,30 @@ def test_pinsker_invariant_and_zero_entropy():
             assert solve_columns(basis, image) is not None
         restricted = restrict_to_subspace(a, basis)
         assert mahler_measure(char_poly(restricted)).is_zero()
+
+
+def test_rational_eigenvalues_give_a_certified_log():
+    # a non-integer rational eigenvalue: log 3/2, approximate but certified
+    with mpmath.workdps(100):
+        want = mpmath.log(mpmath.mpf(3) / 2)
+    for v in (topological_entropy(LinearFlow.on_reals(RatMatrix([[Fraction(3, 2)]]))),
+              eigenvalue_lower_bound(LinearFlow.on_rationals(
+                  RatMatrix([[Fraction(3, 2), 0], [0, 1]])))):
+        assert v.kind == "approx"
+        assert interval_contains(v.to_json(), want)
+
+
+def test_eigenvalue_lower_bound_covers_float_rounding():
+    # eigenvalues +-sqrt(2) * 10**20: the radius term alone is about 1e-47
+    v = eigenvalue_lower_bound(LinearFlow.on_rationals(RatMatrix([[0, 2 * 10 ** 40], [1, 0]])))
+    assert interval_contains(v.to_json(), mahler_reference([-2 * 10 ** 40, 0, 1])[1])
+
+
+def test_padic_prime_check_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(-2, 400):
+        if sympy.isprime(n):
+            LinearFlow.padic_scalar(n, Fraction(1, n))
+        else:
+            with pytest.raises(InputError):
+                LinearFlow.padic_scalar(n, 1)
