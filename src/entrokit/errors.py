@@ -41,14 +41,6 @@ class NoConvergence(CertificationError):
         self.max_iterations = max_iterations
 
 
-class UnresolvedBoundary(CertificationError):
-    """A root's certified annulus straddles the unit circle after max refinement."""
-
-    def __init__(self, root):
-        super().__init__(f"cannot place root near {root} strictly inside or outside the unit circle")
-        self.root = root
-
-
 class RankDeficient(InputError):
     pass
 

@@ -126,17 +126,19 @@ def eigenvalue_lower_bound(flow: LinearFlow, tol: float = 1e-12) -> EntropyValue
     if cofactor.degree == 0:
         return log_value(best)
     classification = classify_unit_circle(cofactor, tol)
-    value, radius_error = math.log(best), 0.0
+    value, error = math.log(best), 0.0
     for root in classification.outside:
         mod = abs(root.approx)
         if math.log(mod) > value:
             value = math.log(mod)
-            radius_error = root.radius / (mod - root.radius)
-    if value == 0.0 and not classification.outside:
-        # no eigenvalue strictly beats the circle; caveat roots sit on it
-        return EntropyValue.zero() if not classification.on_circle_caveat \
-            else EntropyValue.approximate(0.0, tol)
-    return EntropyValue.approximate(value, radius_error + sum_logs([(1, value)])[1])
+            error = root.radius / (mod - root.radius)
+    if value == 0.0 and not classification.on_circle_caveat:
+        return EntropyValue.zero()
+    # a boundary root has 0 <= log|z| <= log(|z| + r): it can only raise the top
+    for root in classification.on_circle_caveat:
+        hi, slack = sum_logs([(1, math.log(abs(root.approx) + root.radius))])
+        error = max(error, hi + slack - value)
+    return EntropyValue.approximate(value, error + sum_logs([(1, value)])[1])
 
 
 # ----------------------------------------------------------------------

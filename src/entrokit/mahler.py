@@ -75,8 +75,8 @@ def outside_sum(classification: CircleClassification, *logs) -> EntropyValue:
     outside the circle, with multiplicity, certified.
 
     A root known to lie within r of its approximation z moves log|z| by at
-    most r / (|z| - r); a root on the circle with a caveat contributes
-    somewhere in [0, log(|z| + r)] and is counted as 0.
+    most r / (|z| - r); a boundary root, whose annulus meets the circle,
+    contributes somewhere in [0, log(|z| + r)] and is counted as 0.
     """
     terms = [(1, log) for log in logs]
     error = 0.0

@@ -5,29 +5,31 @@ decomposition, and for circle classification the cyclotomic factors), then
 run a simultaneous Aberth-Ehrlich iteration from deterministic initial
 guesses.  Each approximation carries an inclusion radius from the classical
 bound  min_i |z - lambda_i| <= deg * |f(z)/f'(z)|,  padded by a small slack
-factor for floating-point evaluation error.
+factor for evaluation error and by the rounding of the approximation to a
+complex double.
 
-Double precision is tried first; when the requested tolerance cannot be
-certified there, the iteration is re-run in mpmath working precision
-(>= 30 significant digits, more for tighter tolerances).  Initial guesses
-are roots of unity scaled by the Cauchy bound with a fixed angular offset,
-so runs are reproducible bit-for-bit at a fixed precision.
+One Aberth loop serves both precisions: it runs in ``mpmath.fp`` first and,
+when the requested tolerance cannot be certified there, in ``mpmath.mp`` at
+>= 30 significant digits (more for tighter tolerances), then at twice that.
+Initial guesses are roots of unity scaled by the Cauchy bound with a fixed
+angular offset, so runs are reproducible bit-for-bit at a fixed precision.
+
+Classification against the unit circle is one pass over those roots: a
+root is inside or outside when its annulus says so, and a boundary root
+otherwise, whose log|z| is then only known to lie in [0, log(|z| + r)].
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .errors import InputError, NoConvergence, UnresolvedBoundary
+from .errors import InputError, NoConvergence, NotPrimitive
 from .polynomials import (
     IntPolynomial,
     cyclotomic,
-    poly_gcd,
-    reciprocal,
     squarefree_decomposition,
     strip_cyclotomic_factors,
 )
@@ -49,9 +51,10 @@ class CircleClassification:
     """Roots partitioned against the unit circle, with multiplicity.
 
     on_circle_exact lists (cyclotomic index m, multiplicity) pairs removed
-    exactly before any numerics; on_circle_caveat holds roots of the
-    self-inversive cofactor whose annulus straddles the circle -- provably
-    paired symmetric roots, reported "on" with an exactness caveat.
+    exactly before any numerics; on_circle_caveat holds the boundary roots,
+    those whose certified annulus meets the circle.  A boundary root may lie
+    on the circle or just off it, so all that is known of its log|z| is that
+    it lies in [0, log(|z| + r)].
     """
 
     inside: tuple
@@ -70,7 +73,9 @@ def find_roots(f: IntPolynomial, tol: float = 1e-12) -> list:
 
     A root that only certifies in mpmath precision may instead have a
     radius below tol * |z| when |z| > 1, which still fixes log|z| to about
-    tol; that is how roots far outside the double range get certified.
+    tol; that is how roots far outside the double range get certified.  Its
+    radius then also covers the rounding of z to a complex double, about
+    2**-50 (|z| + 1), which is more than tol when tol is below about 1e-15.
 
     Multiple roots are recovered exactly through the squarefree
     decomposition, so the iteration itself only ever sees simple roots;
@@ -96,129 +101,82 @@ def _roots_squarefree(f: IntPolynomial, tol: float):
         approx = complex(float(root), 0.0)
         radius = abs(approx - complex(root)) + 2.0 ** -48 * (abs(approx) + 1.0)
         return [(approx, radius)]
-    pairs = _aberth_float(f, tol)
-    if pairs is None:
-        pairs = _aberth_mp(f, tol)
-    if pairs is None:
-        raise NoConvergence(_MAX_ITER)
-    return pairs
+    digits = max(30, int(-math.log10(tol)) + 15)
+    for ctx, dps in ((mpmath.fp, 15), (mpmath.mp, digits), (mpmath.mp, 2 * digits)):
+        with mpmath.workdps(dps):
+            pairs = _aberth(ctx, f, tol, dps)
+        if pairs is not None:
+            return pairs
+    raise NoConvergence(_MAX_ITER)
 
 
-def _cauchy_bound(coeffs) -> float:
-    lead = abs(coeffs[-1])
-    return 1.0 + max(abs(c) for c in coeffs[:-1]) / lead if len(coeffs) > 1 else 1.0
+def _horner(coeffs, x):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
 
 
-def _initial_guesses(n: int, bound: float):
-    return [bound * cmath.exp(2j * math.pi * (k / n) + 0.4j) for k in range(n)]
+def _aberth(ctx, f: IntPolynomial, tol: float, dps: int):
+    """(z, radius) for every root of the squarefree f, from an Aberth-Ehrlich
+    iteration in ``mpmath.fp`` or in ``mpmath.mp`` at dps digits; None when
+    some radius does not certify.
 
-
-def _aberth_float(f: IntPolynomial, tol: float):
+    Each z is returned as a complex double.  Its radius covers the rounding
+    of z to that double: in ``mpmath.fp`` the allowance counts against tol,
+    in ``mpmath.mp`` it is added after the test, which then takes tol
+    relative to |z| beyond the circle, where log|z| moves by r/(|z| - r).
+    """
     n = f.degree
     try:
-        coeffs = [float(c) for c in f.coeffs]
+        coeffs = [ctx.mpf(c) for c in f.coeffs]
     except OverflowError:  # beyond double range: leave it to mpmath
         return None
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-
-    def ev(cs, x):
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    zs = _initial_guesses(n, _cauchy_bound(coeffs))
+    bound = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+    zs = [bound * ctx.exp(2j * ctx.pi * (k / n) + 0.4j) for k in range(n)]
+    if ctx is mpmath.fp:
+        stop, nudge = 1e-15, 1e-6 + 1e-6j
+    else:
+        stop, nudge = ctx.mpf(10) ** (5 - dps), ctx.mpf(10) ** (-dps // 2)
     for _ in range(_MAX_ITER):
-        moved = 0.0
+        moved = 0
         for k in range(n):
-            fv = ev(coeffs, zs[k])
-            dv = ev(dcoeffs, zs[k])
+            dv = _horner(dcoeffs, zs[k])
             if dv == 0:
-                zs[k] += 1e-6 + 1e-6j
-                moved = math.inf
+                zs[k] += nudge
+                moved = ctx.inf
                 continue
-            w = fv / dv
-            s = 0.0
+            w = _horner(coeffs, zs[k]) / dv
+            s = 0
             for j in range(n):
                 if j != k:
                     diff = zs[k] - zs[j]
-                    if diff == 0:
-                        diff = 1e-12
-                    s += 1.0 / diff
-            denom = 1.0 - w * s
+                    s += 1 / (diff if diff != 0 else nudge)
+            denom = 1 - w * s
             step = w / denom if denom != 0 else w
             zs[k] -= step
             moved = max(moved, abs(step))
-        if moved < 1e-15 * max(1.0, max(abs(z) for z in zs)):
+        if moved < stop * max(1, max(abs(z) for z in zs)):
             break
     pairs = []
     for z in zs:
-        fv = ev(coeffs, z)
-        dv = ev(dcoeffs, z)
+        dv = _horner(dcoeffs, z)
         if dv == 0:
             return None
-        radius = _SLACK * n * abs(fv / dv) + 2.0 ** -50 * (abs(z) + 1.0)
-        if not radius < tol:
+        radius = float(_SLACK * n * abs(_horner(coeffs, z) / dv))
+        allowance = 2.0 ** -50 * (abs(complex(z)) + 1.0)
+        if ctx is mpmath.fp:
+            radius += allowance
+            certified = radius < tol
+        else:
+            radius += 10.0 ** (3 - dps)
+            certified = radius < tol * max(1, abs(z))
+            radius += allowance
+        if not certified:
             return None
-        pairs.append((z, radius))
+        pairs.append((complex(z), radius))
     return pairs
-
-
-def _aberth_mp(f: IntPolynomial, tol: float):
-    n = f.degree
-    digits = max(30, int(-math.log10(tol)) + 15)
-    for dps in (digits, 2 * digits):
-        with mpmath.workdps(dps):
-            coeffs = [mpmath.mpf(c) for c in f.coeffs]
-            dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-
-            def ev(cs, x):
-                acc = mpmath.mpc(0)
-                for c in reversed(cs):
-                    acc = acc * x + c
-                return acc
-
-            bound = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
-            offset = mpmath.mpf("0.4")
-            zs = [bound * mpmath.exp(1j * (2 * mpmath.pi * k / n + offset))
-                  for k in range(n)]
-            eps = mpmath.mpf(10) ** (-dps + 5)
-            for _ in range(_MAX_ITER):
-                moved = mpmath.mpf(0)
-                for k in range(n):
-                    w_den = ev(dcoeffs, zs[k])
-                    if w_den == 0:
-                        zs[k] += mpmath.mpc(10) ** (-dps // 2)
-                        moved = mpmath.inf
-                        continue
-                    w = ev(coeffs, zs[k]) / w_den
-                    s = mpmath.mpc(0)
-                    for j in range(n):
-                        if j != k:
-                            s += 1 / (zs[k] - zs[j])
-                    denom = 1 - w * s
-                    step = w / denom if denom != 0 else w
-                    zs[k] -= step
-                    moved = max(moved, abs(step))
-                if moved < eps:
-                    break
-            pairs = []
-            ok = True
-            for z in zs:
-                dv = ev(dcoeffs, z)
-                if dv == 0:
-                    ok = False
-                    break
-                radius = _SLACK * n * abs(ev(coeffs, z) / dv)
-                radius = float(radius) + 10.0 ** (-dps + 3)
-                # relative to |z| beyond the circle: log|z| moves by r/(|z| - r)
-                if not radius < tol * max(1, abs(z)):
-                    ok = False
-                    break
-                pairs.append((complex(z), radius))
-            if ok:
-                return pairs
-    return None
 
 
 def _merge_clusters(roots):
@@ -253,16 +211,13 @@ def classify_unit_circle(f: IntPolynomial, tol: float = 1e-12) -> CircleClassifi
 
     Cyclotomic factors are divided out exactly before any floating point
     runs, so roots of unity are classified "on" with zero numerical
-    ambiguity.  Roots of the remaining cofactor are certified strictly
-    inside or outside; a root whose annulus straddles the circle is accepted
-    as "on" (with a caveat flag) only when it belongs to the self-inversive
-    factor gcd(g, reciprocal(g)), whose circle roots are genuine.  Anything
-    else raises UnresolvedBoundary rather than silently classifying.
+    ambiguity.  The roots of the remaining cofactor come from one call of
+    find_roots; each is inside or outside when its certified annulus lies
+    strictly on that side of the circle, and a boundary root otherwise.
     """
     if f.is_zero():
         raise InputError("zero polynomial")
     if abs(f.content()) != 1:
-        from .errors import NotPrimitive
         raise NotPrimitive("classification expects a primitive polynomial")
     on_exact, cofactor = strip_cyclotomic_factors(f if f.lead > 0 else -f)
     k = 0
@@ -270,55 +225,14 @@ def classify_unit_circle(f: IntPolynomial, tol: float = 1e-12) -> CircleClassifi
         cofactor = IntPolynomial(cofactor.coeffs[1:])
         k += 1
     inside = [CertifiedRoot(0j, 0.0, k)] if k else []
-    outside, caveat = [], []
-    selfinv = None  # gcd(g, g*), computed only when a root stays on the circle
+    outside, boundary = [], []
     if cofactor.degree >= 1:
         for root in find_roots(cofactor, tol):
-            lo = abs(root.approx) - root.radius
-            hi = abs(root.approx) + root.radius
-            if lo > 1.0:
+            if abs(root.approx) - root.radius > 1.0:
                 outside.append(root)
-            elif hi < 1.0:
+            elif abs(root.approx) + root.radius < 1.0:
                 inside.append(root)
             else:
-                resolved = _resolve_boundary(cofactor, root, tol)
-                if resolved == "outside":
-                    outside.append(root)
-                elif resolved == "inside":
-                    inside.append(root)
-                else:
-                    if selfinv is None:
-                        selfinv = poly_gcd(cofactor, reciprocal(cofactor))
-                    if selfinv.degree >= 1 and _belongs_to(selfinv, root):
-                        caveat.append(root)
-                    else:
-                        raise UnresolvedBoundary(root.approx)
+                boundary.append(root)
     return CircleClassification(tuple(inside), tuple(on_exact),
-                                tuple(outside), tuple(caveat))
-
-
-def _resolve_boundary(f: IntPolynomial, root: CertifiedRoot, tol: float):
-    """Retry one root at higher precision to move its annulus off the circle."""
-    target = min(tol, 1e-25)
-    try:
-        refined = find_roots(f, target)
-    except NoConvergence:
-        return None
-    best = min(refined, key=lambda r: abs(r.approx - root.approx))
-    if abs(best.approx - root.approx) > max(root.radius * 8, 1e-9):
-        return None
-    lo = abs(best.approx) - best.radius
-    hi = abs(best.approx) + best.radius
-    if lo > 1.0:
-        return "outside"
-    if hi < 1.0:
-        return "inside"
-    return None
-
-
-def _belongs_to(factor: IntPolynomial, root: CertifiedRoot) -> bool:
-    """Residual test: |factor(z)| small relative to the certified radius."""
-    z = root.approx
-    val = abs(factor(z))
-    scale = sum(abs(c) * max(1.0, abs(z)) ** i for i, c in enumerate(factor.coeffs))
-    return val <= scale * max(root.radius, 1e-14) * factor.degree * 4
+                                tuple(outside), tuple(boundary))

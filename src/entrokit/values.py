@@ -93,6 +93,14 @@ class EntropyValue:
         pad = 4.0 * abs(v) * 2.0**-52
         return (v - pad, v + pad)
 
+    def _ball(self) -> tuple[Fraction, Fraction]:
+        """(centre, radius) of a finite value's enclosing interval, exactly:
+        approx(v, e) gives v and e themselves, not v - e and v + e rounded."""
+        if self.kind == "approx":
+            return Fraction(self.value), Fraction(self.error)
+        lo, hi = map(Fraction, self.interval())
+        return (lo + hi) / 2, (hi - lo) / 2
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "EntropyValue") -> "EntropyValue":
@@ -104,10 +112,8 @@ class EntropyValue:
             return self
         if self.kind == "exact_log" and other.kind == "exact_log" and self.base == other.base:
             return EntropyValue.log_of(self.base, self.multiplier + other.multiplier)
-        lo1, hi1 = self.interval()
-        lo2, hi2 = other.interval()
-        mid = (lo1 + lo2 + hi1 + hi2) / 2.0
-        return EntropyValue.approximate(mid, (hi1 + hi2 - lo1 - lo2) / 2.0)
+        (mid1, radius1), (mid2, radius2) = self._ball(), other._ball()
+        return _enclose(mid1 + mid2, radius1 + radius2)
 
     def scaled(self, k) -> "EntropyValue":
         """k * self for a non-negative rational k."""
@@ -120,7 +126,7 @@ class EntropyValue:
             return EntropyValue.infinity()
         if self.kind == "exact_log":
             return EntropyValue.log_of(self.base, self.multiplier * k)
-        return EntropyValue.approximate(self.value * float(k), self.error * float(k))
+        return _enclose(Fraction(self.value) * k, Fraction(self.error) * k)
 
     # -- comparison ---------------------------------------------------
 
@@ -182,6 +188,17 @@ class EntropyValue:
         if self.kind == "approx":
             return f"{self.value:.12g} (+/- {self.error:.3g})"
         return "infinity"
+
+
+def _enclose(mid: Fraction, radius: Fraction) -> EntropyValue:
+    """An approx value whose interval contains [mid - radius, mid + radius]:
+    mid rounded to a double, and the radius plus that rounding, rounded up."""
+    value = float(mid)
+    bound = radius + abs(Fraction(value) - mid)
+    error = float(bound)
+    if error < bound:
+        error = math.nextafter(error, math.inf)
+    return EntropyValue.approximate(value, error)
 
 
 def _compare_exact(a: EntropyValue, b: EntropyValue) -> int:

@@ -159,6 +159,15 @@ def test_error_bound_covers_float_rounding(capsys, argv, coeffs):
     assert interval_contains(report["result"]["value"], mahler_reference(coeffs)[0])
 
 
+def test_roots_just_off_the_circle(capsys):
+    # 10^27 t^2 - (2 10^27 + 1) t + 10^27 has its roots at 1 +- 3.2e-14, off
+    # the circle by less than tol but by more than the rounding allowance
+    a = 10 ** 27
+    code, report = run_json(capsys, ["mahler", "--poly", f"{a},{-(2 * a + 1)},{a}"])
+    assert code == 0
+    assert interval_contains(report["result"]["value"], mahler_reference([a, -(2 * a + 1), a])[0])
+
+
 SCHEMA_COMMANDS = {
     "coeffs": ["mahler", "--poly"],
     "rows": ["yuzvinski", "--matrix"],

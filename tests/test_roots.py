@@ -1,14 +1,17 @@
 import math
 import random
+from collections import Counter
 
+import mpmath
 import pytest
 
 from entrokit.polynomials import IntPolynomial, cyclotomic
 import entrokit.polynomials
 import entrokit.roots
+from entrokit.mahler import mahler_measure
 from entrokit.roots import classify_unit_circle, find_roots
 
-from oracles import bisect_real_root
+from oracles import bisect_real_root, mahler_reference
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 
@@ -97,32 +100,106 @@ def test_classification_counts_degree():
 
 
 def test_classify_outside_product_matches_mahler():
-    from entrokit.mahler import mahler_measure
-
     f = IntPolynomial((1, 4, -3, 1)) * cyclotomic(5)
     cl = classify_unit_circle(f)
     log_product = sum(r.multiplicity * math.log(abs(r.approx)) for r in cl.outside)
     assert mahler_measure(f).as_float() == pytest.approx(log_product, abs=1e-9)
 
 
-def test_self_inversive_gcd_only_for_boundary_roots(monkeypatch):
-    calls = {"poly_gcd": 0, "_resolve_boundary": 0}
+def test_classification_is_one_pass(monkeypatch):
+    # one find_roots call per classification and no gcd(g, g*), whether
+    # boundary roots are present (Lehmer) or not (random degree 64)
+    calls = Counter()
 
-    def counted(module, name):
-        original = getattr(module, name)
-
+    def counted(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
+        return wrapper
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(entrokit.roots, "poly_gcd")
-    counted(entrokit.polynomials, "poly_gcd")
-    counted(entrokit.roots, "_resolve_boundary")
+    for module in (entrokit.roots, entrokit.polynomials):
+        for name in ("find_roots", "poly_gcd"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     rng = random.Random(64)
-    f = IntPolynomial([rng.choice((-1, 1)) for _ in range(65)])
-    cl = classify_unit_circle(f)
-    assert cl.total_multiplicity() == 64
-    assert not cl.on_circle_caveat and calls["_resolve_boundary"] == 0
-    assert calls["poly_gcd"] == 0
+    for f in (LEHMER, IntPolynomial([rng.choice((-1, 1)) for _ in range(65)])):
+        calls.clear()
+        cl = classify_unit_circle(f)
+        assert cl.total_multiplicity() == f.degree
+        assert calls == Counter(find_roots=1)
+
+
+def _counts_60_digits(coeffs):
+    """(inside, outside, on) root counts from mpmath polyroots at 60 digits."""
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)],
+                                 maxsteps=500, extraprec=240)
+        gaps = [abs(r) - 1 for r in roots]
+        eps = mpmath.mpf(10) ** -40
+        return (sum(1 for g in gaps if g < -eps), sum(1 for g in gaps if g > eps),
+                sum(1 for g in gaps if abs(g) <= eps))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-30])
+@pytest.mark.parametrize("coeffs, counts", [
+    ((1, 1, 1, 2, 1, 2, 1, 1, 1), (1, 1, 6)),
+    ((1, -1, -1, -1, 0, -1, 0, -1, -1, -1, 1), (1, 1, 8)),
+])
+def test_circle_roots_are_never_filed_inside(coeffs, counts, tol):
+    # a root on the circle once came back inside: its radius did not cover
+    # the rounding of the mpmath root to a double
+    cl = classify_unit_circle(IntPolynomial(coeffs), tol)
+    got = tuple(sum(r.multiplicity for r in part)
+                for part in (cl.inside, cl.outside, cl.on_circle_caveat))
+    assert got == counts
+    assert _counts_60_digits(coeffs) == counts
+    for root in cl.on_circle_caveat:
+        assert abs(abs(root.approx) - 1) <= root.radius
+
+
+# ----------------------------------------------------------------------
+# Salem x cyclotomic x random reciprocal products
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below needs hypothesis
+    given = None
+
+if given is not None:
+    SALEM = (
+        (1,),
+        LEHMER.coeffs,
+        (1, -1, -1, -1, 1),                    # 1.7221
+        (1, 0, -1, -1, -1, 0, 1),              # 1.4013
+        (1, 0, 0, -1, -1, -1, 0, 0, 1),        # 1.2806
+    )
+
+    @st.composite
+    def _reciprocal(draw):
+        half = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+        c0 = draw(st.sampled_from((-2, -1, 1, 2)))
+        middle = draw(st.lists(st.integers(-3, 3), max_size=1))
+        coeffs = [c0] + half + middle + half[::-1] + [c0]
+        return IntPolynomial(coeffs).primitive()
+
+    def _reference(f):
+        """M(f) from mpmath at 100 digits, one squarefree factor at a time
+        (sympy's sqf_list), since polyroots stalls on repeated roots."""
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        _, factors = sympy.Poly(list(reversed(f.coeffs)), x).sqf_list()
+        return sum(k * mahler_reference([int(c) for c in reversed(g.all_coeffs())])[0]
+                   for g, k in factors)
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(SALEM), st.integers(1, 20), st.integers(0, 2), _reciprocal())
+    def test_reciprocal_products(salem, m, power, g):
+        salem = IntPolynomial(salem)
+        f = salem * g
+        for _ in range(power):
+            f = f * cyclotomic(m)
+        assert classify_unit_circle(f).total_multiplicity() == f.degree
+        lo, hi = mahler_measure(f).interval()
+        with mpmath.workdps(100):
+            reference = mahler_reference(salem.coeffs)[0] + _reference(g)
+            assert lo <= reference <= hi

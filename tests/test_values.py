@@ -75,3 +75,39 @@ def test_json_never_floats_exact_values():
     enc = EntropyValue.log_of(2, 3).to_json()
     assert enc == {"kind": "exact_log", "base": 2, "multiplier": "3/1"}
     assert EntropyValue.zero().to_json() == {"kind": "exact_zero"}
+
+
+# ----------------------------------------------------------------------
+# sums and rational multiples enclose the exact result
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # the property tests below need hypothesis
+    given = None
+
+if given is not None:
+    _values = st.floats(-1e300, 1e300)
+    _errors = st.floats(0, 1e300)
+    _scales = st.fractions(min_value=0, max_value=1000, max_denominator=10 ** 6)
+
+    def _encloses(v, lo, hi):
+        """True when the approx value v contains the exact interval [lo, hi]."""
+        mid, err = Fraction(v.value), Fraction(v.error)
+        return mid - err <= lo and hi <= mid + err
+
+    def test_scaled_third_contains_third():
+        assert _encloses(EntropyValue.approximate(1.0, 0.0).scaled(Fraction(1, 3)),
+                         Fraction(1, 3), Fraction(1, 3))
+
+    @given(_values, _errors, _scales)
+    def test_scaled_encloses_exact_product(value, error, k):
+        v = EntropyValue.approximate(value, error).scaled(k)
+        lo, hi = Fraction(value) - Fraction(error), Fraction(value) + Fraction(error)
+        assert v.is_zero() if k == 0 else _encloses(v, k * lo, k * hi)
+
+    @given(_values, _errors, _values, _errors)
+    def test_sum_encloses_exact_sum(v1, e1, v2, e2):
+        v = EntropyValue.approximate(v1, e1) + EntropyValue.approximate(v2, e2)
+        mid = Fraction(v1) + Fraction(v2)
+        radius = Fraction(e1) + Fraction(e2)
+        assert _encloses(v, mid - radius, mid + radius)
