@@ -27,7 +27,7 @@ from .mahler import mahler_measure
 from .polynomials import json_list, parse_fraction, poly_from_json
 from .search import SearchSpec, espectrum_sample, lehmer_search
 from .set_maps import SymbolicSelfMap, covariant_entropy, contravariant_entropy, \
-    cotrajectory_profile, validate
+    cotrajectory_profile
 from .shifts import GeneralizedShiftSpec, adjoint_entropy_of_shift, \
     shift_algebraic_entropy, shift_bruteforce_oracle, shift_topological_entropy
 from .values import EntropyValue
@@ -141,9 +141,6 @@ def _cmd_padic(args):
 
 def _cmd_set_entropy(args):
     m = parse_map(args.map)
-    problems = validate(m)
-    if problems:
-        raise InputError("; ".join(problems))
     h = covariant_entropy(m)
     h_star = contravariant_entropy(m)
     payload = {"h": _count_json(h), "h_star": _count_json(h_star)}

@@ -107,7 +107,11 @@ class Free(GroupFamily):
         return list(self._gens)
 
     def multiply(self, a, b):
-        return self._reduce(a + b)
+        # a and b are reduced, so letters cancel only where they meet
+        i, n = 0, min(len(a), len(b))
+        while i < n and a[-1 - i] == -b[i]:
+            i += 1
+        return a[:len(a) - i] + b[i:]
 
     def describe(self):
         return f"free of rank {self.rank} with {len(self._gens)} generators"
@@ -204,9 +208,9 @@ def growth_table(family: GroupFamily, horizon: int,
                 y = family.multiply(x, g)
                 if y not in ball:
                     ball.add(y)
+                    if len(ball) > budget:
+                        raise BudgetExceeded(budget, "ball enumeration")
                     new_frontier.append(y)
-        if len(ball) > budget:
-            raise BudgetExceeded(budget, "ball enumeration")
         frontier = new_frontier
         gamma.append(len(ball))
     rates = tuple(math.log(g) / n for n, g in enumerate(gamma) if n >= 1)

@@ -5,12 +5,21 @@ tail, which together realize every value the two entropies can take while
 keeping all computations terminating:
 
   OutRay   R: points R:0 -> R:1 -> R:2 -> ...   (forward-infinite orbit;
-              core nodes may map to the head R:0)
+              core nodes may map to the head R:0, written "ray:R")
   InString S: points ... -> S:1 -> S:0 -> attach  (backward-infinite chain
               feeding a core node)
   InTree   T: a complete backward b-ary tree feeding a core node; the point
-              T:p for a nonempty digit word p maps to T:p-minus-last-digit,
-              and the single-digit points map to the attach node.
+              T:p for a nonempty word p of digits below b maps to
+              T:p-minus-last-digit, and the single-digit points map to the
+              attach node.  Digits are 0-9 then a-z, so b <= 36.
+
+A point is a core node name (a str) or a tail point (tail id, k) with an int
+k: the position on a ray or string, or the heap index of a tree point (the
+children of k are b*k+1 .. b*k+b, the depth-1 points are 1..b).  Names are
+read by ``SymbolicSelfMap.resolve`` and written by ``point_name``; a name is
+accepted only in the form ``point_name`` writes back (no sign, no leading
+zero, no blank, digits below the branching).  A map is checked when it is
+constructed and raises ``InvalidMap`` listing every violated invariant.
 
 The covariant entropy counts pairwise disjoint infinite forward orbits: one
 per weakly connected component whose terminal structure is a ray.  The
@@ -31,10 +40,6 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_BRANCHING = len(_DIGITS)
 
 
-def _digit(d: int) -> str:
-    return _DIGITS[d]
-
-
 @dataclass(frozen=True)
 class InString:
     id: str
@@ -48,16 +53,41 @@ class InTree:
     branching: int
 
 
+def _parse_target(text: str):
+    """A core target as written in JSON: a node name, or "ray:R" for (R, 0)."""
+    return (text[len(RAY_PREFIX):], 0) if text.startswith(RAY_PREFIX) else text
+
+
+def _target_text(target) -> str:
+    return target if isinstance(target, str) else RAY_PREFIX + target[0]
+
+
+def _tree_depth(k: int, branching: int) -> int:
+    depth = 0
+    while k:
+        k = (k - 1) // branching
+        depth += 1
+    return depth
+
+
 @dataclass(frozen=True)
 class SymbolicSelfMap:
-    core_map: tuple        # sorted (node, target) pairs; target node or "ray:ID"
+    core_map: tuple        # (node, target) pairs sorted by node; target node or (ray, 0)
     out_rays: tuple        # ray ids
     in_strings: tuple      # InString entries
     in_trees: tuple        # InTree entries
 
+    def __post_init__(self):
+        problems = validate(self)
+        if problems:
+            raise InvalidMap(problems)
+
     @staticmethod
     def build(core_map=None, out_rays=(), in_strings=(), in_trees=()):
-        core = tuple(sorted((str(k), str(v)) for k, v in (core_map or {}).items()))
+        """Targets are node names, "ray:R" strings or (R, 0) ray heads."""
+        core = tuple(sorted(
+            ((str(k), v if isinstance(v, tuple) else _parse_target(str(v)))
+             for k, v in (core_map or {}).items()), key=lambda pair: pair[0]))
         strings = tuple(InString(str(s.id if isinstance(s, InString) else s[0]),
                                  str(s.attach if isinstance(s, InString) else s[1]))
                         for s in in_strings)
@@ -72,38 +102,25 @@ class SymbolicSelfMap:
         return dict(self.core_map)
 
     @cached_property
-    def ray_set(self) -> frozenset:
-        return frozenset(self.out_rays)
-
-    @cached_property
-    def string_by_id(self) -> dict:
-        return {s.id: s for s in self.in_strings}
-
-    @cached_property
-    def tree_by_id(self) -> dict:
-        return {t.id: t for t in self.in_trees}
-
-    @cached_property
-    def strings_at(self) -> dict:
-        out = {}
-        for s in self.in_strings:
-            out.setdefault(s.attach, []).append(s)
+    def tails(self) -> dict:
+        """tail id -> None for a ray, its InString or its InTree otherwise."""
+        out = dict.fromkeys(self.out_rays)
+        out.update((s.id, s) for s in self.in_strings)
+        out.update((t.id, t) for t in self.in_trees)
         return out
 
     @cached_property
-    def trees_at(self) -> dict:
-        out = {}
-        for t in self.in_trees:
-            out.setdefault(t.attach, []).append(t)
-        return out
-
-    @cached_property
-    def ray_feeders(self) -> dict:
-        """ray id -> core nodes mapping to its head."""
-        out = {r: [] for r in self.out_rays}
+    def _listed_preimages(self) -> dict:
+        """Preimages of the core nodes and of the ray heads, the only points
+        with a core node among their preimages."""
+        out = {node: [] for node, _ in self.core_map}
+        out.update(((r, 0), []) for r in self.out_rays)
         for node, target in self.core_map:
-            if target.startswith(RAY_PREFIX):
-                out[target[len(RAY_PREFIX):]].append(node)
+            out[target].append(node)
+        for s in self.in_strings:
+            out[s.attach].append((s.id, 0))
+        for t in self.in_trees:
+            out[t.attach] += [(t.id, j) for j in range(1, t.branching + 1)]
         return out
 
     def is_empty(self) -> bool:
@@ -111,62 +128,73 @@ class SymbolicSelfMap:
 
     # -- the map on points ---------------------------------------------
 
-    def apply(self, point: str) -> str:
-        if ":" in point:
-            kind_id, _, suffix = point.partition(":")
-            if kind_id in self.ray_set:
-                return f"{kind_id}:{int(suffix) + 1}"
-            if kind_id in self.string_by_id:
-                i = int(suffix)
-                return f"{kind_id}:{i - 1}" if i > 0 else self.string_by_id[kind_id].attach
-            if kind_id in self.tree_by_id:
-                return (f"{kind_id}:{suffix[:-1]}" if len(suffix) > 1
-                        else self.tree_by_id[kind_id].attach)
-            raise InputError(f"unknown tail id in point {point!r}")
-        target = self.core.get(point)
-        if target is None:
-            raise InputError(f"unknown point {point!r}")
-        if target.startswith(RAY_PREFIX):
-            return f"{target[len(RAY_PREFIX):]}:0"
-        return target
+    def apply(self, point):
+        if isinstance(point, str):
+            return self.core[point]
+        tail_id, k = point
+        tail = self.tails[tail_id]
+        if tail is None:
+            return (tail_id, k + 1)
+        if isinstance(tail, InString):
+            return (tail_id, k - 1) if k else tail.attach
+        return (tail_id, (k - 1) // tail.branching) if k > tail.branching else tail.attach
 
-    def preimages(self, point: str) -> list:
+    def preimages(self, point) -> list:
         """Full preimage set (finite by construction)."""
-        if ":" in point:
-            kind_id, _, suffix = point.partition(":")
-            if kind_id in self.ray_set:
-                i = int(suffix)
-                if i > 0:
-                    return [f"{kind_id}:{i - 1}"]
-                return list(self.ray_feeders[kind_id])
-            if kind_id in self.string_by_id:
-                return [f"{kind_id}:{int(suffix) + 1}"]
-            if kind_id in self.tree_by_id:
-                b = self.tree_by_id[kind_id].branching
-                return [f"{kind_id}:{suffix}{_digit(d)}" for d in range(b)]
-            raise InputError(f"unknown tail id in point {point!r}")
-        if point not in self.core:
-            raise InputError(f"unknown point {point!r}")
-        out = [node for node, target in self.core_map if target == point]
-        out += [f"{s.id}:0" for s in self.strings_at.get(point, [])]
-        for t in self.trees_at.get(point, []):
-            out += [f"{t.id}:{d}" for d in range(t.branching)]
-        return out
+        listed = self._listed_preimages.get(point)
+        if listed is not None:
+            return list(listed)
+        tail_id, k = point
+        tail = self.tails[tail_id]
+        if tail is None:
+            return [(tail_id, k - 1)]
+        if isinstance(tail, InString):
+            return [(tail_id, k + 1)]
+        first = tail.branching * k + 1
+        return [(tail_id, j) for j in range(first, first + tail.branching)]
 
-    def resolve(self, name: str) -> str:
-        """Accept either a core node name or a tail point name; validate it."""
-        if ":" in name:
-            self.apply(name)  # raises on unknown ids
+    # -- names and JSON --------------------------------------------------
+
+    def point_name(self, point) -> str:
+        if isinstance(point, str):
+            return point
+        tail_id, k = point
+        tail = self.tails.get(tail_id)
+        if not isinstance(tail, InTree):
+            return f"{tail_id}:{k}"
+        digits = []
+        while k:
+            k, d = divmod(k - 1, tail.branching)
+            digits.append(_DIGITS[d])
+        return f"{tail_id}:{''.join(reversed(digits))}"
+
+    def resolve(self, name: str):
+        """The point a core node name or a tail point name denotes."""
+        if ":" not in name:
+            if name not in self.core:
+                raise InputError(f"unknown node {name!r}")
             return name
-        if name not in self.core:
-            raise InputError(f"unknown node {name!r}")
-        return name
-
-    # -- JSON ------------------------------------------------------------
+        tail_id, _, suffix = name.partition(":")
+        if tail_id not in self.tails:
+            raise InputError(f"unknown tail id in point {name!r}")
+        tail = self.tails[tail_id]
+        if isinstance(tail, InTree):
+            k = 0
+            for ch in suffix:
+                k = tail.branching * k + 1 + _DIGITS.find(ch)
+        else:
+            try:
+                k = int(suffix)
+            except ValueError:
+                k = -1
+        point = (tail_id, k)
+        if k < (1 if isinstance(tail, InTree) else 0) or self.point_name(point) != name:
+            raise InputError(f"malformed point name {name!r}")
+        return point
 
     def to_json(self) -> dict:
         return {
-            "core": dict(self.core_map),
+            "core": {node: _target_text(target) for node, target in self.core_map},
             "out_rays": list(self.out_rays),
             "in_strings": [{"id": s.id, "attach": s.attach} for s in self.in_strings],
             "in_trees": [{"id": t.id, "attach": t.attach, "branching": t.branching}
@@ -217,13 +245,13 @@ def validate(m: SymbolicSelfMap) -> list:
         if name in seen:
             problems.append(f"duplicate name {name!r}")
         seen.add(name)
-    core = dict(m.core_map)
+    core = set(names)
     for node, target in m.core_map:
-        if target.startswith(RAY_PREFIX):
-            if target[len(RAY_PREFIX):] not in m.ray_set:
-                problems.append(f"core node {node!r} maps to undeclared {target!r}")
-        elif target not in core:
-            problems.append(f"core node {node!r} maps to unknown node {target!r}")
+        if isinstance(target, str):
+            if target not in core:
+                problems.append(f"core node {node!r} maps to unknown node {target!r}")
+        elif target[0] not in m.out_rays:
+            problems.append(f"core node {node!r} maps to undeclared {_target_text(target)!r}")
     for s in m.in_strings:
         if s.attach not in core:
             problems.append(f"string {s.id!r} attaches to unknown node {s.attach!r}")
@@ -234,13 +262,6 @@ def validate(m: SymbolicSelfMap) -> list:
             problems.append(
                 f"tree {t.id!r} needs branching between 2 and {MAX_BRANCHING}")
     return problems
-
-
-def require_valid(m: SymbolicSelfMap) -> SymbolicSelfMap:
-    problems = validate(m)
-    if problems:
-        raise InvalidMap(problems)
-    return m
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +277,6 @@ class Component:
 
 
 def components(m: SymbolicSelfMap) -> list:
-    require_valid(m)
     parent = {}
 
     def find(x):
@@ -266,21 +286,15 @@ def components(m: SymbolicSelfMap) -> list:
         return x
 
     def union(a, b):
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
 
-    core = dict(m.core_map)
-    for unit in list(core) + list(m.out_rays) + \
+    for unit in list(m.core) + list(m.out_rays) + \
             [("s", s.id) for s in m.in_strings] + [("t", t.id) for t in m.in_trees]:
-        parent.setdefault(unit, unit)
+        parent[unit] = unit
     for node, target in m.core_map:
-        if target.startswith(RAY_PREFIX):
-            union(node, target[len(RAY_PREFIX):])
-        else:
-            union(node, target)
+        union(node, target if isinstance(target, str) else target[0])
     for s in m.in_strings:
         union(("s", s.id), s.attach)
     for t in m.in_trees:
@@ -292,8 +306,8 @@ def components(m: SymbolicSelfMap) -> list:
 
     out = []
     for members in groups.values():
-        nodes = tuple(sorted(u for u in members if isinstance(u, str) and u in core))
-        rays = tuple(sorted(u for u in members if isinstance(u, str) and u in m.ray_set))
+        nodes = tuple(sorted(u for u in members if isinstance(u, str) and u in m.core))
+        rays = tuple(sorted(u for u in members if isinstance(u, str) and u not in m.core))
         strings = tuple(sorted(u[1] for u in members if isinstance(u, tuple) and u[0] == "s"))
         trees = tuple(sorted(u[1] for u in members if isinstance(u, tuple) and u[0] == "t"))
         out.append(Component(nodes, rays, strings, trees, _terminal(m, nodes, rays)))
@@ -305,7 +319,6 @@ def _terminal(m: SymbolicSelfMap, nodes, rays):
     if not nodes:
         # a bare ray with no feeders
         return ("ray", rays[0])
-    core = dict(m.core_map)
     path = []
     position = {}
     current = nodes[0]
@@ -314,10 +327,9 @@ def _terminal(m: SymbolicSelfMap, nodes, rays):
             return ("cycle", tuple(path[position[current]:]))
         position[current] = len(path)
         path.append(current)
-        target = core[current]
-        if target.startswith(RAY_PREFIX):
-            return ("ray", target[len(RAY_PREFIX):])
-        current = target
+        current = m.core[current]
+        if not isinstance(current, str):
+            return ("ray", current[0])
 
 
 def qper_wan_partition(m: SymbolicSelfMap):
@@ -339,25 +351,22 @@ def covariant_entropy(m: SymbolicSelfMap) -> int:
 # ----------------------------------------------------------------------
 # forward trajectory profiles
 
-def _tail_depth(m: SymbolicSelfMap, point: str) -> int:
-    """Steps before the forward orbit of the point reaches the core
-    (0 for core nodes), plus the ray offset for ray points."""
-    if ":" not in point:
-        return 0
-    kind_id, _, suffix = point.partition(":")
-    if kind_id in m.string_by_id:
-        return int(suffix) + 1
-    if kind_id in m.tree_by_id:
-        return len(suffix)
-    return 0
-
-
-def _ray_offset(m: SymbolicSelfMap, point: str) -> int:
-    if ":" in point:
-        kind_id, _, suffix = point.partition(":")
-        if kind_id in m.ray_set:
-            return int(suffix)
-    return 0
+def _stabilization_bound(m: SymbolicSelfMap, points) -> int:
+    """Steps after which the forward increments of the points are final:
+    the longest drain through a string or tree into the core, plus the
+    furthest ray offset, plus the core size and 2."""
+    depth = offset = 0
+    for p in points:
+        if isinstance(p, str):
+            continue
+        tail = m.tails[p[0]]
+        if tail is None:
+            offset = max(offset, p[1])
+        elif isinstance(tail, InString):
+            depth = max(depth, p[1] + 1)
+        else:
+            depth = max(depth, _tree_depth(p[1], tail.branching))
+    return depth + offset + len(m.core_map) + 2
 
 
 @dataclass(frozen=True)
@@ -381,13 +390,13 @@ def covariant_trajectory_profile(m: SymbolicSelfMap, points, horizon: int) -> Fo
     Raises HorizonTooShort when the horizon does not cover the bound plus a
     confirmation window of |D| + 1 steps.
     """
-    require_valid(m)
-    d = [m.resolve(p) for p in points]
+    return _forward_profile(m, [m.resolve(p) for p in points], horizon)
+
+
+def _forward_profile(m: SymbolicSelfMap, d: list, horizon: int) -> ForwardProfile:
     if not d:
         raise InputError("the trajectory of an empty set is empty")
-    bound = (max(_tail_depth(m, p) for p in d)
-             + max(_ray_offset(m, p) for p in d)
-             + len(m.core_map) + 2)
+    bound = _stabilization_bound(m, d)
     window = len(d) + 1
     if horizon < bound + window:
         raise HorizonTooShort(
@@ -409,10 +418,8 @@ def covariant_trajectory_profile(m: SymbolicSelfMap, points, horizon: int) -> Fo
 def covariant_local_entropy(m: SymbolicSelfMap, points) -> int:
     """h(f, D): the stabilized increment, with an automatically chosen horizon."""
     d = [m.resolve(p) for p in points]
-    bound = (max(_tail_depth(m, p) for p in d)
-             + max(_ray_offset(m, p) for p in d)
-             + len(m.core_map) + 2)
-    return covariant_trajectory_profile(m, d, bound + len(d) + 1).local_entropy
+    horizon = _stabilization_bound(m, d) + len(d) + 1
+    return _forward_profile(m, d, horizon).local_entropy
 
 
 # ----------------------------------------------------------------------
@@ -428,8 +435,6 @@ def surjective_core(m: SymbolicSelfMap) -> SymbolicSelfMap:
     exactly when a surviving core node feeds it.  String and tree points
     always survive.  The result may be the empty map.
     """
-    require_valid(m)
-    core = dict(m.core_map)
     seeds = set()
     for comp in components(m):
         if comp.terminal[0] == "cycle":
@@ -445,11 +450,11 @@ def surjective_core(m: SymbolicSelfMap) -> SymbolicSelfMap:
         if node in alive:
             continue
         alive.add(node)
-        target = core[node]
-        if target.startswith(RAY_PREFIX):
-            kept_rays.add(target[len(RAY_PREFIX):])
-        else:
+        target = m.core[node]
+        if isinstance(target, str):
             frontier.append(target)
+        else:
+            kept_rays.add(target[0])
     return SymbolicSelfMap.build(
         {n: t for n, t in m.core_map if n in alive},
         tuple(r for r in m.out_rays if r in kept_rays),
@@ -458,12 +463,9 @@ def surjective_core(m: SymbolicSelfMap) -> SymbolicSelfMap:
     )
 
 
-def point_in_core(sc: SymbolicSelfMap, point: str) -> bool:
-    if ":" not in point:
-        return point in sc.core
-    kind_id = point.partition(":")[0]
-    return (kind_id in sc.ray_set or kind_id in sc.string_by_id
-            or kind_id in sc.tree_by_id)
+def point_in_core(sc: SymbolicSelfMap, point) -> bool:
+    """Whether a point of the map lies in its surjective core sc."""
+    return point in sc.core if isinstance(point, str) else point[0] in sc.tails
 
 
 def contravariant_entropy(m: SymbolicSelfMap):
@@ -502,42 +504,50 @@ def cotrajectory_profile(m: SymbolicSelfMap, points, horizon: int,
     inside the core (infinitely many ramification points); otherwise it
     counts the strings whose tail the iterated preimages eventually march
     down, each contributing one fresh point per step.
+
+    One breadth-first sweep serves both profiles: the surjective core is
+    forward-invariant, so a point of the core has all its forward images
+    there, and the reduced union is the naive union intersected with the
+    core.  Each point is expanded once, when it first appears.
     """
-    require_valid(m)
     if horizon < 1:
         raise HorizonTooShort("horizon must be at least 1")
     e = [m.resolve(p) for p in points]
     sc = surjective_core(m)
-    reduced = {p for p in e if point_in_core(sc, p)}
     naive = set(e)
-    reduced_sizes = [len(reduced)]
+    reduced = sum(point_in_core(sc, p) for p in naive)
     naive_sizes = [len(naive)]
-    red_frontier, naive_frontier = set(reduced), set(naive)
+    reduced_sizes = [reduced]
+    frontier = list(naive)
     for _ in range(horizon - 1):
-        naive_frontier = {q for p in naive_frontier for q in m.preimages(p)}
-        naive |= naive_frontier
-        red_frontier = {q for p in red_frontier for q in m.preimages(p)
-                        if point_in_core(sc, q)}
-        reduced |= red_frontier
-        if len(naive) > budget or len(reduced) > budget:
-            raise BudgetExceeded(budget, "cotrajectory enumeration")
+        fresh = []
+        for p in frontier:
+            for q in m.preimages(p):
+                if q not in naive:
+                    naive.add(q)
+                    if len(naive) > budget:
+                        raise BudgetExceeded(budget, "cotrajectory enumeration")
+                    fresh.append(q)
+                    reduced += point_in_core(sc, q)
+        frontier = fresh
         naive_sizes.append(len(naive))
-        reduced_sizes.append(len(reduced))
+        reduced_sizes.append(reduced)
     return BackwardProfile(tuple(reduced_sizes), tuple(naive_sizes),
-                           cotrajectory_limit(m, e))
+                           _backward_limit(sc, [p for p in e if point_in_core(sc, p)]))
 
 
 def cotrajectory_limit(m: SymbolicSelfMap, points):
-    """Exact h*(f, E) for E inside (or intersected with) the surjective core.
-
-    Walks the backward closure of E in the restricted map over the finite
-    skeleton: reaching any tree makes the value infinite; otherwise the
-    value is the number of distinct strings met, realized by the
-    stratifiable antichain of one deep point per string.
-    """
-    require_valid(m)
+    """Exact h*(f, E) for E inside (or intersected with) the surjective core."""
     sc = surjective_core(m)
-    start = [p for p in (m.resolve(q) for q in points) if point_in_core(sc, p)]
+    return _backward_limit(sc, [p for p in map(m.resolve, points) if point_in_core(sc, p)])
+
+
+def _backward_limit(sc: SymbolicSelfMap, start: list):
+    """Walks the backward closure of the start points in the surjective core
+    sc over the finite skeleton: reaching any tree makes the value infinite;
+    otherwise the value is the number of distinct strings met, realized by
+    the stratifiable antichain of one deep point per string.
+    """
     seen = set()
     strings_hit = set()
     frontier = list(start)
@@ -546,23 +556,14 @@ def cotrajectory_limit(m: SymbolicSelfMap, points):
         if p in seen:
             continue
         seen.add(p)
-        if ":" in p:
-            kind_id = p.partition(":")[0]
-            if kind_id in sc.tree_by_id:
+        if not isinstance(p, str):
+            tail = sc.tails[p[0]]
+            if isinstance(tail, InTree):
                 return math.inf
-            if kind_id in sc.string_by_id:
-                strings_hit.add(kind_id)
+            if isinstance(tail, InString):
+                strings_hit.add(p[0])
                 continue  # the backward chain stays inside the string
-        for q in sc.preimages(p):
-            if ":" in q:
-                kind_id = q.partition(":")[0]
-                if kind_id in sc.tree_by_id:
-                    return math.inf
-                if kind_id in sc.string_by_id:
-                    strings_hit.add(kind_id)
-                    continue
-            if q not in seen:
-                frontier.append(q)
+        frontier += sc.preimages(p)
     return len(strings_hit)
 
 
@@ -576,9 +577,9 @@ def power_map(m: SymbolicSelfMap, k: int) -> SymbolicSelfMap:
     first k positions materialized as core nodes; each string splits into k
     strings; a b-ary tree contributes, for each depth j <= k, its depth-j
     points as core nodes each carrying a fresh b**k-ary tree.  Entropies
-    scale by k on both sides, which the tests exercise.
+    scale by k on both sides, which the tests exercise.  A materialized
+    point R:i becomes the core node R@i.
     """
-    require_valid(m)
     if k < 1:
         raise InputError("the exponent must be a positive integer")
     if k == 1:
@@ -591,25 +592,14 @@ def power_map(m: SymbolicSelfMap, k: int) -> SymbolicSelfMap:
 
     def rename(point):
         """Old point -> new core-node name (materialized) or core name."""
-        if ":" not in point:
-            return point
-        kind_id, _, suffix = point.partition(":")
-        return f"{kind_id}@{suffix}"
+        return m.point_name(point).replace(":", "@")
 
-    new_core = {}
+    # a core orbit reaches at most position k - 1 of a ray in k steps, so
+    # every tail point it lands on is materialized
+    new_core = {node: rename(iterate(node, k)) for node in m.core}
     new_rays = []
     new_strings = []
     new_trees = []
-
-    for node in dict(m.core_map):
-        target = iterate(node, k)
-        if ":" in target:
-            ray_id, _, suffix = target.partition(":")
-            i = int(suffix)
-            assert i < k, "a core orbit cannot pass position k-1 in k steps"
-            new_core[node] = rename(target)
-        else:
-            new_core[node] = target
 
     for ray in m.out_rays:
         for j in range(k):
@@ -617,7 +607,7 @@ def power_map(m: SymbolicSelfMap, k: int) -> SymbolicSelfMap:
         for i in range(k):
             # materialized prefix point; its k-step image is position i + k,
             # the head of the residue-i ray
-            new_core[f"{ray}@{i}"] = f"{RAY_PREFIX}{ray}^{i}"
+            new_core[f"{ray}@{i}"] = (f"{ray}^{i}", 0)
 
     for s in m.in_strings:
         for j in range(k):
@@ -630,17 +620,18 @@ def power_map(m: SymbolicSelfMap, k: int) -> SymbolicSelfMap:
         if t.branching ** k > MAX_BRANCHING:
             raise InputError(
                 f"branching {t.branching}**{k} exceeds the supported maximum")
-        paths = [""]
+        first = 0
         for j in range(1, k + 1):
-            paths = [p + _digit(d) for p in paths for d in range(t.branching)]
-            attach = iterate(t.attach, k - j)
-            for p in paths:
+            first = t.branching * first + 1   # heap index of the first depth-j point
+            attach = rename(iterate(t.attach, k - j))
+            for index in range(first, first + t.branching ** j):
                 # each depth-j point becomes a core node carrying a fresh
                 # b**k-ary tree that holds its depth j + k, j + 2k, ...
                 # descendants
-                node = f"{t.id}@{p}"
-                new_core[node] = rename(attach)
-                new_trees.append(InTree(f"{t.id}^{p}", node, t.branching ** k))
+                name = m.point_name((t.id, index))
+                node = name.replace(":", "@")
+                new_core[node] = attach
+                new_trees.append(InTree(name.replace(":", "^"), node, t.branching ** k))
 
     return SymbolicSelfMap.build(new_core, new_rays, new_strings, new_trees)
 
@@ -664,8 +655,7 @@ def disjoint_union(a: SymbolicSelfMap, b: SymbolicSelfMap,
         def rn(name):
             return f"{name}{suffix}"
 
-        core = {rn(n): (RAY_PREFIX + rn(t[len(RAY_PREFIX):])
-                        if t.startswith(RAY_PREFIX) else rn(t))
+        core = {rn(n): rn(t) if isinstance(t, str) else (rn(t[0]), 0)
                 for n, t in m.core_map}
         return (core, [rn(r) for r in m.out_rays],
                 [(rn(s.id), rn(s.attach)) for s in m.in_strings],

@@ -28,7 +28,6 @@ from .set_maps import (
     covariant_entropy,
     covariant_local_entropy,
     contravariant_entropy,
-    require_valid,
 )
 from .values import EntropyValue
 
@@ -46,7 +45,6 @@ class GeneralizedShiftSpec:
             raise InputError("the group must be non-trivial")
         if self.variant not in VARIANTS:
             raise InputError(f"variant must be one of {VARIANTS}")
-        require_valid(self.map)
 
 
 def _as_value(count, order: int) -> EntropyValue:

@@ -6,6 +6,7 @@ questions from brute-force enumeration of residues, characteristic
 polynomials of 2x2 matrices from the cofactor formula, Mahler measures
 from mpmath ``polyroots`` at 100 digits.
 """
+import math
 from fractions import Fraction
 
 import mpmath
@@ -93,3 +94,73 @@ def interval_contains(value: dict, reference) -> bool:
     """True when the JSON form of an approx value encloses the reference."""
     with mpmath.workdps(100):
         return abs(mpmath.mpf(value["value"]) - reference) <= mpmath.mpf(value["error"])
+
+
+def cotrajectory_reference(obj: dict, names, horizon: int):
+    """(reduced_sizes, naive_sizes, limit) of a self-map given in its JSON
+    form, for the point names E, by two separate sweeps over string names.
+
+    The surjective core is the greatest set of core nodes each of which has
+    a preimage in the set or a string or tree attached (the nodes with
+    infinite backward depth); a ray survives when a surviving node feeds
+    it.  The limit is read off the sizes: infinite when a tree point enters
+    the reduced union, otherwise the last reduced increment once the finite
+    part of the backward closure is exhausted.
+    """
+    core = obj.get("core", {})
+    rays = set(obj.get("out_rays", ()))
+    strings = {s["id"]: s["attach"] for s in obj.get("in_strings", ())}
+    trees = {t["id"]: (t["attach"], t.get("branching", 2)) for t in obj.get("in_trees", ())}
+    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+    def preimages(p):
+        if ":" not in p:
+            return ([n for n, t in core.items() if t == p]
+                    + [f"{s}:0" for s, a in strings.items() if a == p]
+                    + [f"{t}:{digits[d]}" for t, (a, b) in trees.items() if a == p
+                       for d in range(b)])
+        tail, _, suffix = p.partition(":")
+        if tail in rays:
+            i = int(suffix)
+            return [f"{tail}:{i - 1}"] if i else [n for n, t in core.items()
+                                                   if t == "ray:" + tail]
+        if tail in strings:
+            return [f"{tail}:{int(suffix) + 1}"]
+        return [f"{tail}:{suffix}{digits[d]}" for d in range(trees[tail][1])]
+
+    alive = set(core)
+    changed = True
+    while changed:
+        changed = False
+        for n in sorted(alive):
+            if not any(":" in q or q in alive for q in preimages(n)):
+                alive.discard(n)
+                changed = True
+    live_rays = {t[len("ray:"):] for n, t in core.items()
+                 if n in alive and t.startswith("ray:")}
+
+    def in_core(p):
+        if ":" not in p:
+            return p in alive
+        tail = p.partition(":")[0]
+        return tail not in rays or tail in live_rays
+
+    offsets = [int(p.partition(":")[2]) for p in names
+               if p.partition(":")[0] in rays or p.partition(":")[0] in strings]
+    steps = max(horizon, len(core) + max(offsets, default=0) + 4)
+    profiles = []
+    for keep in (in_core, lambda p: True):
+        union = {p for p in names if keep(p)}
+        frontier = set(union)
+        sizes = [len(union)]
+        for _ in range(steps - 1):
+            frontier = {q for p in frontier for q in preimages(p) if keep(q)}
+            union |= frontier
+            sizes.append(len(union))
+        profiles.append((sizes, union))
+    (reduced, reduced_union), (naive, _) = profiles
+    if any(p.partition(":")[0] in trees for p in reduced_union):
+        limit = math.inf
+    else:
+        limit = reduced[-1] - reduced[-2] if len(reduced) > 1 else 0
+    return tuple(reduced[:horizon]), tuple(naive[:horizon]), limit

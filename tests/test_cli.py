@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import pathlib
 
@@ -188,3 +190,92 @@ def test_exit_code_malformed_json_schema(capsys, tmp_path, key, bad):
     path.write_text(json.dumps(bad))
     assert dispatch(SCHEMA_COMMANDS[key] + [str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# self-map point names
+
+BINARY_TREE = {"core": {"z": "z"}, "in_trees": [{"id": "T", "attach": "z", "branching": 2}]}
+
+
+@pytest.mark.parametrize("command", ["cotrajectory", "shift"])
+@pytest.mark.parametrize("tree, names", [
+    (False, "S:1,S:01"), (False, "S:-1"), (False, "S:+1"), (False, "S: 1"),
+    (True, "T:"), (True, "T:9"),
+])
+def test_exit_code_malformed_point_name(capsys, tmp_path, command, tree, names):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(BINARY_TREE))
+    map_file = str(path) if tree else str(DATA / "left_shift.json")
+    flag = "--set" if command == "cotrajectory" else "--oracle"
+    extra = [] if command == "cotrajectory" else ["--order", "2", "--variant", "sum"]
+    argv = [command, "--map", map_file, f"{flag}={names}", "--horizon", "3"] + extra
+    assert dispatch(argv) == 2
+    assert "malformed point name" in capsys.readouterr().err
+
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # the property test below needs hypothesis
+    given = None
+
+if given is not None:
+    ARGV_MAPS = {
+        "left_shift": {"core": {"z": "z"}, "in_strings": [{"id": "S", "attach": "z"}]},
+        "two_rays": {"core": {}, "out_rays": ["R", "R1"]},
+        "tree3": {"core": {"a": "b", "b": "a", "c": "a"},
+                  "in_strings": [{"id": "S", "attach": "c"}],
+                  "in_trees": [{"id": "T", "attach": "a", "branching": 3}]},
+        "fed_ray": {"core": {"a": "ray:R", "b": "a"}, "out_rays": ["R"],
+                    "in_strings": [{"id": "S", "attach": "b"}]},
+        "dangling": {"core": {"a": "b"}},
+        "undeclared": {"core": {"a": "ray:R"}},
+        "branching": {"core": {"z": "z"},
+                      "in_trees": [{"id": "T", "attach": "z", "branching": 1}]},
+        "colon": {"core": {"a:1": "a:1"}},
+        "duplicate": {"core": {"S": "S"}, "in_strings": [{"id": "S", "attach": "S"}]},
+        "schema": {"rows": [["1"]]},
+        "not_json": "{",
+        "missing": None,
+    }
+
+    @pytest.fixture(scope="module")
+    def argv_maps(tmp_path_factory):
+        folder = tmp_path_factory.mktemp("maps")
+        paths = {}
+        for name, content in ARGV_MAPS.items():
+            paths[name] = folder / f"{name}.json"
+            if content is not None:
+                text = content if isinstance(content, str) else json.dumps(content)
+                paths[name].write_text(text)
+        return paths
+
+    # names that some of the maps define, and malformed ones
+    _point = st.one_of(
+        st.sampled_from(["a", "z", "c", "x", ""]),
+        st.builds("{}:{}".format, st.sampled_from(["R", "S", "T", "R1", "Q"]),
+                  st.one_of(st.sampled_from(["0", "1", "2", "10", "21"]),
+                            st.sampled_from(["01", "00", "-1", "+1", " 1", "", "9",
+                                             "a", "1_0"]))))
+    _points = st.lists(_point, min_size=1, max_size=3).map(",".join)
+    _argv = st.one_of(
+        st.just(["set-entropy"]),
+        st.builds(lambda e, h, b: ["cotrajectory", f"--set={e}", f"--horizon={h}",
+                                   f"--budget={b}"],
+                  _points, st.integers(-1, 6), st.integers(1, 60)),
+        st.builds(lambda q, v, e, h: ["shift", f"--order={q}", f"--variant={v}"]
+                  + ([f"--oracle={e}", f"--horizon={h}"] if e else []),
+                  st.integers(0, 5), st.sampled_from(["sum", "prod"]),
+                  st.one_of(st.none(), _points), st.integers(-1, 5)),
+    )
+
+    _map_names = st.one_of(st.sampled_from(["left_shift", "two_rays", "tree3", "fed_ray"]),
+                           st.sampled_from(sorted(ARGV_MAPS)))
+
+    @given(_map_names, _argv)
+    def test_self_map_argv_exit_codes(argv_maps, map_name, argv):
+        argv = argv[:1] + ["--map", str(argv_maps[map_name])] + argv[1:]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = dispatch(argv)
+        assert code in (0, 2, 3)

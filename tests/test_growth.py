@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from entrokit.errors import InputError
+from entrokit.errors import BudgetExceeded, InputError
 from entrokit.growth import (
     DirectProduct,
     Free,
@@ -113,3 +113,37 @@ def test_family_spec_parsing():
     assert family_from_spec("heisenberg").describe().startswith("discrete")
     with pytest.raises(InputError):
         family_from_spec("grigorchuk")
+
+
+def test_budget_per_insertion():
+    fam = Free(2)
+    made = set()
+    real_multiply = fam.multiply
+
+    def multiply(a, b):
+        out = real_multiply(a, b)
+        made.add(out)
+        return out
+
+    fam.multiply = multiply
+    with pytest.raises(BudgetExceeded):
+        growth_table(fam, 10, budget=100)
+    # the ball stops growing one element past the budget
+    assert len(made | {fam.identity()}) <= 100 + 1
+
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # the property test below needs hypothesis
+    given = None
+
+if given is not None:
+    _words = st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), max_size=12).map(
+        lambda w: Free._reduce(tuple(w)))
+
+    @given(_words, _words)
+    def test_free_multiply_cancels_at_the_junction(a, b):
+        assert Free(3).multiply(a, b) == Free._reduce(a + b)
+        # a right factor that starts with the inverse of a cancels deeply
+        c = Free._reduce(tuple(-x for x in reversed(a)) + b)
+        assert Free(3).multiply(a, c) == Free._reduce(a + c)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from entrokit.errors import HorizonTooShort, InputError
+from entrokit.errors import BudgetExceeded, HorizonTooShort, InputError, InvalidMap
 from entrokit.set_maps import (
     SymbolicSelfMap,
     components,
@@ -20,6 +20,8 @@ from entrokit.set_maps import (
     surjective_core,
     validate,
 )
+
+from oracles import cotrajectory_reference
 
 RHO = right_shift()
 SIG = left_shift()
@@ -47,11 +49,14 @@ def fan_example(fans=8):
 
 
 def test_validate_rejects_bad_references():
-    bad = SymbolicSelfMap.build({"a": "b"}, [], [("S", "missing")])
-    problems = validate(bad)
-    assert any("unknown node" in p for p in problems)
-    bad = SymbolicSelfMap.build({"a": "ray:R"}, [])
-    assert any("undeclared" in p for p in problems + validate(bad))
+    # an invalid presentation cannot be constructed at all
+    with pytest.raises(InvalidMap) as bad:
+        SymbolicSelfMap.build({"a": "b"}, [], [("S", "missing")])
+    assert bad.value.diagnostics == ["core node 'a' maps to unknown node 'b'",
+                                     "string 'S' attaches to unknown node 'missing'"]
+    with pytest.raises(InvalidMap) as bad:
+        SymbolicSelfMap.build({"a": "ray:R"}, [])
+    assert bad.value.diagnostics == ["core node 'a' maps to undeclared 'ray:R'"]
 
 
 def test_validate_accepts_catalog():
@@ -235,3 +240,130 @@ def test_json_round_trip():
     assert again == m
     with pytest.raises(InputError):
         SymbolicSelfMap.from_json({"rows": [["1"]]})
+
+
+def test_power_map_point_names():
+    sq = power_map(tree_on_fixed_point(), 2)
+    assert sorted(sq.core) == ["T@0", "T@00", "T@01", "T@1", "T@10", "T@11", "z"]
+    assert sq.core["T@01"] == "z" and sq.core["T@1"] == "z"
+    assert [t.id for t in sq.in_trees] == ["T^0", "T^1", "T^00", "T^01", "T^10", "T^11"]
+    ray = power_map(SymbolicSelfMap.build({"a": "ray:R"}, ["R"]), 2)
+    assert ray.to_json()["core"] == {"R@0": "ray:R^0", "R@1": "ray:R^1", "a": "R@1"}
+
+
+# ----------------------------------------------------------------------
+# point names
+
+@pytest.mark.parametrize("name", ["S:01", "S:-1", "S:+1", "S: 1", "S:1 ", "S:",
+                                  "S:1_0", "S:\u0661", "X:0", "nope", ""])
+def test_resolve_rejects_other_names(name):
+    with pytest.raises(InputError):
+        SIG.resolve(name)
+
+
+@pytest.mark.parametrize("name", ["T:", "T:2", "T:9", "T:A", "T:01 ", "T:-1"])
+def test_resolve_rejects_bad_tree_names(name):
+    with pytest.raises(InputError):
+        tree_on_fixed_point().resolve(name)
+
+
+def test_tree_points_are_heap_indices():
+    tree = tree_on_fixed_point(3)
+    assert [tree.resolve(n) for n in ("z", "T:0", "T:2", "T:10")] == \
+        ["z", ("T", 1), ("T", 3), ("T", 7)]
+    assert tree.preimages(("T", 2)) == [("T", 7), ("T", 8), ("T", 9)]
+    assert tree.preimages("z") == ["z", ("T", 1), ("T", 2), ("T", 3)]
+    assert tree.apply(("T", 9)) == ("T", 2) and tree.apply(("T", 3)) == "z"
+    assert [tree.point_name(p) for p in tree.preimages(("T", 2))] == ["T:10", "T:11", "T:12"]
+
+
+# ----------------------------------------------------------------------
+# the cotrajectory sweep
+
+def tree3_map():
+    """A 2-cycle fed by a ternary tree and, through a third node, a string."""
+    return SymbolicSelfMap.build({"a": "b", "b": "a", "c": "a"}, [], [("S", "c")],
+                                 [("T", "a", 3)])
+
+
+def test_cotrajectory_is_one_sweep(monkeypatch):
+    import entrokit.set_maps as set_maps
+    m = tree3_map()
+    calls = {"core": 0, "preimages": 0}
+    real_core, real_preimages = set_maps.surjective_core, SymbolicSelfMap.preimages
+
+    def core(arg):
+        calls["core"] += 1
+        return real_core(arg)
+
+    def preimages(self, point):
+        calls["preimages"] += self is m
+        return real_preimages(self, point)
+
+    monkeypatch.setattr(set_maps, "surjective_core", core)
+    monkeypatch.setattr(SymbolicSelfMap, "preimages", preimages)
+    p = cotrajectory_profile(m, ["a", "S:2"], 7)
+    assert calls["core"] == 1
+    # every point of the union before the last step is expanded exactly once
+    assert calls["preimages"] == p.naive_sizes[-2]
+    assert (p.reduced_sizes, p.naive_sizes, p.limit) == \
+        cotrajectory_reference(m.to_json(), ["a", "S:2"], 7)
+
+
+def test_cotrajectory_budget_per_insertion(monkeypatch):
+    made = set()
+    real_preimages = SymbolicSelfMap.preimages
+
+    def preimages(self, point):
+        out = real_preimages(self, point)
+        made.update(out)
+        return out
+
+    monkeypatch.setattr(SymbolicSelfMap, "preimages", preimages)
+    with pytest.raises(BudgetExceeded):
+        cotrajectory_profile(tree_on_fixed_point(3), ["z"], 12, budget=100)
+    # the stored set stops one point past the budget; the preimage list
+    # being consumed holds at most branching - 1 more
+    assert len(made | {"z"}) <= 100 + 3
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property tests below need hypothesis
+    given = None
+
+if given is not None:
+    @st.composite
+    def _small_maps(draw):
+        """A random valid map in JSON form and up to three point names."""
+        nodes = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
+        rays = [f"R{i}" for i in range(draw(st.integers(0, 2)))]
+        targets = nodes + ["ray:" + r for r in rays]
+        core = {c: draw(st.sampled_from(targets)) for c in nodes}
+        strings = [{"id": f"S{i}", "attach": draw(st.sampled_from(nodes))}
+                   for i in range(draw(st.integers(0, 2)))]
+        trees = [{"id": f"T{i}", "attach": draw(st.sampled_from(nodes)),
+                  "branching": draw(st.integers(2, 3))}
+                 for i in range(draw(st.integers(0, 1)))]
+        names = nodes + [f"{tail}:{i}" for tail in rays + [s["id"] for s in strings]
+                         for i in range(3)]
+        names += [f"{t['id']}:{w}" for t in trees for w in ("0", "1", "01")]
+        chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3,
+                               unique=True))
+        return {"core": core, "out_rays": rays, "in_strings": strings,
+                "in_trees": trees}, chosen
+
+    @settings(max_examples=150)
+    @given(_small_maps(), st.integers(1, 6))
+    def test_cotrajectory_matches_two_sweep_reference(case, horizon):
+        obj, names = case
+        p = cotrajectory_profile(SymbolicSelfMap.from_json(obj), names, horizon)
+        assert (p.reduced_sizes, p.naive_sizes, p.limit) == \
+            cotrajectory_reference(obj, names, horizon)
+
+    @given(st.integers(2, 36), st.integers(1, 10 ** 6))
+    def test_tree_names_round_trip(branching, k):
+        tree = tree_on_fixed_point(branching)
+        name = tree.point_name(("T", k))
+        assert tree.resolve(name) == ("T", k)
+        assert all(tree.apply(q) == ("T", k) for q in tree.preimages(("T", k)))
