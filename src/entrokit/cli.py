@@ -178,7 +178,8 @@ def _cmd_shift(args):
     lines = [f"{label}: {value}"]
     if args.oracle:
         points = parse_nodes(args.oracle)
-        report = shift_bruteforce_oracle(spec, points, args.horizon)
+        report = shift_bruteforce_oracle(spec, points, args.horizon,
+                                        budget=args.budget)
         payload["oracle_sizes"] = [str(s) for s in report.sizes]
         payload["oracle_ranks"] = list(report.ranks)
         adj = adjoint_entropy_of_shift(spec, points)
@@ -224,7 +225,7 @@ def _cmd_growth(args):
     if args.gens != "standard":
         raise InputError("generating sets are chosen through the family spec "
                          "(e.g. free:2:standard+ab); --gens only takes 'standard'")
-    family = family_from_spec(args.family)
+    family = family_from_spec(args.family, budget=args.budget)
     table = growth_table(family, args.horizon, budget=args.budget)
     payload = {"family": family.describe(), "gamma": list(table.gamma)}
     lines = [f"family: {family.describe()}",
@@ -298,6 +299,16 @@ def _cmd_oracle(args):
 
 # ----------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrokit",
@@ -314,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the machine-readable report")
         p.add_argument("--tol", type=float, default=_default_tol(),
                        help="root certification tolerance")
-        p.add_argument("--budget", type=int, default=5_000_000,
+        p.add_argument("--budget", type=_positive_int, default=5_000_000,
                        help="element budget for enumerations")
         return p
 

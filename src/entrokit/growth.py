@@ -3,7 +3,8 @@
 Supported families: free abelian groups (integer vectors), free groups
 (reduced words), the discrete Heisenberg group (upper unitriangular 3x3
 integer matrices), and finite direct products of these.  Ball sizes come
-from exact breadth-first closure over normal forms; arbitrary finite
+from exact breadth-first closure over normal forms, and for a product from
+the convolution of its factors' sphere sizes; arbitrary finite
 presentations are rejected because the word problem would make the counts
 unreliable.
 
@@ -18,6 +19,7 @@ degree, weighting rank r_0(G_m / G_(m+1)) by its depth m.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,51 +69,75 @@ class FreeAbelian(GroupFamily):
 
 
 class Free(GroupFamily):
-    """Free group; elements are reduced words over signed letters 1..rank.
+    """Free group; elements are reduced words packed into ints.
+
+    A word over the signed letters 1..rank is an int in base 2*rank + 1:
+    letter i > 0 is digit i, letter -i is digit rank + i, and the last
+    letter is the lowest digit, so the identity is 0 and every digit of a
+    word is nonzero.  ``element`` and ``word`` convert at the edges.
 
     Custom generating sets are given as words (tuples of signed letters);
-    the set is closed under inverses automatically.
+    the set is closed under inverses automatically.  With a budget, the
+    generating set (the sphere of radius 1) is checked against it at each
+    insertion, before it can grow past the budget.
     """
 
-    def __init__(self, rank: int, generator_words=None):
+    def __init__(self, rank: int, generator_words=None, budget=None):
         if rank < 1:
             raise InputError("rank must be positive")
         self.rank = rank
+        self._base = 2 * rank + 1
         if generator_words is None:
-            generator_words = [(i,) for i in range(1, rank + 1)]
-        gens = []
+            generator_words = ((i,) for i in range(1, rank + 1))
+        gens = {}
         for w in generator_words:
-            word = self._reduce(tuple(w))
-            if not word:
+            g = self.element(w)
+            if not g:
                 raise InputError("the identity cannot be a generator")
-            inverse = tuple(-x for x in reversed(word))
-            for g in (word, inverse):
-                if g not in gens:
-                    gens.append(g)
-        self._gens = gens
+            for h in (g, self.element(-x for x in reversed(self.word(g)))):
+                gens[h] = None
+                if budget is not None and len(gens) + 1 > budget:
+                    raise BudgetExceeded(budget, "ball enumeration")
+        self._gens = list(gens)
 
-    @staticmethod
-    def _reduce(word):
-        out = []
-        for x in word:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
+    def element(self, letters) -> int:
+        """The packed reduced word of a sequence of signed letters."""
+        x = 0
+        for letter in letters:
+            if not 1 <= abs(letter) <= self.rank:
+                raise InputError(f"letter {letter} is not in the free group "
+                                 f"of rank {self.rank}")
+            x = self.multiply(x, letter if letter > 0 else self.rank - letter)
+        return x
+
+    def word(self, x: int) -> tuple:
+        """The signed letters of a packed reduced word."""
+        letters = []
+        while x:
+            x, d = divmod(x, self._base)
+            letters.append(d if d <= self.rank else self.rank - d)
+        return tuple(reversed(letters))
 
     def identity(self):
-        return ()
+        return 0
 
     def generators(self):
         return list(self._gens)
 
     def multiply(self, a, b):
-        # a and b are reduced, so letters cancel only where they meet
-        i, n = 0, min(len(a), len(b))
-        while i < n and a[-1 - i] == -b[i]:
-            i += 1
-        return a[:len(a) - i] + b[i:]
+        # a and b are reduced, so letters cancel only where they meet: feed
+        # b's letters to a first letter first, cancelling while a ends in
+        # the inverse letter
+        base, rank = self._base, self.rank
+        top = 1                  # base ** len(b)
+        while top <= b:
+            top *= base
+        while top > 1:
+            top //= base
+            d = b // top % base
+            inverse = d + rank if d <= rank else d - rank
+            a = a // base if a % base == inverse else a * base + d
+        return a
 
     def describe(self):
         return f"free of rank {self.rank} with {len(self._gens)} generators"
@@ -158,23 +184,24 @@ class DirectProduct(GroupFamily):
         return " x ".join(f.describe() for f in self.factors)
 
 
-def family_from_spec(spec: str) -> GroupFamily:
+def family_from_spec(spec: str, budget=None) -> GroupFamily:
     """Parse "abelian:2", "free:2", "free:2:standard+ab", "heisenberg",
-    or "product:heisenberg,abelian:1"."""
+    or "product:heisenberg,abelian:1".  A free factor's generating set is
+    checked against the budget while it is built."""
     spec = spec.strip().lower()
     if spec.startswith("product:"):
-        return DirectProduct([family_from_spec(part)
+        return DirectProduct([family_from_spec(part, budget)
                               for part in spec[len("product:"):].split(",")])
-    parts = spec.split(":")
-    if parts[0] in ("abelian", "freeabelian", "zn"):
-        return FreeAbelian(int(parts[1]))
-    if parts[0] == "free":
-        rank = int(parts[1])
-        if len(parts) > 2 and parts[2] == "standard+ab":
-            words = [(i,) for i in range(1, rank + 1)] + [(1, 2)]
-            return Free(rank, words)
-        return Free(rank)
-    if parts[0] in ("heisenberg", "heisenberg3"):
+    name, *fields = spec.split(":")
+    if name in ("abelian", "freeabelian", "zn") and len(fields) == 1:
+        return FreeAbelian(int(fields[0]))
+    if name == "free" and fields and fields[1:] in ([], ["standard+ab"]):
+        rank = int(fields[0])
+        words = ((i,) for i in range(1, rank + 1))
+        if fields[1:]:
+            words = itertools.chain(words, [(1, 2)])
+        return Free(rank, words, budget)
+    if name in ("heisenberg", "heisenberg3") and not fields:
         return Heisenberg3()
     raise InputError(f"unknown group family {spec!r}")
 
@@ -194,29 +221,54 @@ class GrowthTable:
 
 def growth_table(family: GroupFamily, horizon: int,
                  budget: int = 5_000_000) -> GrowthTable:
-    """Exact word-metric ball sizes by breadth-first closure."""
+    """Exact word-metric ball sizes; raises BudgetExceeded when
+    gamma(horizon) > budget."""
     if horizon < 1:
         raise InputError("horizon must be positive")
+    gamma = list(itertools.accumulate(_spheres(family, horizon, budget)))
+    if gamma[-1] > budget:
+        raise BudgetExceeded(budget, "ball enumeration")
+    rates = tuple(math.log(g) / n for n, g in enumerate(gamma) if n >= 1)
+    exponents = tuple(math.log(g) / math.log(n)
+                      for n, g in enumerate(gamma) if n >= 2)
+    return GrowthTable(tuple(gamma), rates, exponents)
+
+
+def _spheres(family: GroupFamily, horizon: int, budget: int) -> list:
+    """Sphere sizes s(0..horizon) of the word metric.
+
+    A direct product carries the union of its factors' generating sets, so
+    word length adds across factors and the product's spheres are the
+    convolution of the factors' spheres; its ball is never built.  Any
+    other family is enumerated by breadth-first closure, with the budget
+    checked at each insertion (a factor's ball is no larger than the
+    product's, so this raises only when the product's would too).
+    """
+    if isinstance(family, DirectProduct):
+        spheres = [1] + [0] * horizon
+        for factor in family.factors:
+            s = _spheres(factor, horizon, budget)
+            spheres = [sum(spheres[i] * s[n - i] for i in range(n + 1))
+                       for n in range(horizon + 1)]
+        return spheres
     gens = family.generators()
+    multiply = family.multiply
     ball = {family.identity()}
     frontier = list(ball)
-    gamma = [1]
+    spheres = [1]
     for _ in range(horizon):
         new_frontier = []
         for x in frontier:
             for g in gens:
-                y = family.multiply(x, g)
+                y = multiply(x, g)
                 if y not in ball:
                     ball.add(y)
                     if len(ball) > budget:
                         raise BudgetExceeded(budget, "ball enumeration")
                     new_frontier.append(y)
         frontier = new_frontier
-        gamma.append(len(ball))
-    rates = tuple(math.log(g) / n for n, g in enumerate(gamma) if n >= 1)
-    exponents = tuple(math.log(g) / math.log(n)
-                      for n, g in enumerate(gamma) if n >= 2)
-    return GrowthTable(tuple(gamma), rates, exponents)
+        spheres.append(len(frontier))
+    return spheres
 
 
 @dataclass(frozen=True)

@@ -164,3 +164,55 @@ def cotrajectory_reference(obj: dict, names, horizon: int):
     else:
         limit = reduced[-1] - reduced[-2] if len(reduced) > 1 else 0
     return tuple(reduced[:horizon]), tuple(naive[:horizon]), limit
+
+
+def reduce_word(word):
+    """The reduced form of a free-group word given as signed letters."""
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def _growth_factor(spec: str):
+    """(identity, generators, multiply) of one factor, with tuple elements."""
+    name, _, rest = spec.partition(":")
+    if name == "heisenberg":
+        gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+        return (0, 0, 0), gens, \
+            lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
+    rank, _, extra = rest.partition(":")
+    rank = int(rank)
+    if name == "abelian":
+        gens = [tuple(s if j == i else 0 for j in range(rank))
+                for i in range(rank) for s in (1, -1)]
+        return (0,) * rank, gens, lambda a, b: tuple(x + y for x, y in zip(a, b))
+    words = [(i,) for i in range(1, rank + 1)] + ([(1, 2)] if extra else [])
+    gens = list(dict.fromkeys(g for w in words
+                              for g in (w, tuple(-x for x in reversed(w)))))
+    return (), gens, lambda a, b: reduce_word(a + b)
+
+
+def growth_reference(specs, horizon: int):
+    """Ball sizes gamma(0..horizon) of the direct product of the factors
+    "free:K", "free:K:standard+ab", "abelian:D" and "heisenberg", with the
+    union of their generating sets, by breadth-first search over tuples of
+    factor elements (free words as reduced tuples)."""
+    factors = [_growth_factor(s) for s in specs]
+    start = tuple(identity for identity, _, _ in factors)
+    ball, frontier, gamma = {start}, [start], [1]
+    for _ in range(horizon):
+        new_frontier = []
+        for x in frontier:
+            for i, (_, gens, multiply) in enumerate(factors):
+                for g in gens:
+                    y = x[:i] + (multiply(x[i], g),) + x[i + 1:]
+                    if y not in ball:
+                        ball.add(y)
+                        new_frontier.append(y)
+        frontier = new_frontier
+        gamma.append(len(ball))
+    return tuple(gamma)

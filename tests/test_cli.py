@@ -132,6 +132,47 @@ def test_exit_code_budget(capsys):
     capsys.readouterr()
 
 
+def test_shift_oracle_budget(capsys, tmp_path):
+    # a core 2-cycle with a ternary tree: the oracle's carrier grows fast
+    path = tmp_path / "tree3.json"
+    path.write_text(json.dumps({"core": {"a": "b", "b": "a", "c": "a"},
+                                "in_strings": [{"id": "S", "attach": "c"}],
+                                "in_trees": [{"id": "T", "attach": "a", "branching": 3}]}))
+    argv = ["shift", "--map", str(path), "--order", "2", "--variant", "sum",
+            "--oracle", "a", "--horizon", "10"]
+    assert dispatch(argv + ["--budget", "10"]) == 3
+    assert "exceeded budget of 10" in capsys.readouterr().err
+    assert dispatch(argv) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("budget", ["-3", "0", "x"])
+def test_budget_must_be_positive(capsys, budget):
+    with pytest.raises(SystemExit) as exit_info:
+        dispatch(["growth", "--family", "free:2", "--horizon", "5", f"--budget={budget}"])
+    assert exit_info.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["abelian", "free:2:weird", "heisenberg:3", "abelian:1:2"])
+def test_exit_code_malformed_family(capsys, spec):
+    assert dispatch(["growth", "--family", spec, "--horizon", "3"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, horizon, budget, code", [
+    # gamma(5) of F_2 x Z^2 is 1857: the budget bounds the last ball
+    ("product:free:2,abelian:2", 5, 1856, 3),
+    ("product:free:2,abelian:2", 5, 1857, 0),
+    # 12 generators and the identity: the ball of radius 1 exceeds 10
+    ("free:6", 3, 10, 3),
+])
+def test_growth_budget(capsys, family, horizon, budget, code):
+    assert dispatch(["growth", "--family", family, "--horizon", str(horizon),
+                     "--budget", str(budget)]) == code
+    assert ("exceeded budget" in capsys.readouterr().err) == (code == 3)
+
+
 def test_inline_polynomial(capsys):
     # values starting with a dash use the --flag=value form
     code, report = run_json(capsys, ["mahler", "--poly=-2,1"])
@@ -278,4 +319,29 @@ if given is not None:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = dispatch(argv)
+        assert code in (0, 2, 3)
+
+    # valid and malformed group families; ranks stay small, since a free
+    # abelian generator is a vector of the rank's length
+    _factor = st.one_of(
+        st.sampled_from(["heisenberg", "heisenberg3", "heisenberg:3", "abelian", "free",
+                         "", "grigorchuk", "free:2:weird", "free:2:standard+ab",
+                         "free:1:standard+ab", "free:x", "free:99999999"]),
+        st.builds("{}:{}".format, st.sampled_from(["abelian", "zn", "freeabelian", "free"]),
+                  st.integers(-1, 4)),
+        st.builds("{}:{}:{}".format, st.sampled_from(["abelian", "free"]),
+                  st.integers(1, 3), st.sampled_from(["2", "standard+ab", ""])))
+    _family = st.one_of(_factor, st.lists(_factor, max_size=3).map(
+        lambda fs: "product:" + ",".join(fs)))
+
+    @given(_family, st.integers(-1, 12), st.integers(-2, 300))
+    def test_growth_argv_exit_codes(family, horizon, budget):
+        argv = ["growth", f"--family={family}", f"--horizon={horizon}",
+                f"--budget={budget}"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = dispatch(argv)
+            except SystemExit as exc:   # argparse rejects the option value
+                code = exc.code
         assert code in (0, 2, 3)

@@ -15,6 +15,8 @@ from entrokit.growth import (
     growth_table,
 )
 
+from oracles import growth_reference, reduce_word
+
 
 def test_free_group_closed_form():
     table = growth_table(Free(2), 8)
@@ -132,18 +134,96 @@ def test_budget_per_insertion():
     assert len(made | {fam.identity()}) <= 100 + 1
 
 
+def test_free_words_are_packed_ints():
+    # base 2*rank + 1, letter -i is digit rank + i, the last letter lowest
+    free = Free(2)
+    assert free.identity() == 0
+    assert free.element((1, -2)) == 1 * 5 + 4
+    assert free.element((2, 1, -1, -2)) == 0
+    assert free.word(free.element((-1, 2, 2))) == (-1, 2, 2)
+    assert sorted(free.generators()) == [1, 2, 3, 4]
+    with pytest.raises(InputError):
+        free.element((3,))
+    with pytest.raises(InputError):
+        family_from_spec("free:1:standard+ab")   # the word (1, 2) needs rank 2
+
+
+@pytest.mark.parametrize("spec", [
+    "abelian", "abelian:1:2", "free", "free:2:weird", "free:2:",
+    "free:0", "heisenberg:3", "product:", "product:free:2,,abelian:1", "",
+])
+def test_malformed_family_specs(spec):
+    with pytest.raises(InputError):
+        family_from_spec(spec)
+
+
+def test_generating_set_checked_against_the_budget(monkeypatch):
+    # the generating set is the sphere of radius 1: 12 generators and the
+    # identity exceed a budget of 12, and at most 12 of them are ever built
+    built = []
+    element = Free.element
+
+    def counting_element(self, letters):
+        built.append(1)
+        return element(self, letters)
+
+    monkeypatch.setattr(Free, "element", counting_element)
+    with pytest.raises(BudgetExceeded):
+        family_from_spec("free:6", budget=12)
+    assert len(built) <= 12
+    assert len(family_from_spec("free:6", budget=13).generators()) == 12
+
+
+def test_product_spheres_are_convolved():
+    # |(g, h)| = |g| + |h|: the product's ball is never enumerated
+    fam = family_from_spec("product:free:2,abelian:2")
+    multiplied = []
+    real_multiply = fam.multiply
+
+    def multiply(a, b):
+        multiplied.append(1)
+        return real_multiply(a, b)
+
+    fam.multiply = multiply
+    assert growth_table(fam, 8).gamma == growth_reference(["free:2", "abelian:2"], 8)
+    assert not multiplied
+
+
 try:
-    from hypothesis import given, strategies as st
-except ImportError:  # the property test below needs hypothesis
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property tests below need hypothesis
     given = None
 
 if given is not None:
-    _words = st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), max_size=12).map(
-        lambda w: Free._reduce(tuple(w)))
+    _words = st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), max_size=12)
 
     @given(_words, _words)
     def test_free_multiply_cancels_at_the_junction(a, b):
-        assert Free(3).multiply(a, b) == Free._reduce(a + b)
+        free = Free(3)
+        x = free.element(a)
+        assert free.word(x) == reduce_word(a)
+        a, b = reduce_word(a), reduce_word(b)
+        assert free.word(free.multiply(x, free.element(b))) == reduce_word(a + b)
         # a right factor that starts with the inverse of a cancels deeply
-        c = Free._reduce(tuple(-x for x in reversed(a)) + b)
-        assert Free(3).multiply(a, c) == Free._reduce(a + c)
+        c = reduce_word(tuple(-x for x in reversed(a)) + b)
+        assert free.word(free.multiply(x, free.element(c))) == reduce_word(a + c)
+
+    # factors with at most 8 generators in all keep the reference BFS small
+    _FACTOR_GENERATORS = {"free:1": 2, "free:2": 4, "free:2:standard+ab": 6,
+                          "abelian:1": 2, "abelian:2": 4, "abelian:3": 6,
+                          "heisenberg": 4}
+    _products = st.lists(st.sampled_from(sorted(_FACTOR_GENERATORS)),
+                         min_size=1, max_size=3).filter(
+        lambda fs: sum(_FACTOR_GENERATORS[f] for f in fs) <= 8)
+
+    @settings(max_examples=60)
+    @given(_products, st.integers(1, 6), st.integers(-3, 3))
+    def test_product_growth_matches_reference(specs, horizon, offset):
+        gamma = growth_reference(specs, horizon)
+        fam = family_from_spec("product:" + ",".join(specs))
+        budget = max(1, gamma[horizon] + offset)
+        if gamma[horizon] > budget:
+            with pytest.raises(BudgetExceeded):
+                growth_table(fam, horizon, budget=budget)
+        else:
+            assert growth_table(fam, horizon, budget=budget).gamma == gamma
