@@ -225,6 +225,8 @@ def _cmd_growth(args):
     if args.gens != "standard":
         raise InputError("generating sets are chosen through the family spec "
                          "(e.g. free:2:standard+ab); --gens only takes 'standard'")
+    if args.horizon < 1:
+        raise InputError("horizon must be positive")
     family = family_from_spec(args.family, budget=args.budget)
     table = growth_table(family, args.horizon, budget=args.budget)
     payload = {"family": family.describe(), "gamma": list(table.gamma)}

@@ -19,6 +19,7 @@ degree, weighting rank r_0(G_m / G_(m+1)) by its depth m.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -77,27 +78,23 @@ class Free(GroupFamily):
     word is nonzero.  ``element`` and ``word`` convert at the edges.
 
     Custom generating sets are given as words (tuples of signed letters);
-    the set is closed under inverses automatically.  With a budget, the
-    generating set (the sphere of radius 1) is checked against it at each
-    insertion, before it can grow past the budget.
+    the set is closed under inverses automatically.
     """
 
-    def __init__(self, rank: int, generator_words=None, budget=None):
+    def __init__(self, rank: int, generator_words=None):
         if rank < 1:
             raise InputError("rank must be positive")
         self.rank = rank
         self._base = 2 * rank + 1
         if generator_words is None:
-            generator_words = ((i,) for i in range(1, rank + 1))
+            generator_words = [(i,) for i in range(1, rank + 1)]
         gens = {}
         for w in generator_words:
             g = self.element(w)
             if not g:
                 raise InputError("the identity cannot be a generator")
-            for h in (g, self.element(-x for x in reversed(self.word(g)))):
-                gens[h] = None
-                if budget is not None and len(gens) + 1 > budget:
-                    raise BudgetExceeded(budget, "ball enumeration")
+            gens[g] = None
+            gens[self.element([-x for x in reversed(w)])] = None
         self._gens = list(gens)
 
     def element(self, letters) -> int:
@@ -186,24 +183,33 @@ class DirectProduct(GroupFamily):
 
 def family_from_spec(spec: str, budget=None) -> GroupFamily:
     """Parse "abelian:2", "free:2", "free:2:standard+ab", "heisenberg",
-    or "product:heisenberg,abelian:1".  A free factor's generating set is
-    checked against the budget while it is built."""
+    or "product:heisenberg,abelian:1".  The generating set is the sphere of
+    radius 1, so it is checked against the budget before it is built."""
     spec = spec.strip().lower()
     if spec.startswith("product:"):
         return DirectProduct([family_from_spec(part, budget)
                               for part in spec[len("product:"):].split(",")])
     name, *fields = spec.split(":")
     if name in ("abelian", "freeabelian", "zn") and len(fields) == 1:
-        return FreeAbelian(int(fields[0]))
+        rank = int(fields[0])
+        _check_generating_set(2 * rank, budget)
+        return FreeAbelian(rank)
     if name == "free" and fields and fields[1:] in ([], ["standard+ab"]):
         rank = int(fields[0])
-        words = ((i,) for i in range(1, rank + 1))
-        if fields[1:]:
-            words = itertools.chain(words, [(1, 2)])
-        return Free(rank, words, budget)
+        extra = [(1, 2)] if fields[1:] else []
+        if extra and rank < 2:
+            raise InputError("standard+ab needs a free group of rank at least 2")
+        _check_generating_set(2 * rank + 2 * len(extra), budget)
+        return Free(rank, [(i,) for i in range(1, rank + 1)] + extra)
     if name in ("heisenberg", "heisenberg3") and not fields:
         return Heisenberg3()
     raise InputError(f"unknown group family {spec!r}")
+
+
+def _check_generating_set(size: int, budget) -> None:
+    # the ball of radius 1 is the identity and the generating set
+    if budget is not None and size + 1 > budget:
+        raise BudgetExceeded(budget, "ball enumeration")
 
 
 # ----------------------------------------------------------------------
@@ -225,38 +231,39 @@ def growth_table(family: GroupFamily, horizon: int,
     gamma(horizon) > budget."""
     if horizon < 1:
         raise InputError("horizon must be positive")
-    gamma = list(itertools.accumulate(_spheres(family, horizon, budget)))
-    if gamma[-1] > budget:
-        raise BudgetExceeded(budget, "ball enumeration")
+    gamma = []
+    for g in itertools.islice(itertools.accumulate(_spheres(family, budget)),
+                              horizon + 1):
+        if g > budget:
+            raise BudgetExceeded(budget, "ball enumeration")
+        gamma.append(g)
     rates = tuple(math.log(g) / n for n, g in enumerate(gamma) if n >= 1)
     exponents = tuple(math.log(g) / math.log(n)
                       for n, g in enumerate(gamma) if n >= 2)
     return GrowthTable(tuple(gamma), rates, exponents)
 
 
-def _spheres(family: GroupFamily, horizon: int, budget: int) -> list:
-    """Sphere sizes s(0..horizon) of the word metric.
+def _spheres(family: GroupFamily, budget: int):
+    """Sphere sizes s(0), s(1), ... of the word metric, one radius per step.
 
     A direct product carries the union of its factors' generating sets, so
     word length adds across factors and the product's spheres are the
     convolution of the factors' spheres; its ball is never built.  Any
     other family is enumerated by breadth-first closure, with the budget
     checked at each insertion (a factor's ball is no larger than the
-    product's, so this raises only when the product's would too).
+    product's at the same radius, so this raises only when the product's
+    would too).
     """
     if isinstance(family, DirectProduct):
-        spheres = [1] + [0] * horizon
-        for factor in family.factors:
-            s = _spheres(factor, horizon, budget)
-            spheres = [sum(spheres[i] * s[n - i] for i in range(n + 1))
-                       for n in range(horizon + 1)]
-        return spheres
+        yield from functools.reduce(
+            _convolve, (_spheres(f, budget) for f in family.factors))
+        return
     gens = family.generators()
     multiply = family.multiply
     ball = {family.identity()}
     frontier = list(ball)
-    spheres = [1]
-    for _ in range(horizon):
+    while True:
+        yield len(frontier)
         new_frontier = []
         for x in frontier:
             for g in gens:
@@ -267,8 +274,15 @@ def _spheres(family: GroupFamily, horizon: int, budget: int) -> list:
                         raise BudgetExceeded(budget, "ball enumeration")
                     new_frontier.append(y)
         frontier = new_frontier
-        spheres.append(len(frontier))
-    return spheres
+
+
+def _convolve(a, b):
+    """The convolution of two sequences, one term per step."""
+    xs, ys = [], []
+    for x, y in zip(a, b):
+        xs.append(x)
+        ys.append(y)
+        yield sum(u * v for u, v in zip(xs, reversed(ys)))
 
 
 @dataclass(frozen=True)

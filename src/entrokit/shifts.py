@@ -86,7 +86,9 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
     those vectors over GF(p); its cardinality is p**rank.  The carrier is
     the n-th cotrajectory of F (full preimages) together with the forward
     trajectory, which contains every support the first n steps can touch,
-    so the truncation is exact.
+    so the truncation is exact.  The budget bounds the points the oracle
+    holds: the carrier, the entries of the stored reduced rows and the
+    preimage list being built.
     """
     if spec.variant != "direct_sum":
         raise InputError("the subgroup oracle runs on the direct-sum variant")
@@ -102,24 +104,31 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
 
     carrier = []
     index = {}
+    stored = 0  # entries of the rows kept in basis
+
+    def check(building=0):
+        if len(carrier) + stored + building > budget:
+            raise BudgetExceeded(budget, "oracle enumeration")
 
     def col(point):
         if point not in index:
             index[point] = len(carrier)
             carrier.append(point)
-            if len(carrier) > budget:
-                raise BudgetExceeded(budget, "oracle carrier")
+            check()
         return index[point]
 
     basis = {}  # pivot column -> reduced row, rows as {column: value mod p}
 
     def eliminate(row):
+        nonlocal stored
         row = {c: v % p for c, v in row.items() if v % p}
         while row:
             pivot = min(row)
             if pivot not in basis:
                 inv = pow(row[pivot], -1, p)
                 basis[pivot] = {c: (v * inv) % p for c, v in row.items()}
+                stored += len(row)
+                check()
                 return 1
             factor = row[pivot]
             for c, v in basis[pivot].items():
@@ -140,8 +149,8 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
     # the j-th preimage set of i (the image of the basis vector e_i)
     per_source = {i: [i] for i in base}
     rank = 0
-    ranks, sizes = [], []
-    for _ in range(horizon):
+    ranks = []
+    while True:
         for i in base:
             vec = {}
             for x in per_source[i]:
@@ -149,12 +158,16 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
                 vec[c] = vec.get(c, 0) + 1
             rank += eliminate(vec)
         ranks.append(rank)
-        sizes.append(p ** rank)
+        if len(ranks) == horizon:
+            break
         for i in base:
-            per_source[i] = [q for x in per_source[i] for q in m.preimages(x)]
-            if len(per_source[i]) > budget:
-                raise BudgetExceeded(budget, "preimage enumeration")
-    return ShiftOracleReport(tuple(sizes), tuple(ranks), tuple(carrier))
+            preimages = []
+            for x in per_source[i]:
+                preimages += m.preimages(x)
+                check(len(preimages))
+            per_source[i] = preimages
+    return ShiftOracleReport(tuple(p ** r for r in ranks), tuple(ranks),
+                             tuple(carrier))
 
 
 def adjoint_entropy_of_shift(spec: GeneralizedShiftSpec, points) -> EntropyValue:

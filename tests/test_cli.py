@@ -166,6 +166,8 @@ def test_exit_code_malformed_family(capsys, spec):
     ("product:free:2,abelian:2", 5, 1857, 0),
     # 12 generators and the identity: the ball of radius 1 exceeds 10
     ("free:6", 3, 10, 3),
+    # an invalid horizon is reported as such, before the budget is checked
+    ("free:6", 0, 10, 2),
 ])
 def test_growth_budget(capsys, family, horizon, budget, code):
     assert dispatch(["growth", "--family", family, "--horizon", str(horizon),

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from entrokit import growth
 from entrokit.errors import BudgetExceeded, InputError
 from entrokit.growth import (
     DirectProduct,
@@ -113,8 +114,11 @@ def test_generating_sets_are_symmetric():
 def test_family_spec_parsing():
     assert family_from_spec("abelian:3").rank == 3
     assert family_from_spec("heisenberg").describe().startswith("discrete")
-    with pytest.raises(InputError):
-        family_from_spec("grigorchuk")
+    for spec in ["grigorchuk", "abelian", "abelian:1:2", "free", "free:2:weird",
+                 "free:2:", "free:0", "free:1:standard+ab", "heisenberg:3",
+                 "product:", "product:free:2,,abelian:1", ""]:
+        with pytest.raises(InputError):
+            family_from_spec(spec)
 
 
 def test_budget_per_insertion():
@@ -144,22 +148,11 @@ def test_free_words_are_packed_ints():
     assert sorted(free.generators()) == [1, 2, 3, 4]
     with pytest.raises(InputError):
         free.element((3,))
-    with pytest.raises(InputError):
-        family_from_spec("free:1:standard+ab")   # the word (1, 2) needs rank 2
-
-
-@pytest.mark.parametrize("spec", [
-    "abelian", "abelian:1:2", "free", "free:2:weird", "free:2:",
-    "free:0", "heisenberg:3", "product:", "product:free:2,,abelian:1", "",
-])
-def test_malformed_family_specs(spec):
-    with pytest.raises(InputError):
-        family_from_spec(spec)
 
 
 def test_generating_set_checked_against_the_budget(monkeypatch):
     # the generating set is the sphere of radius 1: 12 generators and the
-    # identity exceed a budget of 12, and at most 12 of them are ever built
+    # identity exceed a budget of 12, and no generator is built
     built = []
     element = Free.element
 
@@ -168,10 +161,37 @@ def test_generating_set_checked_against_the_budget(monkeypatch):
         return element(self, letters)
 
     monkeypatch.setattr(Free, "element", counting_element)
-    with pytest.raises(BudgetExceeded):
-        family_from_spec("free:6", budget=12)
-    assert len(built) <= 12
+    for spec, budget in [("free:6", 12), ("free:2:standard+ab", 6),
+                         ("product:heisenberg,free:6", 12)]:
+        with pytest.raises(BudgetExceeded):
+            family_from_spec(spec, budget=budget)
+    assert not built
     assert len(family_from_spec("free:6", budget=13).generators()) == 12
+    assert len(family_from_spec("free:2:standard+ab", budget=7).generators()) == 6
+    with pytest.raises(BudgetExceeded):
+        family_from_spec("abelian:10000000", budget=5_000_000)
+
+
+def test_product_budget_stops_at_the_first_radius_past_it(monkeypatch):
+    # the ball of Z x Z has 2n^2 + 2n + 1 elements, past 3 * 10**5 at
+    # n = 387: no sphere is computed beyond that radius
+    pulled = []
+    spheres = growth._spheres
+
+    def counting_spheres(family, budget):
+        for s in spheres(family, budget):
+            pulled.append(1)
+            yield s
+
+    monkeypatch.setattr(growth, "_spheres", counting_spheres)
+    with pytest.raises(BudgetExceeded):
+        growth_table(family_from_spec("product:abelian:1,abelian:1"), 10**5,
+                     budget=3 * 10**5)
+    assert len(pulled) <= 3 * 388      # the product and its two factors
+    # nothing is allocated per radius of the horizon
+    with pytest.raises(BudgetExceeded):
+        growth_table(family_from_spec("product:heisenberg,free:2"), 10**9,
+                     budget=10**4)
 
 
 def test_product_spheres_are_convolved():

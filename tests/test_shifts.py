@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from entrokit.errors import InputError
+from entrokit.errors import BudgetExceeded, InputError
 from entrokit.set_maps import SymbolicSelfMap, disjoint_union, left_shift, right_shift
 from entrokit.shifts import (
     GeneralizedShiftSpec,
@@ -115,6 +115,31 @@ def _default_points(m):
     if m.core_map:
         return [m.core_map[0][0]]
     return [f"{m.out_rays[0]}:0"]
+
+
+def test_oracle_budget_bounds_the_points_it_holds(monkeypatch):
+    tree = SymbolicSelfMap.build({"z": "z"}, [], [], [("T", "z", 3)])
+    spec = GeneralizedShiftSpec(tree, 2, "direct_sum")
+    made = []
+    real_preimages = SymbolicSelfMap.preimages
+
+    def preimages(self, point):
+        out = real_preimages(self, point)
+        made.extend(out)
+        return out
+
+    monkeypatch.setattr(SymbolicSelfMap, "preimages", preimages)
+    # the preimage list of step j is z and the tree down to depth j - 1,
+    # (3**j - 1) / 2 points; the list after the last step is never built
+    rep = shift_bruteforce_oracle(spec, ["z"], 5)
+    assert rep.ranks == (1, 2, 3, 4, 5)
+    assert len(made) == 4 + 13 + 40 + 121
+    made.clear()
+    with pytest.raises(BudgetExceeded):
+        shift_bruteforce_oracle(spec, ["z"], 12, budget=100)
+    # the carrier, the stored rows and the preimage list being built stay
+    # within the budget; one node's preimages may pass it by branching
+    assert len(set(made)) <= 100 + 3
 
 
 def test_oracle_requires_prime_order():
