@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError, SingularMap
-from .linalg import Lattice, RatMatrix, lattice_intersect, lattice_preimage
+from .linalg import Lattice, RatMatrix, _meet_preimage
 from .values import EntropyValue
 
 
@@ -28,6 +28,15 @@ class CotrajectoryReport:
     certificate: bool     # e*Z^n was verified inside the frozen lattice
 
 
+def _check_matrix(a: RatMatrix, n: int) -> None:
+    if not a.is_integer():
+        raise InputError("the cotrajectory machinery runs over integer matrices")
+    if a.determinant() == 0:
+        raise SingularMap("preimages under a singular map lose finite index")
+    if a.n != n:
+        raise InputError("matrix and lattice dimensions disagree")
+
+
 def adjoint_entropy_at(a: RatMatrix, n_lattice: Lattice,
                        horizon: int = 64) -> CotrajectoryReport:
     """Cotrajectory chain of N under A with the exact freeze certificate.
@@ -36,26 +45,26 @@ def adjoint_entropy_at(a: RatMatrix, n_lattice: Lattice,
     [Z^n : e*Z^n] strict drops.  Raises SingularMap when det A = 0 and
     BudgetExceeded when the horizon is hit first (which indicates a horizon
     far below the index bound, not a genuinely growing chain).
+
+    The chain only shrinks, so C_(k+1) = C_k exactly when A C_k lies in
+    C_k; that test runs before the step's kernel, so the confirming step
+    costs n membership tests instead of a kernel.
     """
-    if not a.is_integer():
-        raise InputError("the cotrajectory machinery runs over integer matrices")
-    if a.determinant() == 0:
-        raise SingularMap("preimages under a singular map lose finite index")
-    if a.n != n_lattice.n:
-        raise InputError("matrix and lattice dimensions disagree")
-    exponent = n_lattice.exponent()
-    bound = Lattice.scaled(a.n, exponent)
+    _check_matrix(a, n_lattice.n)
+    rows = a.int_rows()
+    n = a.n
+    bound = Lattice.scaled(n, n_lattice.exponent())
     current = n_lattice
     indices = [current.index]
     stationary_at = None
     for step in range(1, horizon + 1):
-        nxt = lattice_intersect(n_lattice, lattice_preimage(a, current))
-        indices.append(nxt.index)
-        if nxt.basis == current.basis:
+        if all(current.contains([sum(r[k] * col[k] for k in range(n)) for r in rows])
+               for col in current.basis):
+            indices.append(current.index)
             stationary_at = step
-            current = nxt
             break
-        current = nxt
+        current = _meet_preimage(rows, n_lattice, current)
+        indices.append(current.index)
     if stationary_at is None:
         raise BudgetExceeded(horizon, "cotrajectory iteration")
     certificate = bound.is_sublattice_of(current)
@@ -66,7 +75,8 @@ def adjoint_entropy_at(a: RatMatrix, n_lattice: Lattice,
 
 def enumerate_lattices(n: int, max_index: int):
     """All HNF lattices of Z^n with index <= max_index, in lexicographic
-    order of (diagonal, off-diagonal) entries."""
+    order of (diagonal, off-diagonal) entries.  Each basis is built in
+    canonical form, so no normalisation runs."""
     if max_index < 1:
         return
 
@@ -82,7 +92,7 @@ def enumerate_lattices(n: int, max_index: int):
         # column j has free entries in rows i < j, each modulo diag[i]
         def fill(j, cols):
             if j == n:
-                yield [list(c) for c in cols]
+                yield tuple(map(tuple, cols))
                 return
             free = [range(diag[i]) for i in range(j)]
 
@@ -96,8 +106,24 @@ def enumerate_lattices(n: int, max_index: int):
 
             yield from assign(0, [])
 
-        for cols in fill(0, []):
-            yield Lattice.from_columns(cols)
+        for basis in fill(0, []):
+            yield Lattice(n, basis)
+
+
+def lattice_count(n: int, max_index: int, cap: int) -> int:
+    """Number of lattices enumerate_lattices(n, max_index) yields, or cap + 1
+    once it passes cap.  A diagonal (d_1..d_n) carries prod d_i^(n-i)
+    (1-based i) choices of off-diagonal entries."""
+    if n == 0:
+        return 1
+    if n == 1:
+        return min(max(max_index, 0), cap + 1)
+    total = 0
+    for d in range(1, max_index + 1):
+        total += d ** (n - 1) * lattice_count(n - 1, max_index // d, cap)
+        if total > cap:
+            return cap + 1
+    return total
 
 
 @dataclass(frozen=True)
@@ -117,16 +143,15 @@ def dichotomy_probe(a: RatMatrix, max_index: int,
     side is realized only by infinite-rank systems (the direct-sum Bernoulli
     shift), outside this module's domain.
     """
+    _check_matrix(a, a.n)
+    if lattice_count(a.n, max_index, budget) > budget:
+        raise BudgetExceeded(budget, "lattice enumeration")
     reports = []
-    count = 0
     worst = 0
     for lattice in enumerate_lattices(a.n, max_index):
-        count += 1
-        if count > budget:
-            raise BudgetExceeded(budget, "lattice enumeration")
         report = adjoint_entropy_at(a, lattice, horizon)
         if not (report.value.is_zero() and report.certificate):
             raise AssertionError("a Z^n probe failed its freeze certificate")
         worst = max(worst, report.stationary_at)
         reports.append(report)
-    return DichotomyProbe("all_zero", count, worst, tuple(reports))
+    return DichotomyProbe("all_zero", len(reports), worst, tuple(reports))

@@ -182,7 +182,7 @@ def _cmd_shift(args):
                                         budget=args.budget)
         payload["oracle_sizes"] = [str(s) for s in report.sizes]
         payload["oracle_ranks"] = list(report.ranks)
-        adj = adjoint_entropy_of_shift(spec, points)
+        adj = adjoint_entropy_of_shift(spec, points, budget=args.budget)
         payload["coordinate_adjoint"] = adj.to_json()
         lines.append(f"oracle subgroup sizes: {list(report.sizes)}")
         lines.append(f"coordinate-subgroup adjoint entropy: {adj}")
@@ -369,12 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="adjoint entropy of an integer matrix at a lattice")
     p.add_argument("--matrix", required=True)
     p.add_argument("--lattice", required=True)
-    p.add_argument("--horizon", type=int, default=64)
+    p.add_argument("--horizon", type=_positive_int, default=64)
 
     p = add("adjoint-probe", _cmd_adjoint_probe,
             help="probe all lattices up to an index bound")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--max-index", type=_positive_int, required=True)
 
     p = add("growth", _cmd_growth, help="growth function of a group family")
     p.add_argument("--family", required=True,

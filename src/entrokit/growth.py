@@ -19,7 +19,6 @@ degree, weighting rank r_0(G_m / G_(m+1)) by its depth m.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -248,15 +247,18 @@ def _spheres(family: GroupFamily, budget: int):
 
     A direct product carries the union of its factors' generating sets, so
     word length adds across factors and the product's spheres are the
-    convolution of the factors' spheres; its ball is never built.  Any
-    other family is enumerated by breadth-first closure, with the budget
-    checked at each insertion (a factor's ball is no larger than the
-    product's at the same radius, so this raises only when the product's
-    would too).
+    convolution of the factors' spheres; its ball is never built.  Z^D is
+    the D-fold product of Z, whose spheres are 1, 2, 2, ...  Any other
+    family is enumerated by breadth-first closure, with the budget checked
+    at each insertion (a factor's ball is no larger than the product's at
+    the same radius, so this raises only when the product's would too).
     """
     if isinstance(family, DirectProduct):
-        yield from functools.reduce(
-            _convolve, (_spheres(f, budget) for f in family.factors))
+        yield from _convolve([_spheres(f, budget) for f in family.factors])
+        return
+    if isinstance(family, FreeAbelian):
+        yield from _convolve([itertools.chain([1], itertools.repeat(2))
+                              for _ in range(family.rank)])
         return
     gens = family.generators()
     multiply = family.multiply
@@ -276,13 +278,22 @@ def _spheres(family: GroupFamily, budget: int):
         frontier = new_frontier
 
 
-def _convolve(a, b):
-    """The convolution of two sequences, one term per step."""
-    xs, ys = [], []
-    for x, y in zip(a, b):
-        xs.append(x)
-        ys.append(y)
-        yield sum(u * v for u, v in zip(xs, reversed(ys)))
+def _convolve(seqs):
+    """The convolution of the sequences, one term per step.  Level k keeps
+    the terms of sequence k and of the convolution of sequences 0..k; a
+    lone sequence passes through unstored."""
+    if len(seqs) == 1:
+        yield from seqs[0]
+        return
+    terms = [[] for _ in seqs]
+    folds = [[] for _ in seqs]
+    for step in zip(*seqs):
+        for k, t in enumerate(step):
+            terms[k].append(t)
+            if k:
+                t = sum(u * v for u, v in zip(folds[k - 1], reversed(terms[k])))
+            folds[k].append(t)
+        yield t
 
 
 @dataclass(frozen=True)

@@ -220,9 +220,8 @@ def _xgcd(a: int, b: int):
 class _Echelon:
     """Incremental integer column echelon: pivot = last nonzero coordinate."""
 
-    def __init__(self, n, track=False):
+    def __init__(self, n):
         self.n = n
-        self.track = track
         self.basis = {}   # pivot index -> (vector, companion)
         self.kernel = []  # companions of vectors that reduced to zero
 
@@ -232,7 +231,7 @@ class _Echelon:
         while True:
             p = self._last_nonzero(v)
             if p is None:
-                if self.track and u is not None:
+                if u is not None:
                     self.kernel.append(tuple(u))
                 return
             if p not in self.basis:
@@ -262,20 +261,6 @@ class _Echelon:
             if v[i] != 0:
                 return i
         return None
-
-
-def integer_kernel(columns):
-    """Basis of {x in Z^m : sum x_j columns[j] = 0}, m = len(columns)."""
-    if not columns:
-        return []
-    n = len(columns[0])
-    ech = _Echelon(n, track=True)
-    m = len(columns)
-    for j, col in enumerate(columns):
-        unit = [0] * m
-        unit[j] = 1
-        ech.insert(col, unit)
-    return ech.kernel
 
 
 @dataclass(frozen=True)
@@ -313,12 +298,15 @@ class Lattice:
 
     @staticmethod
     def standard(n: int) -> "Lattice":
-        return Lattice.from_columns([[int(i == j) for i in range(n)] for j in range(n)])
+        return Lattice.scaled(n, 1)
 
     @staticmethod
     def scaled(n: int, k: int) -> "Lattice":
-        """k * Z^n."""
-        return Lattice.from_columns([[k * int(i == j) for i in range(n)] for j in range(n)])
+        """k * Z^n (for k >= 1 the diagonal is already canonical)."""
+        cols = [[k * int(i == j) for i in range(n)] for j in range(n)]
+        if k >= 1:
+            return Lattice(n, tuple(tuple(c) for c in cols))
+        return Lattice.from_columns(cols)
 
     @property
     def index(self) -> int:
@@ -372,33 +360,37 @@ def hnf(columns) -> Lattice:
     return Lattice.from_columns(columns)
 
 
-def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
-    """L1 meet L2 via the integer kernel of the stacked system [B1 | -B2]."""
-    if l1.n != l2.n:
+def _meet_preimage(rows, n_lattice: Lattice, lat: Lattice) -> Lattice:
+    """N meet A^-1(L) for integer rows of A, from one integer kernel.
+
+    The echelon runs over the columns [A B_N | -B_L]; the first n carry the
+    columns of B_N as companions and the rest carry zero, so the companion
+    of a kernel vector (x, y) is B_N x, and these generate the meet."""
+    n = lat.n
+    if n_lattice.n != n or len(rows) != n:
         raise InputError("ambient dimensions disagree")
-    n = l1.n
-    stacked = [list(col) for col in l1.basis] + [[-x for x in col] for col in l2.basis]
-    kernel = integer_kernel(stacked)
-    gens = []
-    for w in kernel:
-        a = w[:n]
-        gens.append(tuple(sum(l1.basis[j][i] * a[j] for j in range(n)) for i in range(n)))
-    return Lattice.from_columns(gens)
+    ech = _Echelon(n)
+    for col in n_lattice.basis:
+        ech.insert([sum(r[k] * col[k] for k in range(n)) for r in rows], col)
+    zero = (0,) * n
+    for col in lat.basis:
+        ech.insert([-x for x in col], zero)
+    return Lattice.from_columns(ech.kernel)
+
+
+def lattice_intersect(l1: Lattice, l2: Lattice) -> Lattice:
+    """L1 meet L2: the preimage of L2 under the identity, met with L1."""
+    return _meet_preimage(Lattice.standard(l1.n).basis, l1, l2)
 
 
 def lattice_preimage(a: RatMatrix, lat: Lattice) -> Lattice:
     """{v in Z^n : A v in L} for an integer matrix A with det A != 0."""
     rows = a.int_rows()
-    n = lat.n
-    if a.n != n:
+    if a.n != lat.n:
         raise InputError("ambient dimensions disagree")
     if a.determinant() == 0:
         raise SingularMap("preimage under a singular map is not a full-rank lattice")
-    acols = [[rows[i][j] for i in range(n)] for j in range(n)]
-    stacked = acols + [[-x for x in col] for col in lat.basis]
-    kernel = integer_kernel(stacked)
-    gens = [w[:n] for w in kernel]
-    return Lattice.from_columns(gens)
+    return _meet_preimage(rows, Lattice.standard(lat.n), lat)
 
 
 # ----------------------------------------------------------------------

@@ -380,7 +380,8 @@ class ForwardProfile:
         return tuple(b - a for a, b in zip(self.sizes, self.sizes[1:]))
 
 
-def covariant_trajectory_profile(m: SymbolicSelfMap, points, horizon: int) -> ForwardProfile:
+def covariant_trajectory_profile(m: SymbolicSelfMap, points, horizon: int,
+                                 budget: int = 1_000_000) -> ForwardProfile:
     """Sizes of D u f(D) u ... u f^(n-1)(D) for n up to the horizon.
 
     The per-step increment becomes constant once every orbit stream has
@@ -388,12 +389,14 @@ def covariant_trajectory_profile(m: SymbolicSelfMap, points, horizon: int) -> Fo
     both events happen within a bound computed from the presentation, so the
     stabilized increment (the local entropy, an integer <= |D|) is exact.
     Raises HorizonTooShort when the horizon does not cover the bound plus a
-    confirmation window of |D| + 1 steps.
+    confirmation window of |D| + 1 steps, and BudgetExceeded when the
+    trajectory passes the budget.
     """
-    return _forward_profile(m, [m.resolve(p) for p in points], horizon)
+    return _forward_profile(m, [m.resolve(p) for p in points], horizon, budget)
 
 
-def _forward_profile(m: SymbolicSelfMap, d: list, horizon: int) -> ForwardProfile:
+def _forward_profile(m: SymbolicSelfMap, d: list, horizon: int,
+                     budget: int) -> ForwardProfile:
     if not d:
         raise InputError("the trajectory of an empty set is empty")
     bound = _stabilization_bound(m, d)
@@ -407,6 +410,8 @@ def _forward_profile(m: SymbolicSelfMap, d: list, horizon: int) -> ForwardProfil
     for _ in range(horizon - 1):
         frontier = {m.apply(p) for p in frontier}
         current |= frontier
+        if len(current) > budget:
+            raise BudgetExceeded(budget, "forward trajectory")
         sizes.append(len(current))
     increments = [b - a for a, b in zip(sizes, sizes[1:])]
     tail = increments[bound - 1:]
@@ -415,11 +420,12 @@ def _forward_profile(m: SymbolicSelfMap, d: list, horizon: int) -> ForwardProfil
     return ForwardProfile(tuple(sizes), tail[-1], bound)
 
 
-def covariant_local_entropy(m: SymbolicSelfMap, points) -> int:
+def covariant_local_entropy(m: SymbolicSelfMap, points,
+                            budget: int = 1_000_000) -> int:
     """h(f, D): the stabilized increment, with an automatically chosen horizon."""
     d = [m.resolve(p) for p in points]
     horizon = _stabilization_bound(m, d) + len(d) + 1
-    return _forward_profile(m, d, horizon).local_entropy
+    return _forward_profile(m, d, horizon, budget).local_entropy
 
 
 # ----------------------------------------------------------------------

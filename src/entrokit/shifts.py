@@ -170,7 +170,8 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
                              tuple(carrier))
 
 
-def adjoint_entropy_of_shift(spec: GeneralizedShiftSpec, points) -> EntropyValue:
+def adjoint_entropy_of_shift(spec: GeneralizedShiftSpec, points,
+                             budget: int = 1_000_000) -> EntropyValue:
     """Adjoint entropy of the direct-sum shift with respect to the coordinate
     subgroup N_F of functions vanishing on F.
 
@@ -178,11 +179,11 @@ def adjoint_entropy_of_shift(spec: GeneralizedShiftSpec, points) -> EntropyValue
     image of F, so the n-th cotrajectory is the coordinate subgroup over
     T_n(f, F) with index q**|T_n|, and the limit is the local covariant
     entropy of F times log q.  The supremum over F is the covariant entropy
-    of the map times log q.
+    of the map times log q.  The budget bounds the forward trajectory held.
     """
     if spec.variant != "direct_sum":
         raise InputError("coordinate subgroups of the direct sum are finite-index")
-    local = covariant_local_entropy(spec.map, points)
+    local = covariant_local_entropy(spec.map, points, budget)
     return _as_value(local, spec.group_order)
 
 

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from entrokit.adjoint import adjoint_entropy_at, dichotomy_probe, enumerate_lattices
-from entrokit.errors import SingularMap
+from entrokit import adjoint
+from entrokit.adjoint import adjoint_entropy_at, dichotomy_probe, enumerate_lattices, \
+    lattice_count
+from entrokit.errors import BudgetExceeded, SingularMap
 from entrokit.linalg import Lattice, RatMatrix, hnf, lattice_intersect, lattice_preimage
 
 FIB = RatMatrix([[0, 1], [1, 1]])
@@ -145,6 +147,67 @@ def test_lattice_enumeration_count():
     # n = 2, bound 4: sum over diagonal pairs (d1, d2), d1*d2 <= 4, of d1
     assert sum(1 for _ in enumerate_lattices(2, 4)) == 15
     assert sum(1 for _ in enumerate_lattices(1, 8)) == 8
+    for n, m in [(1, 8), (2, 4), (2, 32), (3, 12), (4, 6), (2, 0)]:
+        assert lattice_count(n, m, 10**6) == sum(1 for _ in enumerate_lattices(n, m))
+    assert lattice_count(2, 32, 10**6) == 857 and lattice_count(3, 12, 10**6) == 1325
+    assert lattice_count(2, 32, 856) == 857
+    assert lattice_count(2, 3000, 5_000_000) == 5_000_001
+
+
+def test_enumerated_bases_are_canonical():
+    for n in (1, 2, 3):
+        for lattice in enumerate_lattices(n, 8):
+            assert Lattice.from_columns(lattice.basis) == lattice
+
+
+def reference_chain(a, lattice, horizon=64):
+    """The chain by separate preimage and intersection: (indices,
+    stationary_at, frozen lattice)."""
+    chain = [lattice]
+    for step in range(1, horizon + 1):
+        chain.append(lattice_intersect(lattice, lattice_preimage(a, chain[-1])))
+        if chain[-1] == chain[-2]:
+            return tuple(c.index for c in chain), step, chain[-1]
+    raise AssertionError("reference chain did not freeze")
+
+
+def test_kernel_runs_once_per_strict_drop(monkeypatch):
+    kernels = []
+    meet = adjoint._meet_preimage
+
+    def counting_meet(*args):
+        kernels.append(1)
+        return meet(*args)
+
+    monkeypatch.setattr(adjoint, "_meet_preimage", counting_meet)
+    rng = random.Random(44)
+    for _ in range(6):
+        n = rng.randint(1, 3)
+        a = random_nonsingular(rng, n)
+        for lattice in enumerate_lattices(n, 6):
+            kernels.clear()
+            report = adjoint_entropy_at(a, lattice)
+            assert len(kernels) == report.stationary_at - 1
+            assert report.stationary_at == reference_chain(a, lattice)[1]
+
+
+def test_probe_checks_the_lattice_count_before_probing(monkeypatch):
+    calls = []
+    probe_one = adjoint.adjoint_entropy_at
+
+    def counting_probe(*args):
+        calls.append(1)
+        return probe_one(*args)
+
+    monkeypatch.setattr(adjoint, "adjoint_entropy_at", counting_probe)
+    # 7,405,170 lattices of Z^2 have index <= 3000
+    with pytest.raises(BudgetExceeded):
+        dichotomy_probe(RatMatrix([[2, 1], [0, 3]]), 3000, budget=5_000_000)
+    with pytest.raises(BudgetExceeded):
+        dichotomy_probe(FIB, 32, budget=856)
+    assert not calls
+    assert dichotomy_probe(FIB, 32, budget=857).lattices_probed == 857
+    assert len(calls) == 857
 
 
 def test_dichotomy_probe_all_zero():
@@ -154,3 +217,31 @@ def test_dichotomy_probe_all_zero():
     assert probe.outcome == "all_zero"
     probe = dichotomy_probe(RatMatrix.identity(2), 5)
     assert probe.max_stabilization == 1
+
+
+try:
+    from hypothesis import assume, given, strategies as st
+except ImportError:  # the property test below needs hypothesis
+    given = None
+
+if given is not None:
+    _LATTICES = {n: list(enumerate_lattices(n, 6)) for n in (1, 2, 3)}
+
+    @st.composite
+    def _matrix_and_lattice(draw):
+        n = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        return RatMatrix(rows), draw(st.sampled_from(_LATTICES[n]))
+
+    @given(_matrix_and_lattice())
+    def test_fused_chain_matches_two_step_chain(case):
+        a, lattice = case
+        assume(a.determinant() != 0)
+        indices, stationary_at, frozen = reference_chain(a, lattice)
+        report = adjoint_entropy_at(a, lattice)
+        assert report.indices == indices and report.stationary_at == stationary_at
+        current = lattice
+        for _ in range(report.stationary_at - 1):
+            current = adjoint._meet_preimage(a.int_rows(), lattice, current)
+        assert current.basis == frozen.basis

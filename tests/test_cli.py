@@ -146,6 +146,38 @@ def test_shift_oracle_budget(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_forward_profile_budget(capsys, tmp_path):
+    # the ray offset sets the forward horizon: the profile holds ~10**5 points
+    path = tmp_path / "fed_ray.json"
+    path.write_text(json.dumps({"core": {"a": "ray:R", "b": "a"}, "out_rays": ["R"],
+                                "in_strings": [{"id": "S", "attach": "b"}]}))
+    argv = ["shift", "--map", str(path), "--order", "2", "--variant", "sum",
+            "--oracle", "R:100000"]
+    assert dispatch(argv + ["--budget", "1000"]) == 3
+    assert "forward trajectory exceeded budget of 1000" in capsys.readouterr().err
+    assert dispatch(argv + ["--budget", "200000"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["adjoint", "--matrix", "2", "--lattice", "3", "--horizon", "0"],
+    ["adjoint", "--matrix", "2", "--lattice", "3", "--horizon", "-1"],
+    ["adjoint-probe", "--matrix", "2", "--max-index", "0"],
+    ["adjoint-probe", "--matrix", "2", "--max-index", "-3"],
+])
+def test_adjoint_options_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        dispatch(argv)
+    assert exit_info.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
+def test_adjoint_probe_lattice_count_over_budget(capsys):
+    # 7,405,170 lattices of Z^2 have index <= 3000, over the default budget
+    assert dispatch(["adjoint-probe", "--matrix", "2,1;0,3", "--max-index", "3000"]) == 3
+    assert "lattice enumeration exceeded budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("budget", ["-3", "0", "x"])
 def test_budget_must_be_positive(capsys, budget):
     with pytest.raises(SystemExit) as exit_info:

@@ -42,6 +42,17 @@ def test_abelian_ball_counts():
     assert line.gamma == tuple(2 * n + 1 for n in range(11))
 
 
+def test_abelian_spheres_are_convolved(monkeypatch):
+    # Z^D is the D-fold product of Z: no element of its ball is built
+    def no_ball(self, *args):
+        raise AssertionError("a free abelian ball was enumerated")
+
+    monkeypatch.setattr(FreeAbelian, "generators", no_ball)
+    monkeypatch.setattr(FreeAbelian, "multiply", no_ball)
+    assert growth_table(FreeAbelian(1000), 2).gamma == (1, 2001, 2002001)
+    assert growth_table(FreeAbelian(3), 6).gamma == growth_reference(["abelian:3"], 6)
+
+
 def test_submultiplicative_and_monotone():
     for fam in (Free(2), FreeAbelian(2), Heisenberg3(),
                 DirectProduct([FreeAbelian(1), Heisenberg3()])):

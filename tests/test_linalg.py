@@ -11,7 +11,6 @@ from entrokit.linalg import (
     char_poly,
     hnf,
     int_char_poly,
-    integer_kernel,
     kernel_subspace,
     lattice_intersect,
     lattice_preimage,
@@ -272,13 +271,6 @@ def _residue_key(lat, v):
             for i in range(j + 1):
                 w[i] -= q * lat.basis[j][i]
     return tuple(w)
-
-
-def test_integer_kernel():
-    k = integer_kernel([[2, 0], [1, 1], [0, 3]])
-    assert len(k) == 1
-    x, y, z = k[0]
-    assert 2 * x + y == 0 and y + 3 * z == 0
 
 
 def test_matrix_json_round_trip():

@@ -114,6 +114,15 @@ def test_forward_profile_horizon_guard():
         covariant_trajectory_profile(RHO, ["R:9"], 5)
 
 
+def test_forward_profile_budget():
+    # the trajectory of R:0 holds n points after n steps
+    assert covariant_trajectory_profile(RHO, ["R:0"], 8, budget=8).sizes[-1] == 8
+    with pytest.raises(BudgetExceeded):
+        covariant_trajectory_profile(RHO, ["R:0"], 8, budget=7)
+    with pytest.raises(BudgetExceeded):
+        covariant_local_entropy(RHO, ["R:1000"], budget=100)
+
+
 def test_surjective_core():
     assert surjective_core(RHO).is_empty()
     sc = surjective_core(SIG)
