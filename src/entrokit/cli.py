@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -33,10 +32,6 @@ from .shifts import GeneralizedShiftSpec, adjoint_entropy_of_shift, \
 from .values import EntropyValue
 
 
-def _default_tol() -> float:
-    return float(os.environ.get("ENTROKIT_TOL", "1e-12"))
-
-
 def _load_json_or_inline(arg: str):
     path = Path(arg)
     try:
@@ -53,27 +48,28 @@ def _load_json_or_inline(arg: str):
     return None
 
 
-def parse_poly(arg: str):
+def _read_list(arg: str, key: str, rows: bool = False) -> list:
+    """The list an input holds: ``json_list`` of a JSON file, or the inline
+    text split on ";" into rows and on "," within each (on "," alone when
+    the schema has no rows)."""
     obj = _load_json_or_inline(arg)
     if obj is not None:
-        return poly_from_json(obj)
-    return poly_from_json([c.strip() for c in arg.split(",")])
+        return json_list(obj, key, rows)
+    if rows:
+        return [[c.strip() for c in row.split(",")] for row in arg.split(";")]
+    return [c.strip() for c in arg.split(",")]
+
+
+def parse_poly(arg: str):
+    return poly_from_json(_read_list(arg, "coeffs"))
 
 
 def parse_matrix(arg: str) -> RatMatrix:
-    obj = _load_json_or_inline(arg)
-    if obj is not None:
-        return matrix_from_json(obj)
-    rows = [[c.strip() for c in row.split(",")] for row in arg.split(";")]
-    return RatMatrix([[parse_fraction(c) for c in row] for row in rows])
+    return matrix_from_json(_read_list(arg, "rows", rows=True))
 
 
 def parse_lattice(arg: str) -> Lattice:
-    obj = _load_json_or_inline(arg)
-    if obj is not None:
-        cols = json_list(obj, "columns", rows=True)
-    else:
-        cols = [[c.strip() for c in col.split(",")] for col in arg.split(";")]
+    cols = _read_list(arg, "columns", rows=True)
     return Lattice.from_columns([[int(str(x)) for x in col] for col in cols])
 
 
@@ -85,18 +81,12 @@ def parse_map(arg: str) -> SymbolicSelfMap:
 
 
 def parse_nodes(arg: str):
-    obj = _load_json_or_inline(arg)
-    if obj is not None:
-        return json_list(obj, "nodes")
-    return [c.strip() for c in arg.split(",")]
+    return _read_list(arg, "nodes")
 
 
 def parse_vectors(arg: str):
-    obj = _load_json_or_inline(arg)
-    if obj is not None:
-        vecs = json_list(obj, "vectors", rows=True)
-        return [tuple(int(str(x)) for x in v) for v in vecs]
-    return [tuple(int(c) for c in vec.split(",")) for vec in arg.split(";")]
+    vectors = _read_list(arg, "vectors", rows=True)
+    return [tuple(int(str(x)) for x in v) for v in vectors]
 
 
 def _count_json(x):
@@ -325,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true",
                        help="emit the machine-readable report")
-        p.add_argument("--tol", type=float, default=_default_tol(),
+        p.add_argument("--tol", type=float, default=1e-12,
                        help="root certification tolerance")
         p.add_argument("--budget", type=_positive_int, default=5_000_000,
                        help="element budget for enumerations")

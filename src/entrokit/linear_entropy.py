@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .errors import BudgetExceeded, InputError, WrongDomain
 from .linalg import RatMatrix, char_poly, kernel_subspace, solve_columns
-from .mahler import exact_peel, log_value, mahler_measure, outside_sum, sum_logs
+from .mahler import log_value, mahler_measure, outside_sum, sum_logs
 from .polynomials import IntPolynomial, content_primitive, cyclotomic, is_prime, \
     strip_cyclotomic_factors
 from .roots import classify_unit_circle
@@ -86,12 +87,13 @@ def padic_valuation(x: Fraction, p: int) -> int:
 def _eigenvalue_sum_outside(matrix: RatMatrix, tol: float) -> EntropyValue:
     """Sum of log|lambda| over eigenvalues outside the unit circle, exact
     when the primitive characteristic polynomial splits exactly."""
-    roots, cofactor = exact_peel(content_primitive(char_poly(matrix))[1])
-    outside = math.prod((abs(r) ** mult for r, mult in roots if abs(r) > 1),
-                        start=Fraction(1))
-    if cofactor.degree == 0:
+    prim = content_primitive(char_poly(matrix))[1]
+    classification = classify_unit_circle(prim, tol)
+    outside = math.prod((abs(r) ** mult for r, mult in classification.rational
+                         if abs(r) > 1), start=Fraction(1))
+    if classification.is_exact():
         return log_value(outside)
-    return outside_sum(classify_unit_circle(cofactor, tol), math.log(outside))
+    return outside_sum(classification, math.log(outside))
 
 
 def algebraic_entropy(flow: LinearFlow, tol: float = 1e-12) -> EntropyValue:
@@ -121,11 +123,12 @@ def eigenvalue_lower_bound(flow: LinearFlow, tol: float = 1e-12) -> EntropyValue
     """max(0, max log|eigenvalue|): a certified lower bound for h_alg."""
     if flow.domain not in ("zn", "qn"):
         raise WrongDomain("the eigenvalue bound applies on zn or qn")
-    roots, cofactor = exact_peel(content_primitive(char_poly(flow.matrix))[1])
-    best = max([abs(r) for r, _ in roots if abs(r) > 1], default=Fraction(1))
-    if cofactor.degree == 0:
+    prim = content_primitive(char_poly(flow.matrix))[1]
+    classification = classify_unit_circle(prim, tol)
+    best = max([abs(r) for r, _ in classification.rational if abs(r) > 1],
+               default=Fraction(1))
+    if classification.is_exact():
         return log_value(best)
-    classification = classify_unit_circle(cofactor, tol)
     value, error = math.log(best), 0.0
     for root in classification.outside:
         mod = abs(root.approx)
@@ -164,8 +167,8 @@ def trajectory_oracle(a: RatMatrix, points, horizon: int,
     """Exact sizes of the sumsets F + A F + ... + A^(n-1) F over Z^n.
 
     F is normalized to contain 0 (harmless for the entropy, and it makes the
-    size sequence non-decreasing).  Raises BudgetExceeded when a sumset would
-    pass the element budget.
+    size sequence non-decreasing).  Raises BudgetExceeded as soon as the
+    sumset being built holds more points than the budget.
 
     The reported estimate is the smallest one-step quotient
     log|T_(n+1)| - log|T_n|, which converges far faster than log|T_n|/n (the
@@ -188,12 +191,14 @@ def trajectory_oracle(a: RatMatrix, points, horizon: int,
     for _ in range(horizon - 1):
         image = {tuple(sum(rows[i][j] * v[j] for j in range(n)) for i in range(n))
                  for v in image}
-        if len(current) * len(image) > 50 * budget:
-            raise BudgetExceeded(budget, "sumset enumeration")
-        current = {tuple(t[i] + g[i] for i in range(n))
-                   for t in current for g in image}
-        if len(current) > budget:
-            raise BudgetExceeded(budget, "sumset enumeration")
+        # checked after each row t + image, so it passes the budget by at
+        # most |image| before it stops
+        sumset = set()
+        for t in current:
+            sumset.update(tuple(map(add, t, g)) for g in image)
+            if len(sumset) > budget:
+                raise BudgetExceeded(budget, "sumset enumeration")
+        current = sumset
         sizes.append(len(current))
     slopes = tuple(math.log(s) / (i + 1) for i, s in enumerate(sizes))
     diffs = [math.log(b) - math.log(a) for a, b in zip(sizes, sizes[1:])]

@@ -6,13 +6,13 @@ primitive integer polynomial first, so the measure computed here is always
 that of a primitive polynomial (the convention the characteristic-polynomial
 pipeline needs).
 
-The computation peels off everything that can be decided exactly -- powers
-of t, cyclotomic factors, rational linear factors -- and only then touches
-floating point, on the cyclotomic-free, rational-root-free cofactor.  A
-polynomial that decomposes completely therefore yields an exact_zero or
-exact_log value with no numerics at all.  That peel (``exact_peel``), the
-exact log of what it leaves (``log_value``) and the certified sum over the
-outside roots (``outside_sum``) are shared with the eigenvalue entropies of
+One ``classify_unit_circle`` call does the exact peel: it divides out the
+cyclotomic factors, then the rational roots, and only the cofactor left
+after both touches floating point.  A polynomial whose roots are all
+rational or roots of unity (Kronecker) therefore yields an exact_zero or
+exact_log value with no numerics at all.  The exact log of the rational
+part (``log_value``) and the certified sum over the outside roots
+(``outside_sum``) are shared with the eigenvalue entropies of
 ``linear_entropy``.
 """
 from __future__ import annotations
@@ -20,27 +20,11 @@ from __future__ import annotations
 import math
 
 from .errors import ZeroPolynomial
-from .polynomials import (
-    IntPolynomial,
-    RatPolynomial,
-    content_primitive,
-    rational_roots,
-    strip_cyclotomic_factors,
-)
+from .polynomials import IntPolynomial, RatPolynomial, content_primitive
 from .roots import CircleClassification, classify_unit_circle
 from .values import EntropyValue
 
 _U = 2.0 ** -53  # unit roundoff of a double
-
-
-def exact_peel(p: IntPolynomial):
-    """(rational roots, cofactor) of a primitive p after dropping its powers
-    of t and its cyclotomic factors: the cofactor has neither, nor any
-    rational root, so only it needs numerics."""
-    while p.degree >= 1 and p.constant_term() == 0:
-        p = IntPolynomial(p.coeffs[1:])
-    _, p = strip_cyclotomic_factors(p)
-    return rational_roots(p)
 
 
 def sum_logs(terms):
@@ -100,18 +84,18 @@ def mahler_measure(f, tol: float = 1e-12) -> EntropyValue:
     if p.degree == 0:
         return EntropyValue.zero()
 
-    # exact part: each rational root a/b of a primitive factor (b t - a)
-    # contributes max(|a|, |b|), keeping the product a positive integer; the
-    # leftover constant of a complete decomposition is +-1, since the input
-    # and every peeled factor are primitive
-    roots, cofactor = exact_peel(p)
-    measure_int = 1
-    for root, mult in roots:
+    # each rational root a/b of a primitive factor (b t - a) contributes
+    # max(|a|, |b|), keeping the product a positive integer, and takes b out
+    # of the lead; the lead left by a complete decomposition is +-1, since
+    # the input and every peeled factor are primitive
+    classification = classify_unit_circle(p, tol)
+    measure_int, lead = 1, abs(p.lead)
+    for root, mult in classification.rational:
         measure_int *= max(abs(root.numerator), abs(root.denominator)) ** mult
-    if cofactor.degree == 0:
+        lead //= root.denominator ** mult
+    if classification.is_exact():
         return log_value(measure_int)
-    return outside_sum(classify_unit_circle(cofactor, tol),
-                       math.log(measure_int), math.log(abs(cofactor.lead)))
+    return outside_sum(classification, math.log(measure_int), math.log(lead))
 
 
 def mahler_of_algebraic(minpoly: IntPolynomial, tol: float = 1e-12) -> EntropyValue:

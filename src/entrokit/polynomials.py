@@ -268,8 +268,8 @@ def _totients_upto(limit: int):
 def cyclotomic_candidates(degree: int):
     """All m with euler_phi(m) <= degree, by brute enumeration m <= 3*degree**2.
 
-    The bound is generous but safe for the desk-scale degrees (<= 64) this
-    toolkit supports.
+    The bound is safe at every degree: euler_phi(m) >= sqrt(m / 2) for all
+    m, so euler_phi(m) <= d forces m <= 2*d**2.
     """
     if degree < 1:
         return []

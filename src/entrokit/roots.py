@@ -1,12 +1,12 @@
 """Certified complex root finding for integer polynomials.
 
 Strategy: split off the exactly-known structure first (squarefree
-decomposition, and for circle classification the cyclotomic factors), then
-run a simultaneous Aberth-Ehrlich iteration from deterministic initial
-guesses.  Each approximation carries an inclusion radius from the classical
-bound  min_i |z - lambda_i| <= deg * |f(z)/f'(z)|,  padded by a small slack
-factor for evaluation error and by the rounding of the approximation to a
-complex double.
+decomposition, and for circle classification the cyclotomic factors and
+the rational roots), then run a simultaneous Aberth-Ehrlich iteration from
+deterministic initial guesses.  Each approximation carries an inclusion
+radius from the classical bound  min_i |z - lambda_i| <= deg * |f(z)/f'(z)|,
+padded by a small slack factor for evaluation error and by the rounding of
+the approximation to a complex double.
 
 One Aberth loop serves both precisions: it runs in ``mpmath.fp`` first and,
 when the requested tolerance cannot be certified there, in ``mpmath.mp`` at
@@ -14,9 +14,12 @@ when the requested tolerance cannot be certified there, in ``mpmath.mp`` at
 Initial guesses are roots of unity scaled by the Cauchy bound with a fixed
 angular offset, so runs are reproducible bit-for-bit at a fixed precision.
 
-Classification against the unit circle is one pass over those roots: a
-root is inside or outside when its annulus says so, and a boundary root
-otherwise, whose log|z| is then only known to lie in [0, log(|z| + r)].
+``classify_unit_circle`` is the one exact peel of the toolkit: it divides
+out the cyclotomic factors, then the rational roots (0 included), and
+accounts for each root once.  Only the cofactor left after both reaches the
+Aberth loop, in one pass: a root is inside or outside when its annulus says
+so, and a boundary root otherwise, whose log|z| is then only known to lie
+in [0, log(|z| + r)].
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from .errors import InputError, NoConvergence, NotPrimitive
 from .polynomials import (
     IntPolynomial,
     cyclotomic,
+    rational_roots,
     squarefree_decomposition,
     strip_cyclotomic_factors,
 )
@@ -48,24 +52,33 @@ class CertifiedRoot:
 
 @dataclass(frozen=True)
 class CircleClassification:
-    """Roots partitioned against the unit circle, with multiplicity.
+    """Roots partitioned against the unit circle, with multiplicity; each
+    root of the classified polynomial is in exactly one bucket.
 
-    on_circle_exact lists (cyclotomic index m, multiplicity) pairs removed
-    exactly before any numerics; on_circle_caveat holds the boundary roots,
-    those whose certified annulus meets the circle.  A boundary root may lie
-    on the circle or just off it, so all that is known of its log|z| is that
-    it lies in [0, log(|z| + r)].
+    Two buckets are exact, filled before any numerics: on_circle_exact
+    lists (cyclotomic index m, multiplicity) pairs, and rational lists
+    (Fraction root, multiplicity) pairs, 0 included.  The certified roots of
+    the cofactor left after both are inside, outside or on_circle_caveat,
+    the boundary roots whose annulus meets the circle.  A boundary root may
+    lie on the circle or just off it, so all that is known of its log|z| is
+    that it lies in [0, log(|z| + r)].
     """
 
     inside: tuple
     on_circle_exact: tuple
     outside: tuple
     on_circle_caveat: tuple
+    rational: tuple
+
+    def is_exact(self) -> bool:
+        """True when every root is rational or a root of unity (Kronecker),
+        so that nothing here came from floating point."""
+        return not (self.inside or self.outside or self.on_circle_caveat)
 
     def total_multiplicity(self) -> int:
         on = sum(cyclotomic(m).degree * k for m, k in self.on_circle_exact)
-        return on + sum(r.multiplicity for r in
-                        self.inside + self.outside + self.on_circle_caveat)
+        return on + sum(k for _, k in self.rational) + sum(
+            r.multiplicity for r in self.inside + self.outside + self.on_circle_caveat)
 
 
 def find_roots(f: IntPolynomial, tol: float = 1e-12) -> list:
@@ -207,25 +220,24 @@ def _merge_clusters(roots):
 # classification against the unit circle
 
 def classify_unit_circle(f: IntPolynomial, tol: float = 1e-12) -> CircleClassification:
-    """Partition the roots of f as inside / on / outside the unit circle.
+    """Partition the roots of the primitive f against the unit circle.
 
-    Cyclotomic factors are divided out exactly before any floating point
-    runs, so roots of unity are classified "on" with zero numerical
-    ambiguity.  The roots of the remaining cofactor come from one call of
-    find_roots; each is inside or outside when its certified annulus lies
-    strictly on that side of the circle, and a boundary root otherwise.
+    The cyclotomic factors are divided out first, then the rational roots
+    of what is left; both are exact, so roots of unity are "on" and
+    rational roots are known with zero numerical ambiguity.  The order
+    matters: a linear cofactor is peeled whatever its size, while the
+    divisor search of ``rational_roots`` skips large extreme coefficients.
+    The roots of the remaining cofactor come from one call of find_roots;
+    each is inside or outside when its certified annulus lies strictly on
+    that side of the circle, and a boundary root otherwise.
     """
     if f.is_zero():
         raise InputError("zero polynomial")
     if abs(f.content()) != 1:
         raise NotPrimitive("classification expects a primitive polynomial")
     on_exact, cofactor = strip_cyclotomic_factors(f if f.lead > 0 else -f)
-    k = 0
-    while cofactor.degree >= 1 and cofactor.constant_term() == 0:
-        cofactor = IntPolynomial(cofactor.coeffs[1:])
-        k += 1
-    inside = [CertifiedRoot(0j, 0.0, k)] if k else []
-    outside, boundary = [], []
+    rational, cofactor = rational_roots(cofactor)
+    inside, outside, boundary = [], [], []
     if cofactor.degree >= 1:
         for root in find_roots(cofactor, tol):
             if abs(root.approx) - root.radius > 1.0:
@@ -234,5 +246,5 @@ def classify_unit_circle(f: IntPolynomial, tol: float = 1e-12) -> CircleClassifi
                 inside.append(root)
             else:
                 boundary.append(root)
-    return CircleClassification(tuple(inside), tuple(on_exact),
-                                tuple(outside), tuple(boundary))
+    return CircleClassification(tuple(inside), tuple(on_exact), tuple(outside),
+                                tuple(boundary), tuple(rational))

@@ -32,7 +32,6 @@ class SearchSpec:
     max_degree: int
     max_height: int = 1
     monic_only: bool = True
-    skip_cyclotomic: bool = True
     top: int = 5
     budget: int = 5_000_000
 

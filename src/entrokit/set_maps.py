@@ -343,9 +343,10 @@ def qper_wan_partition(m: SymbolicSelfMap):
 
 def covariant_entropy(m: SymbolicSelfMap) -> int:
     """The number of pairwise disjoint infinite forward orbits: one per
-    wandering component.  Always finite on a finite presentation."""
-    _, wan = qper_wan_partition(m)
-    return len(wan)
+    wandering component.  Every part of the presentation but a ray has
+    exactly one outgoing edge, so a weakly connected component holds at
+    most one ray, and the wandering components are counted by the rays."""
+    return len(m.out_rays)
 
 
 # ----------------------------------------------------------------------
@@ -477,14 +478,10 @@ def point_in_core(sc: SymbolicSelfMap, point) -> bool:
 def contravariant_entropy(m: SymbolicSelfMap):
     """The string number of the surjective core: math.inf when a tree
     survives there, otherwise the number of pairwise disjoint
-    backward-infinite chains, which is the number of string tails.
-    An empty surjective core gives 0 by convention."""
-    sc = surjective_core(m)
-    if sc.is_empty():
-        return 0
-    if sc.in_trees:
-        return math.inf
-    return len(sc.in_strings)
+    backward-infinite chains, which is the number of string tails (0 for
+    an empty core).  The surjective core keeps every string and tree, so
+    both are read off the map itself."""
+    return math.inf if m.in_trees else len(m.in_strings)
 
 
 # ----------------------------------------------------------------------

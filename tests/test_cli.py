@@ -132,6 +132,16 @@ def test_exit_code_budget(capsys):
     capsys.readouterr()
 
 
+def test_sumset_oracle_budget_is_exact(capsys):
+    # F = {0..299} on Z: the sumset F + F holds 599 points
+    argv = ["oracle", "--matrix", "1", "--set", ";".join(map(str, range(300))),
+            "--horizon", "2", "--json", "--budget"]
+    assert dispatch(argv + ["599"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["sizes"] == [300, 599]
+    assert dispatch(argv + ["598"]) == 3
+    assert "sumset enumeration exceeded budget of 598" in capsys.readouterr().err
+
+
 def test_shift_oracle_budget(capsys, tmp_path):
     # a core 2-cycle with a ternary tree: the oracle's carrier grows fast
     path = tmp_path / "tree3.json"
@@ -378,4 +388,44 @@ if given is not None:
                 code = dispatch(argv)
             except SystemExit as exc:   # argparse rejects the option value
                 code = exc.code
+        assert code in (0, 2, 3)
+
+    # inline numeric inputs: an integer matrix with a lattice or vector set
+    # of its dimension, and rows of entries valid and malformed, ragged or not
+    _entry = st.sampled_from(["0", "1", "-1", "2", "-3", "1/2", "-5/3", "7", "1/0",
+                              "", "x", "1.5", "1e3", " 2", "--1", "0/1"])
+    _flat = st.lists(_entry, min_size=1, max_size=5).map(",".join)
+    _rows = st.lists(st.lists(_entry, min_size=1, max_size=3).map(",".join),
+                     min_size=1, max_size=3).map(";".join)
+
+    def _int_rows(n, count):
+        return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                        min_size=1 if count is None else count,
+                        max_size=4 if count is None else count).map(
+            lambda rows: ";".join(",".join(map(str, r)) for r in rows))
+
+    # (matrix, n x n lattice columns, vectors in Z^n) or malformed text
+    _pair = st.one_of(
+        st.integers(1, 3).flatmap(lambda n: st.tuples(
+            _int_rows(n, n), st.one_of(_int_rows(n, n), _int_rows(n, None)))),
+        st.tuples(_rows, _rows))
+    _numeric_argv = st.one_of(
+        st.builds(lambda p: ["mahler", f"--poly={p}"], _flat),
+        st.builds(lambda m, d: ["yuzvinski", f"--matrix={m[0]}", f"--domain={d}"],
+                  _pair, st.sampled_from(["zn", "qn", "rn", "tn"])),
+        st.builds(lambda m, d: ["topological", f"--matrix={m[0]}", f"--domain={d}"],
+                  _pair, st.sampled_from(["rn", "tn"])),
+        st.builds(lambda m, h: ["adjoint", f"--matrix={m[0]}", f"--lattice={m[1]}",
+                                f"--horizon={h}"],
+                  _pair, st.integers(1, 8)),
+        st.builds(lambda m, h, b: ["oracle", f"--matrix={m[0]}", f"--set={m[1]}",
+                                   f"--horizon={h}", f"--budget={b}"],
+                  _pair, st.integers(-1, 5), st.integers(1, 2000)),
+    )
+
+    @given(_numeric_argv)
+    def test_numeric_inline_argv_exit_codes(argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = dispatch(argv)
         assert code in (0, 2, 3)

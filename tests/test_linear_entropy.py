@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from entrokit.errors import InputError, WrongDomain
+from entrokit.errors import BudgetExceeded, InputError, WrongDomain
 from entrokit.linalg import RatMatrix, char_poly, solve_columns
 from entrokit.linear_entropy import (
     LinearFlow,
@@ -19,6 +19,7 @@ from entrokit.linear_entropy import (
     trajectory_oracle,
 )
 from entrokit.mahler import mahler_measure
+import entrokit.linear_entropy
 
 from oracles import interval_contains, mahler_reference
 
@@ -150,6 +151,27 @@ def test_trajectory_subadditivity_and_monotonicity():
         for i in range(1, len(sizes)):
             for j in range(1, len(sizes) - i):
                 assert sizes[i + j] <= sizes[i] * sizes[j]
+
+
+def test_trajectory_oracle_budget_bounds_the_points_it_holds(monkeypatch):
+    held = []
+
+    class CountingSet(set):
+        def update(self, *others):
+            super().update(*others)
+            held.append(len(self))
+
+    monkeypatch.setattr(entrokit.linear_entropy, "set", CountingSet, raising=False)
+    # F = {0, e1, e2, e1 + e2} under the Fibonacci matrix: |T_2| = 10, |T_3| = 21
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert trajectory_oracle(FIB, square, 3, budget=21).sizes == (4, 10, 21)
+    held.clear()
+    with pytest.raises(BudgetExceeded):
+        trajectory_oracle(FIB, square, 3, budget=20)
+    # the sumset is checked after each row t + A^2 F: it passes the budget
+    # by at most |A^2 F| = 4 points, and only on the row that stops it
+    assert 20 < max(held) <= 20 + 4
+    assert max(held[:-1]) <= 20
 
 
 def test_invariant_span_and_restriction():

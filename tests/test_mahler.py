@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+import entrokit.linear_entropy
+import entrokit.mahler
+import entrokit.polynomials
+import entrokit.roots
 from entrokit.errors import ZeroPolynomial
+from entrokit.linalg import RatMatrix
+from entrokit.linear_entropy import LinearFlow, topological_entropy
 from entrokit.mahler import mahler_measure, mahler_of_algebraic
 from entrokit.polynomials import IntPolynomial, RatPolynomial, cyclotomic, reciprocal
 
@@ -111,3 +117,37 @@ def test_power_substitution_law():
             err = base.error + sub.error if base.kind == "approx" or sub.kind == "approx" \
                 else 0.0
             assert abs(sub.as_float() - base.as_float()) <= err + 1e-9
+
+
+def test_one_cyclotomic_strip_per_value(monkeypatch):
+    calls = []
+    real = entrokit.polynomials.strip_cyclotomic_factors
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    for module in (entrokit.polynomials, entrokit.roots, entrokit.mahler,
+                   entrokit.linear_entropy):
+        if hasattr(module, "strip_cyclotomic_factors"):
+            monkeypatch.setattr(module, "strip_cyclotomic_factors", counted)
+    t = IntPolynomial((0, 1))
+    for f in (LEHMER, PLASTIC, IntPolynomial((-2, 3)) * cyclotomic(5) * PLASTIC,
+              t * t * cyclotomic(7) * IntPolynomial((-1, -1, 1)),
+              IntPolynomial((-2, 1)) * cyclotomic(3), cyclotomic(12) * t):
+        calls.clear()
+        mahler_measure(f)
+        assert len(calls) == 1
+    for rows in ([[0, 1], [1, 1]], [[2, 1, 0], [0, 3, 1], [1, 0, 1]], [[2, 0], [0, 3]]):
+        calls.clear()
+        topological_entropy(LinearFlow.on_reals(RatMatrix(rows)))
+        assert len(calls) == 1
+
+
+def test_large_rational_roots_stay_exact():
+    # the cyclotomic strip runs first, so the linear cofactor t - 10**13 is
+    # peeled directly although its constant passes the divisor-search cap
+    v = mahler_measure(cyclotomic(3) * IntPolynomial((-10 ** 13, 1)))
+    assert v.kind == "exact_log" and (v.base, v.multiplier) == (10 ** 13, 1)
+    v = mahler_measure(IntPolynomial((-10 ** 400, 1)))
+    assert v.kind == "exact_log" and (v.base, v.multiplier) == (10 ** 400, 1)

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -71,8 +72,8 @@ def test_classify_cyclotomic_times_linear():
     # Phi_4 * (t - 2) = t^3 - 2 t^2 + t - 2
     cl = classify_unit_circle(IntPolynomial((-2, 1, -2, 1)))
     assert cl.on_circle_exact == ((4, 1),)
-    assert len(cl.outside) == 1 and abs(cl.outside[0].approx - 2) < 1e-12
-    assert not cl.inside and not cl.on_circle_caveat
+    assert cl.rational == ((Fraction(2), 1),)
+    assert not cl.inside and not cl.outside and not cl.on_circle_caveat
 
 
 def test_classify_quadratic():
@@ -203,3 +204,14 @@ if given is not None:
         with mpmath.workdps(100):
             reference = mahler_reference(salem.coeffs)[0] + _reference(g)
             assert lo <= reference <= hi
+
+
+def test_classification_counts_rational_roots_and_powers_of_t():
+    t = IntPolynomial((0, 1))
+    for f in (t * t * t * IntPolynomial((-2, 3)),
+              IntPolynomial((1, 2)) * IntPolynomial((-5, 1)) * IntPolynomial((-5, 1)) * LEHMER,
+              t * cyclotomic(6) * IntPolynomial((3, 7)) * IntPolynomial((-1, -1, 1)),
+              cyclotomic(3) * IntPolynomial((-10 ** 13, 1))):
+        assert classify_unit_circle(f).total_multiplicity() == f.degree
+    cl = classify_unit_circle(t * t * t * IntPolynomial((-2, 3)))
+    assert cl.rational == ((Fraction(0), 3), (Fraction(2, 3), 1)) and cl.is_exact()

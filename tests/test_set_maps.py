@@ -337,7 +337,7 @@ def test_cotrajectory_budget_per_insertion(monkeypatch):
 
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 except ImportError:  # the property tests below need hypothesis
     given = None
 
@@ -369,6 +369,20 @@ if given is not None:
         p = cotrajectory_profile(SymbolicSelfMap.from_json(obj), names, horizon)
         assert (p.reduced_sizes, p.naive_sizes, p.limit) == \
             cotrajectory_reference(obj, names, horizon)
+
+    @settings(max_examples=150)
+    @given(_small_maps())
+    @example(({"core": {}, "out_rays": [], "in_strings": [], "in_trees": []}, []))
+    @example(({"core": {}, "out_rays": ["R0", "R1"], "in_strings": [], "in_trees": []}, []))
+    def test_entropies_match_the_component_derivation(case):
+        # h counts the wandering components, h* is the string number of the
+        # surjective core; both are read off the presentation directly
+        m = SymbolicSelfMap.from_json(case[0])
+        assert covariant_entropy(m) == len(qper_wan_partition(m)[1])
+        sc = surjective_core(m)
+        string_number = 0 if sc.is_empty() else \
+            math.inf if sc.in_trees else len(sc.in_strings)
+        assert contravariant_entropy(m) == string_number
 
     @given(st.integers(2, 36), st.integers(1, 10 ** 6))
     def test_tree_names_round_trip(branching, k):
