@@ -51,8 +51,13 @@ def adjoint_entropy_at(a: RatMatrix, n_lattice: Lattice,
     costs n membership tests instead of a kernel.
     """
     _check_matrix(a, n_lattice.n)
-    rows = a.int_rows()
-    n = a.n
+    return _cotrajectory(a.int_rows(), n_lattice, horizon)
+
+
+def _cotrajectory(rows, n_lattice: Lattice, horizon: int) -> CotrajectoryReport:
+    """The chain of adjoint_entropy_at for the integer rows of a matrix the
+    caller has checked."""
+    n = n_lattice.n
     bound = Lattice.scaled(n, n_lattice.exponent())
     current = n_lattice
     indices = [current.index]
@@ -131,7 +136,6 @@ class DichotomyProbe:
     outcome: str              # "all_zero" (Z^n side of the dichotomy)
     lattices_probed: int
     max_stabilization: int
-    reports: tuple
 
 
 def dichotomy_probe(a: RatMatrix, max_index: int,
@@ -146,12 +150,12 @@ def dichotomy_probe(a: RatMatrix, max_index: int,
     _check_matrix(a, a.n)
     if lattice_count(a.n, max_index, budget) > budget:
         raise BudgetExceeded(budget, "lattice enumeration")
-    reports = []
-    worst = 0
+    rows = a.int_rows()
+    probed = worst = 0
     for lattice in enumerate_lattices(a.n, max_index):
-        report = adjoint_entropy_at(a, lattice, horizon)
+        report = _cotrajectory(rows, lattice, horizon)
         if not (report.value.is_zero() and report.certificate):
             raise AssertionError("a Z^n probe failed its freeze certificate")
         worst = max(worst, report.stationary_at)
-        reports.append(report)
-    return DichotomyProbe("all_zero", len(reports), worst, tuple(reports))
+        probed += 1
+    return DichotomyProbe("all_zero", probed, worst)

@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lehmer", _cmd_lehmer, help="search for small positive Mahler measures")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--height", type=int, default=1)
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=_positive_int, default=5)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--non-monic", action="store_true")
 

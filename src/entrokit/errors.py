@@ -31,10 +31,6 @@ class ZeroConstantTerm(InputError):
     pass
 
 
-class RootOfUnityDegeneracy(InputError):
-    """A growth quotient is exactly zero, so the limit formula does not apply."""
-
-
 class NoConvergence(CertificationError):
     def __init__(self, max_iterations):
         super().__init__(f"root refinement did not certify within {max_iterations} iterations")

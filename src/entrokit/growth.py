@@ -217,7 +217,6 @@ def _check_generating_set(size: int, budget) -> None:
 class GrowthTable:
     gamma: tuple              # gamma(0..n): exact ball sizes
     rate_sequence: tuple      # log gamma(n) / n for n >= 1
-    exponent_sequence: tuple  # log gamma(n) / log n for n >= 2
 
     @property
     def horizon(self) -> int:
@@ -237,9 +236,7 @@ def growth_table(family: GroupFamily, horizon: int,
             raise BudgetExceeded(budget, "ball enumeration")
         gamma.append(g)
     rates = tuple(math.log(g) / n for n, g in enumerate(gamma) if n >= 1)
-    exponents = tuple(math.log(g) / math.log(n)
-                      for n, g in enumerate(gamma) if n >= 2)
-    return GrowthTable(tuple(gamma), rates, exponents)
+    return GrowthTable(tuple(gamma), rates)
 
 
 def _spheres(family: GroupFamily, budget: int):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, RankDeficient, SingularMap
-from .polynomials import RatPolynomial, _divisors, json_list, parse_fraction
+from .polynomials import RatPolynomial, json_list, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -338,17 +338,19 @@ class Lattice:
         return Lattice.from_columns(cols)
 
     def exponent(self) -> int:
-        """Exponent of Z^n / L: lcm of the orders of the unit vectors."""
-        idx = self.index
-        divisors = _divisors(idx)
+        """Exponent of Z^n / L: lcm of the orders of the unit vectors.
+
+        m * e_i lies in L exactly when m * B^-1 e_i is integral, so the
+        order of e_i is the lcm of the denominators of B^-1 e_i, read off
+        the triangular basis B by back-substitution."""
         out = 1
         for i in range(self.n):
-            unit = [0] * self.n
-            unit[i] = 1
-            for d in divisors:
-                if self.contains([d * x for x in unit]):
-                    out = out * d // math.gcd(out, d)
-                    break
+            x = [Fraction(0)] * i + [Fraction(1, self.basis[i][i])]
+            for j in range(i - 1, -1, -1):
+                x[j] = -sum(self.basis[k][j] * x[k]
+                            for k in range(j + 1, i + 1)) / self.basis[j][j]
+            for v in x:
+                out = math.lcm(out, v.denominator)
         return out
 
     def to_json(self) -> dict:

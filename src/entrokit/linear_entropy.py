@@ -153,13 +153,8 @@ DEFAULT_BUDGET = 5_000_000
 @dataclass(frozen=True)
 class TrajectoryProfile:
     sizes: tuple                 # |T_1| .. |T_N|
-    slopes: tuple                # log|T_n| / n
     estimate: float              # min one-step quotient log|T_(n+1)| - log|T_n|
-    fekete_upper: float          # min slope: a certified upper bound for H(phi, F)
-    budget: int = DEFAULT_BUDGET
-
-    def increments(self):
-        return tuple(b - a for a, b in zip((0,) + self.sizes, self.sizes))
+    fekete_upper: float          # min log|T_n| / n: a certified upper bound for H(phi, F)
 
 
 def trajectory_oracle(a: RatMatrix, points, horizon: int,
@@ -200,10 +195,9 @@ def trajectory_oracle(a: RatMatrix, points, horizon: int,
                 raise BudgetExceeded(budget, "sumset enumeration")
         current = sumset
         sizes.append(len(current))
-    slopes = tuple(math.log(s) / (i + 1) for i, s in enumerate(sizes))
+    slopes = [math.log(s) / (i + 1) for i, s in enumerate(sizes)]
     diffs = [math.log(b) - math.log(a) for a, b in zip(sizes, sizes[1:])]
-    estimate = min(diffs) if diffs else slopes[0]
-    return TrajectoryProfile(tuple(sizes), slopes, estimate, min(slopes), budget)
+    return TrajectoryProfile(tuple(sizes), min(diffs), min(slopes))
 
 
 # ----------------------------------------------------------------------

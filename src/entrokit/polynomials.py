@@ -8,8 +8,8 @@ The module supplies the exact machinery the rest of the toolkit leans on:
 content/primitive part, exact division over Z, cyclotomic generation (Phi_m
 built from smaller cyclotomic polynomials), purely exact detection of
 polynomials whose roots are all roots of unity, the reciprocal transform,
-resultants via fraction-free determinants, and the classical root-growth
-sequence D_n = prod_i |1 - lambda_i**n|.
+and the classical root-growth sequence D_n = prod_i |1 - lambda_i**n|,
+exactly over Z.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError, RootOfUnityDegeneracy, ZeroConstantTerm, ZeroPolynomial
+from .errors import InputError, ZeroConstantTerm, ZeroPolynomial
 
 
 def _trim(coeffs):
@@ -470,9 +470,40 @@ def _merge_roots(roots):
     return sorted(merged.items())
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division up to the integer square root."""
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Deterministic Miller-Rabin over the first 13 primes as bases.
+
+    Proven for n < 3,317,044,064,679,887,385,961,981 (Sorenson-Webster,
+    Math. Comp. 86, 2017); larger n raise InputError instead of a guess.
+    Division by the bases first answers every n < 43**2 directly.
+    """
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    if n >= _PRIME_BOUND:
+        raise InputError(f"primality of {n} is not decided above {_PRIME_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _divisors(n: int):
@@ -489,104 +520,63 @@ def _divisors(n: int):
 
 
 # ----------------------------------------------------------------------
-# resultants and the Lehmer growth sequence
+# the Lehmer growth sequence
 
-def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
-    """Res(f, g) over Z via fraction-free Bareiss on the Sylvester matrix."""
-    if f.is_zero() or g.is_zero():
-        return 0
-    n, m = f.degree, g.degree
-    if n == 0:
-        return f.coeffs[0] ** m
-    if m == 0:
-        return g.coeffs[0] ** n
-    size = n + m
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([0] * i + fc + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gc + [0] * (size - m - 1 - i))
-    return _bareiss_determinant(rows)
+def _times_t(v, low):
+    """t * v mod the monic t**d + sum(low[i] t**i), v of length d."""
+    top = v[-1]
+    return [(v[i - 1] if i else 0) - top * c for i, c in enumerate(low)]
 
 
-def _bareiss_determinant(m) -> int:
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _square_mod(v, low):
+    """v * v mod the monic t**d + sum(low[i] t**i), v of length d."""
+    d = len(low)
+    out = [0] * (2 * d - 1)
+    for i, x in enumerate(v):
+        if x:
+            for j, y in enumerate(v):
+                out[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        q = out[k]
+        if q:
+            for i, c in enumerate(low):
+                out[k - d + i] -= q * c
+    return out[:d]
 
 
 def delta_exact(f: IntPolynomial, n: int) -> int:
-    """|prod_i (lambda_i**n - 1)| for monic f, via |Res(f, t**n - 1)|."""
+    """D_n = |prod_i (lambda_i**n - 1)| over the roots of a monic f, exactly.
+
+    With r = t**n mod f (square-and-multiply over Z), D_n is |det M| for the
+    matrix M of multiplication by r - 1 on Z[t]/(f), whose columns are
+    (r - 1) * t**j mod f; the determinant comes from int_char_poly.  D_n = 0
+    exactly when some root is an n-th root of unity.
+    """
+    from .linalg import int_char_poly
+
     if f.is_zero() or f.lead != 1:
         raise InputError("the growth sequence needs a monic polynomial")
-    tn = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
-    return abs(resultant(f, tn))
+    if n < 1:
+        raise InputError("the growth sequence starts at n = 1")
+    low = list(f.coeffs[:-1])
+    if not low:
+        return 1
+    r = [1] + [0] * (len(low) - 1)
+    for bit in bin(n)[2:]:
+        r = _square_mod(r, low)
+        if bit == "1":
+            r = _times_t(r, low)
+    column = [r[0] - 1] + r[1:]
+    columns = []
+    for _ in low:
+        columns.append(column)
+        column = _times_t(column, low)
+    # det M = det M^T, so the columns serve as rows
+    return abs(int_char_poly(columns)[0])
 
 
 def delta_sequence_exact(f: IntPolynomial, horizon: int):
     return [delta_exact(f, n) for n in range(1, horizon + 1)]
-
-
-@dataclass(frozen=True)
-class DeltaSequence:
-    values: tuple          # floats, index n-1 holds D_n
-    error_bounds: tuple    # certified absolute error per entry
-
-
-def delta_sequence(f: IntPolynomial, horizon: int, tol: float = 1e-12) -> DeltaSequence:
-    """D_1..D_horizon from certified roots, each with an error bound.
-
-    Raises RootOfUnityDegeneracy when some D_n vanishes for n <= horizon,
-    which happens exactly when f has a cyclotomic factor Phi_m with
-    m <= horizon (detected exactly before any floating point runs).
-    """
-    from .roots import find_roots
-
-    if f.is_zero() or f.lead != 1:
-        raise InputError("the growth sequence needs a monic polynomial")
-    if f.degree < 1:
-        raise InputError("constant polynomials have no growth sequence")
-    factors, _ = strip_cyclotomic_factors(f)
-    for m, _mult in factors:
-        if m <= horizon:
-            raise RootOfUnityDegeneracy(
-                f"Phi_{m} divides the input, so D_n = 0 at n = {m}")
-    roots = find_roots(f, tol)
-    values, errors = [], []
-    for n in range(1, horizon + 1):
-        prod = 1.0
-        rel_err = 0.0
-        for root in roots:
-            z = complex(root.approx) ** n
-            # |lambda**n - approx**n| <= n * (|approx| + r)**(n-1) * r
-            step = n * (abs(root.approx) + root.radius) ** (n - 1) * root.radius
-            term = abs(z - 1.0)
-            if term <= step:
-                raise RootOfUnityDegeneracy(
-                    f"D_{n} is zero within certified bounds")
-            prod *= term ** root.multiplicity
-            rel_err += root.multiplicity * step / (term - step)
-        values.append(prod)
-        errors.append(prod * math.expm1(rel_err) if rel_err < 1 else math.inf)
-    return DeltaSequence(tuple(values), tuple(errors))
 
 
 # ----------------------------------------------------------------------

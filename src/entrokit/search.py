@@ -36,8 +36,8 @@ class SearchSpec:
     budget: int = 5_000_000
 
     def __post_init__(self):
-        if self.max_degree < 1 or self.max_height < 1:
-            raise InputError("degree and height bounds must be positive")
+        if min(self.max_degree, self.max_height, self.top) < 1:
+            raise InputError("degree, height and top bounds must be positive")
         space = (2 * self.max_height + 1) ** (self.max_degree + 1)
         if space > 400 * self.budget:
             raise BudgetExceeded(self.budget, "search space")

@@ -374,11 +374,6 @@ def _stabilization_bound(m: SymbolicSelfMap, points) -> int:
 class ForwardProfile:
     sizes: tuple
     local_entropy: int       # the stabilized per-step increment
-    stabilized_at: int       # first step from which the increment is provably final
-
-    @property
-    def increments(self):
-        return tuple(b - a for a, b in zip(self.sizes, self.sizes[1:]))
 
 
 def covariant_trajectory_profile(m: SymbolicSelfMap, points, horizon: int,
@@ -418,7 +413,7 @@ def _forward_profile(m: SymbolicSelfMap, d: list, horizon: int,
     tail = increments[bound - 1:]
     if any(x != tail[-1] for x in tail):
         raise HorizonTooShort("increments still moving past the stabilization bound")
-    return ForwardProfile(tuple(sizes), tail[-1], bound)
+    return ForwardProfile(tuple(sizes), tail[-1])
 
 
 def covariant_local_entropy(m: SymbolicSelfMap, points,

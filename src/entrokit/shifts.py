@@ -74,7 +74,6 @@ def shift_algebraic_entropy(spec: GeneralizedShiftSpec) -> EntropyValue:
 class ShiftOracleReport:
     sizes: tuple        # |T_n(shift, G_F)| as exact integers (powers of p)
     ranks: tuple        # dimensions over Z/p
-    carrier: tuple      # the truncated coordinate set
 
 
 def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
@@ -102,18 +101,16 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
     if not base:
         raise InputError("F must be non-empty")
 
-    carrier = []
-    index = {}
+    index = {}  # carrier point -> column
     stored = 0  # entries of the rows kept in basis
 
     def check(building=0):
-        if len(carrier) + stored + building > budget:
+        if len(index) + stored + building > budget:
             raise BudgetExceeded(budget, "oracle enumeration")
 
     def col(point):
         if point not in index:
-            index[point] = len(carrier)
-            carrier.append(point)
+            index[point] = len(index)
             check()
         return index[point]
 
@@ -166,8 +163,7 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
                 preimages += m.preimages(x)
                 check(len(preimages))
             per_source[i] = preimages
-    return ShiftOracleReport(tuple(p ** r for r in ranks), tuple(ranks),
-                             tuple(carrier))
+    return ShiftOracleReport(tuple(p ** r for r in ranks), tuple(ranks))
 
 
 def adjoint_entropy_of_shift(spec: GeneralizedShiftSpec, points,

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own numerical paths:
 real roots come from rational bisection on exact polynomial signs, lattice
 questions from brute-force enumeration of residues, characteristic
 polynomials of 2x2 matrices from the cofactor formula, Mahler measures
-from mpmath ``polyroots`` at 100 digits.
+from mpmath ``polyroots`` at 100 digits, resultants from fraction-free
+Bareiss elimination on the Sylvester matrix.
 """
 import math
 from fractions import Fraction
@@ -76,6 +77,51 @@ def lattice_members_box(lat, radius):
 def charpoly_2x2(a, b, c, d):
     """t^2 - (a+d) t + (ad - bc), ascending coefficients."""
     return (a * d - b * c, -(a + d), 1)
+
+
+def bareiss_determinant(m) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss."""
+    n = len(m)
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def resultant(f, g) -> int:
+    """Res(f, g) of ascending integer coefficient sequences without trailing
+    zeros, as the determinant of their Sylvester matrix."""
+    if not f or not g:
+        return 0
+    n, m = len(f) - 1, len(g) - 1
+    if n == 0:
+        return f[0] ** m
+    if m == 0:
+        return g[0] ** n
+    size = n + m
+    fc, gc = list(reversed(f)), list(reversed(g))
+    rows = [[0] * i + fc + [0] * (size - n - 1 - i) for i in range(m)]
+    rows += [[0] * i + gc + [0] * (size - m - 1 - i) for i in range(n)]
+    return bareiss_determinant(rows)
+
+
+def delta_reference(f, n: int) -> int:
+    """D_n = |Res(f, t**n - 1)| of a monic f given by ascending coefficients."""
+    return abs(resultant(tuple(f), (-1,) + (0,) * (n - 1) + (1,)))
 
 
 def mahler_reference(coeffs, dps=100):

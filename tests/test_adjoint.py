@@ -193,13 +193,14 @@ def test_kernel_runs_once_per_strict_drop(monkeypatch):
 
 def test_probe_checks_the_lattice_count_before_probing(monkeypatch):
     calls = []
-    probe_one = adjoint.adjoint_entropy_at
+    probe_one = adjoint._cotrajectory
 
     def counting_probe(*args):
         calls.append(1)
         return probe_one(*args)
 
-    monkeypatch.setattr(adjoint, "adjoint_entropy_at", counting_probe)
+    # the probe checks the matrix once and runs the chain per lattice
+    monkeypatch.setattr(adjoint, "_cotrajectory", counting_probe)
     # 7,405,170 lattices of Z^2 have index <= 3000
     with pytest.raises(BudgetExceeded):
         dichotomy_probe(RatMatrix([[2, 1], [0, 3]]), 3000, budget=5_000_000)
@@ -208,6 +209,28 @@ def test_probe_checks_the_lattice_count_before_probing(monkeypatch):
     assert not calls
     assert dichotomy_probe(FIB, 32, budget=857).lattices_probed == 857
     assert len(calls) == 857
+
+
+def test_exponent_is_the_least_scale_inside():
+    # the smallest m with m * Z^n inside L, by trying m = 1, 2, ...
+    for n, max_index in ((1, 12), (2, 12), (3, 8)):
+        for lattice in enumerate_lattices(n, max_index):
+            m = next(m for m in range(1, lattice.index + 1)
+                     if Lattice.scaled(n, m).is_sublattice_of(lattice))
+            assert lattice.exponent() == m
+
+
+def test_probe_checks_the_matrix_once(monkeypatch):
+    checks = []
+    check = adjoint._check_matrix
+
+    def counting_check(*args):
+        checks.append(1)
+        return check(*args)
+
+    monkeypatch.setattr(adjoint, "_check_matrix", counting_check)
+    assert dichotomy_probe(FIB, 8).lattices_probed > 1
+    assert len(checks) == 1
 
 
 def test_dichotomy_probe_all_zero():

@@ -182,6 +182,23 @@ def test_adjoint_options_must_be_positive(capsys, argv):
     assert "not a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("top", ["-1", "0", "x"])
+def test_lehmer_top_must_be_positive(capsys, top):
+    with pytest.raises(SystemExit) as exit_info:
+        dispatch(["lehmer", "--max-degree", "4", f"--top={top}"])
+    assert exit_info.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
+def test_padic_at_a_large_prime(capsys):
+    # 2**61 - 1 is prime; 2**89 - 1 is prime but above the proven
+    # Miller-Rabin bound, so it is refused rather than guessed
+    assert dispatch(["padic", "--p", str(2 ** 61 - 1), "--xi", "2"]) == 0
+    assert "0 (exact)" in capsys.readouterr().out
+    assert dispatch(["padic", "--p", str(2 ** 89 - 1), "--xi", "2"]) == 2
+    assert "not decided" in capsys.readouterr().err
+
+
 def test_adjoint_probe_lattice_count_over_budget(capsys):
     # 7,405,170 lattices of Z^2 have index <= 3000, over the default budget
     assert dispatch(["adjoint-probe", "--matrix", "2,1;0,3", "--max-index", "3000"]) == 3
@@ -428,4 +445,33 @@ if given is not None:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = dispatch(argv)
+        assert code in (0, 2, 3)
+
+    # the remaining subcommands at desk-scale sizes, with non-positive
+    # counts, composite and negative p, and primes on both sides of the
+    # proven Miller-Rabin bound (2**61 - 1 and 2**89 - 1)
+    _count = st.integers(-2, 3).map(str)
+    _other_argv = st.one_of(
+        st.builds(lambda p, xi: ["padic", f"--p={p}", f"--xi={xi}"],
+                  st.one_of(st.integers(-3, 50),
+                            st.sampled_from([2 ** 61 - 1, 2 ** 61 + 1, 2 ** 89 - 1])),
+                  _entry),
+        st.builds(lambda m, k: ["adjoint-probe", f"--matrix={m}", f"--max-index={k}"],
+                  st.one_of(st.integers(1, 3).flatmap(lambda n: _int_rows(n, n)), _rows),
+                  st.integers(-1, 8)),
+        st.builds(lambda d, h, t, nm: ["lehmer", f"--max-degree={d}", f"--height={h}",
+                                       f"--top={t}"] + (["--non-monic"] if nm else []),
+                  st.integers(-1, 4), st.integers(-1, 2), _count, st.booleans()),
+        st.builds(lambda d, b: ["espectrum", f"--dim={d}", f"--bound={b}"],
+                  st.integers(-1, 2), st.integers(-1, 1)),
+    )
+
+    @given(_other_argv)
+    def test_other_argv_exit_codes(argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = dispatch(argv)
+            except SystemExit as exc:   # argparse rejects the option value
+                code = exc.code
         assert code in (0, 2, 3)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from entrokit.errors import NotPrimitive, RootOfUnityDegeneracy, ZeroConstantTerm, \
+from entrokit.errors import InputError, NotPrimitive, ZeroConstantTerm, \
     ZeroPolynomial
 from entrokit.polynomials import (
     IntPolynomial,
@@ -12,18 +12,19 @@ from entrokit.polynomials import (
     content_primitive,
     cyclotomic,
     delta_exact,
-    delta_sequence,
     delta_sequence_exact,
+    is_prime,
     is_zero_mahler,
     poly_from_json,
     poly_to_json,
     rational_roots,
     reciprocal,
-    resultant,
     squarefree_decomposition,
     strip_cyclotomic_factors,
     try_exact_divide,
 )
+
+from oracles import delta_reference, resultant
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 
@@ -142,38 +143,51 @@ def test_delta_exact_examples():
     assert delta_sequence_exact(IntPolynomial((-1, -1, 1)), 5) == [1, 1, 4, 5, 11]
 
 
-def test_delta_certified_matches_exact_oracle():
-    f = IntPolynomial((-1, -1, 1))
-    seq = delta_sequence(f, 12)
-    for n, (value, err) in enumerate(zip(seq.values, seq.error_bounds), start=1):
-        exact = delta_exact(f, n)
-        assert abs(value - exact) <= err + 1e-9 * exact
+def test_delta_matches_sylvester_oracle():
+    for f, horizon in ((IntPolynomial((-1, -1, 1)), 59), (LEHMER, 60),
+                       (cyclotomic(12) * IntPolynomial((-2, 1)), 30),
+                       (IntPolynomial((-2, 1)), 10)):
+        for n in range(1, horizon + 1):
+            assert delta_exact(f, n) == delta_reference(f.coeffs, n)
 
 
 def test_delta_degenerate():
-    with pytest.raises(RootOfUnityDegeneracy):
-        delta_sequence(IntPolynomial((-1, 1)), 2)
-    # a cyclotomic factor beyond the horizon is fine
-    seq = delta_sequence(cyclotomic(12) * IntPolynomial((-2, 1)), 5)
-    for n, value in enumerate(seq.values, start=1):
-        assert abs(value - delta_exact(cyclotomic(12) * IntPolynomial((-2, 1)), n)) \
-            <= seq.error_bounds[n - 1] + 1e-6
+    # D_n = 0 is an exact answer: some root is an n-th root of unity
+    assert delta_sequence_exact(IntPolynomial((-1, 1)), 2) == [0, 0]
+    f = cyclotomic(12) * IntPolynomial((-2, 1))
+    for n, value in enumerate(delta_sequence_exact(f, 36), start=1):
+        assert (value == 0) == (n % 12 == 0)
 
 
 def test_delta_slope_converges_to_measure():
     # log D_n / n approaches m(t^2 - t - 1) = log golden ratio
     f = IntPolynomial((-1, -1, 1))
-    seq = delta_sequence(f, 200)
-    slope = math.log(seq.values[-1]) / 200
+    slope = math.log(delta_exact(f, 200)) / 200
     assert abs(slope - math.log((1 + 5 ** 0.5) / 2)) <= 0.05
+
+
+def test_delta_rejects_non_monic_and_nonpositive_n():
+    with pytest.raises(InputError):
+        delta_exact(IntPolynomial((-1, 2)), 3)
+    with pytest.raises(InputError):
+        delta_exact(LEHMER, 0)
+
+
+def test_is_prime():
+    for n in range(-3, 20_000):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)))
+    # strong pseudoprimes to the first 4 and the first 8 prime bases
+    assert not is_prime(3_215_031_751) and not is_prime(341_550_071_728_321)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert not is_prime((2 ** 31 - 1) * 1_000_003)
+    with pytest.raises(InputError):
+        is_prime(2 ** 89 - 1)
 
 
 def test_resultant_against_eigenvalue_product():
     # Res(f, g) = lead(f)^deg(g) * prod g(root): for f = (t-2)(t-3),
     # g = t^2 - 1: (4-1)(9-1) = 24
-    f = IntPolynomial((6, -5, 1))
-    g = IntPolynomial((-1, 0, 1))
-    assert resultant(f, g) == 24
+    assert resultant((6, -5, 1), (-1, 0, 1)) == 24
 
 
 def test_squarefree_decomposition():
@@ -221,3 +235,10 @@ if given is not None:
                   for p in (f, d))
         _, rem = sf.div(sd, auto=False)
         assert (q is None) == (not rem.is_zero)
+
+    # monic f of degree <= 6; one Sylvester determinant of size <= 66 each
+    _monic = st.lists(st.integers(-3, 3), max_size=6).map(lambda c: IntPolynomial(c + [1]))
+
+    @given(_monic, st.integers(1, 60))
+    def test_delta_exact_agrees_with_sylvester(f, n):
+        assert delta_exact(f, n) == delta_reference(f.coeffs, n)
