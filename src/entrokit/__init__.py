@@ -1,8 +1,8 @@
 """entrokit: exact and certified computation of dynamical entropies."""
 
 from .values import EntropyValue
-from .polynomials import IntPolynomial, RatPolynomial, cyclotomic, \
-    content_primitive, delta_sequence_exact, is_zero_mahler, reciprocal
+from .polynomials import IntPolynomial, cyclotomic, delta_sequence_exact, \
+    is_zero_mahler, reciprocal
 from .roots import CertifiedRoot, CircleClassification, classify_unit_circle, \
     find_roots
 from .mahler import mahler_measure, mahler_of_algebraic

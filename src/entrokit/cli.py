@@ -258,7 +258,7 @@ def _cmd_lehmer(args):
 
 
 def _cmd_espectrum(args):
-    report = espectrum_sample(args.dim, args.bound)
+    report = espectrum_sample(args.dim, args.bound, budget=args.budget)
     minimal = report.minimal_positive
     payload = {
         "dimension": report.dimension,

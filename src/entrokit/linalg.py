@@ -8,7 +8,9 @@ canonical bases.
 
 The characteristic polynomial and the determinant come from one kernel,
 division-free Berkowitz over Python ints (``int_char_poly``); rational
-matrices are scaled to integer ones by the lcm of their denominators first.
+matrices are scaled to integer ones by the lcm of their denominators first
+(``clear_denominators``), and ``char_poly`` returns the primitive integer
+polynomial with the roots of det(tI - A), building no Fraction at all.
 No stage here is numerical, so the only numerical stage in the entropy
 pipeline is root finding.
 """
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, RankDeficient, SingularMap
-from .polynomials import RatPolynomial, json_list, parse_fraction
+from .polynomials import IntPolynomial, clear_denominators, json_list, \
+    parse_fraction
 
 
 @dataclass(frozen=True)
@@ -138,8 +141,9 @@ def _rref(rows, ncols: int):
 
 def _clear_denominators(a: RatMatrix):
     """(d, B) with d the lcm of the entry denominators and B = d*A in ints."""
-    d = math.lcm(*[x.denominator for row in a.entries for x in row])
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a.entries]
+    n = a.n
+    d, flat = clear_denominators([x for row in a.entries for x in row])
+    return d, [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 def int_char_poly(rows) -> tuple:
@@ -163,16 +167,16 @@ def int_char_poly(rows) -> tuple:
     return tuple(reversed(poly))
 
 
-def char_poly(a: RatMatrix) -> RatPolynomial:
-    """Monic characteristic polynomial det(tI - A).
+def char_poly(a: RatMatrix) -> IntPolynomial:
+    """Primitive part of the characteristic polynomial det(tI - A), lead
+    positive; for an integer matrix, det(tI - A) itself.
 
-    With B = d*A for the lcm d of the denominators, coefficient k of
-    det(tI - A) is c_k(B) / d^(n-k), where c_k(B) comes from int_char_poly.
+    With B = d*A for the lcm d of the denominators, d^n det(tI - A) is the
+    sum of c_k(B) d^k t^k, where c_k(B) comes from int_char_poly.
     """
     d, b = _clear_denominators(a)
-    n = a.n
-    return RatPolynomial([Fraction(c, d ** (n - k))
-                          for k, c in enumerate(int_char_poly(b))])
+    scaled = [c * d ** k for k, c in enumerate(int_char_poly(b))]
+    return IntPolynomial(scaled).primitive()
 
 
 def kernel_subspace(a: RatMatrix):
@@ -349,8 +353,7 @@ class Lattice:
             for j in range(i - 1, -1, -1):
                 x[j] = -sum(self.basis[k][j] * x[k]
                             for k in range(j + 1, i + 1)) / self.basis[j][j]
-            for v in x:
-                out = math.lcm(out, v.denominator)
+            out = math.lcm(out, clear_denominators(x)[0])
         return out
 
     def to_json(self) -> dict:

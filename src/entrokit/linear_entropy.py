@@ -23,8 +23,7 @@ from operator import add
 from .errors import BudgetExceeded, InputError, WrongDomain
 from .linalg import RatMatrix, char_poly, kernel_subspace, solve_columns
 from .mahler import log_value, mahler_measure, outside_sum, sum_logs
-from .polynomials import IntPolynomial, content_primitive, cyclotomic, is_prime, \
-    strip_cyclotomic_factors
+from .polynomials import IntPolynomial, cyclotomic, is_prime, strip_cyclotomic_factors
 from .roots import classify_unit_circle
 from .values import EntropyValue
 
@@ -87,8 +86,7 @@ def padic_valuation(x: Fraction, p: int) -> int:
 def _eigenvalue_sum_outside(matrix: RatMatrix, tol: float) -> EntropyValue:
     """Sum of log|lambda| over eigenvalues outside the unit circle, exact
     when the primitive characteristic polynomial splits exactly."""
-    prim = content_primitive(char_poly(matrix))[1]
-    classification = classify_unit_circle(prim, tol)
+    classification = classify_unit_circle(char_poly(matrix), tol)
     outside = math.prod((abs(r) ** mult for r, mult in classification.rational
                          if abs(r) > 1), start=Fraction(1))
     if classification.is_exact():
@@ -123,8 +121,7 @@ def eigenvalue_lower_bound(flow: LinearFlow, tol: float = 1e-12) -> EntropyValue
     """max(0, max log|eigenvalue|): a certified lower bound for h_alg."""
     if flow.domain not in ("zn", "qn"):
         raise WrongDomain("the eigenvalue bound applies on zn or qn")
-    prim = content_primitive(char_poly(flow.matrix))[1]
-    classification = classify_unit_circle(prim, tol)
+    classification = classify_unit_circle(char_poly(flow.matrix), tol)
     best = max([abs(r) for r, _ in classification.rational if abs(r) > 1],
                default=Fraction(1))
     if classification.is_exact():
@@ -247,8 +244,7 @@ def pinsker_subspace(a: RatMatrix):
     eigenvalue is a root of unity (zero-entropy part); computed exactly as
     the kernel of q(A), q = the cyclotomic part of the characteristic
     polynomial taken with multiplicities."""
-    _, prim = content_primitive(char_poly(a))
-    factors, _ = strip_cyclotomic_factors(prim if prim.lead > 0 else -prim)
+    factors, _ = strip_cyclotomic_factors(char_poly(a))
     if not factors:
         return []
     q = IntPolynomial((1,))

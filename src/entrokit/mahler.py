@@ -1,10 +1,10 @@
-"""Mahler measure of integer and rational polynomials.
+"""Mahler measure of integer polynomials.
 
 The measure of f = s*(t - l_1)...(t - l_k) is log|s| + sum of log|l_i| over
-the roots outside the unit circle.  Rational input is reduced to its
-primitive integer polynomial first, so the measure computed here is always
-that of a primitive polynomial (the convention the characteristic-polynomial
-pipeline needs).
+the roots outside the unit circle.  The measure computed here is always
+that of the primitive part of f (the convention the characteristic-polynomial
+pipeline needs); rational input is scaled to an integer polynomial where it
+is parsed.
 
 One ``classify_unit_circle`` call does the exact peel: it divides out the
 cyclotomic factors, then the rational roots, and only the cofactor left
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .errors import ZeroPolynomial
-from .polynomials import IntPolynomial, RatPolynomial, content_primitive
+from .polynomials import IntPolynomial
 from .roots import CircleClassification, classify_unit_circle
 from .values import EntropyValue
 
@@ -74,13 +74,13 @@ def outside_sum(classification: CircleClassification, *logs) -> EntropyValue:
     return EntropyValue.approximate(value, error + rounding)
 
 
-def mahler_measure(f, tol: float = 1e-12) -> EntropyValue:
+def mahler_measure(f: IntPolynomial, tol: float = 1e-12) -> EntropyValue:
     """Logarithmic Mahler measure of the primitive part of f."""
-    if not isinstance(f, (IntPolynomial, RatPolynomial)):
-        raise TypeError(f"expected a polynomial, got {type(f).__name__}")
+    if not isinstance(f, IntPolynomial):
+        raise TypeError(f"expected an IntPolynomial, got {type(f).__name__}")
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    p = f.primitive() if isinstance(f, IntPolynomial) else content_primitive(f)[1]
+    p = f.primitive()
     if p.degree == 0:
         return EntropyValue.zero()
 

@@ -1,8 +1,11 @@
-"""Exact arithmetic on integer and rational polynomials.
+"""Exact arithmetic on integer polynomials.
 
 Coefficient vectors are ascending: ``coeffs[i]`` is the coefficient of t**i.
 The zero polynomial is the empty coefficient tuple; it is representable but
-rejected by every measure-related operation.
+rejected by every measure-related operation.  ``IntPolynomial`` is the one
+polynomial type: rational coefficients are scaled to integers where they
+enter (``clear_denominators``, used by ``poly_from_json``), and a
+polynomial scaled that way has the same roots.
 
 The module supplies the exact machinery the rest of the toolkit leans on:
 content/primitive part, exact division over Z, cyclotomic generation (Phi_m
@@ -115,9 +118,6 @@ class IntPolynomial:
             g = -g
         return IntPolynomial([c // g for c in self.coeffs])
 
-    def to_rational(self) -> "RatPolynomial":
-        return RatPolynomial([Fraction(c) for c in self.coeffs])
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -137,63 +137,15 @@ class IntPolynomial:
         return "".join(parts)
 
 
-@dataclass(frozen=True)
-class RatPolynomial:
-    """Dense rational polynomial, ascending coefficients in lowest terms."""
-
-    coeffs: tuple
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", _trim([Fraction(c) for c in coeffs]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return RatPolynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPolynomial(out)
-
-
 # ----------------------------------------------------------------------
-# content and primitive part
+# rational coefficients
 
-def content_primitive(f) -> tuple[Fraction, IntPolynomial]:
-    """Write f = content * prim with prim primitive over Z and positive lead.
-
-    The sign travels with the content, so the content is negative exactly
-    when f has a negative leading coefficient.
-    """
-    if isinstance(f, IntPolynomial):
-        f = f.to_rational()
-    if f.is_zero():
-        raise ZeroPolynomial("content of the zero polynomial is undefined")
-    den_lcm = 1
-    for c in f.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    if ints[-1] < 0:
-        g = -g
-    prim = IntPolynomial([c // g for c in ints])
-    return Fraction(g, den_lcm), prim
+def clear_denominators(values) -> tuple[int, list]:
+    """(d, ints) for rational values (Fractions or ints): d is the lcm of
+    their denominators, the least d > 0 that makes every d*v an integer,
+    and ints are the products d*v as ints."""
+    d = math.lcm(*[v.denominator for v in values])
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +315,7 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
         a, b = b, list(_trim(a))
     if not a:
         return IntPolynomial(())
-    _, prim = content_primitive(RatPolynomial(a))
-    return prim
+    return IntPolynomial(clear_denominators(a)[1]).primitive()
 
 
 _SQUAREFREE_PRIME = 1_000_003
@@ -582,11 +533,8 @@ def delta_sequence_exact(f: IntPolynomial, horizon: int):
 # ----------------------------------------------------------------------
 # JSON form
 
-def poly_to_json(f) -> dict:
-    if isinstance(f, IntPolynomial):
-        return {"coeffs": [str(c) for c in f.coeffs]}
-    return {"coeffs": [f"{c.numerator}/{c.denominator}" if c.denominator != 1
-                       else str(c.numerator) for c in f.coeffs]}
+def poly_to_json(f: IntPolynomial) -> dict:
+    return {"coeffs": [str(c) for c in f.coeffs]}
 
 
 def parse_fraction(text) -> Fraction:
@@ -610,5 +558,8 @@ def json_list(obj, key: str, rows: bool = False) -> list:
     return items
 
 
-def poly_from_json(obj) -> RatPolynomial:
-    return RatPolynomial([parse_fraction(c) for c in json_list(obj, "coeffs")])
+def poly_from_json(obj) -> IntPolynomial:
+    """The integer polynomial with the roots of the rational one given: its
+    coefficients times the lcm of their denominators."""
+    coeffs = [parse_fraction(c) for c in json_list(obj, "coeffs")]
+    return IntPolynomial(clear_denominators(coeffs)[1])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .errors import BudgetExceeded, InputError
 from .linalg import int_char_poly
@@ -124,7 +124,7 @@ def _measure_one(coeffs: tuple):
             return ("quarantine", coeffs)
     return ("positive", (value.as_float(),
                          value.error if value.kind == "approx" else 0.0,
-                         coeffs, value.to_json()))
+                         coeffs, value))
 
 
 def _measure_chunk(chunk):
@@ -137,7 +137,8 @@ def lehmer_search(spec: SearchSpec, workers: int = 1) -> SearchResult:
     The worker count only splits the candidate list into chunks; the final
     leaderboard is a deterministic sort, identical for any worker count.
     """
-    candidates = list(_candidate_polys(spec))
+    # one candidate past the budget is enough to know it is blown
+    candidates = list(islice(_candidate_polys(spec), spec.budget + 1))
     if len(candidates) > spec.budget:
         raise BudgetExceeded(spec.budget, "candidate enumeration")
     if workers > 1:
@@ -162,8 +163,7 @@ def lehmer_search(spec: SearchSpec, workers: int = 1) -> SearchResult:
         else:
             positives.append(payload)
     positives.sort(key=lambda p: (p[0], p[2]))
-    board = tuple(LeaderboardEntry(m, e, c, EntropyValue.from_json(v))
-                  for m, e, c, v in positives[:spec.top])
+    board = tuple(LeaderboardEntry(*p) for p in positives[:spec.top])
     return SearchResult(board, zero_count, len(candidates), tuple(sorted(quarantined)))
 
 

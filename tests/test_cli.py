@@ -125,6 +125,14 @@ def test_exit_code_malformed_self_map(capsys, tmp_path, argv, bad_map):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget, code", [(624, 3), (625, 0)])
+def test_espectrum_budget(capsys, budget, code):
+    # the 2 x 2 box with entries in -2..2 holds 5**4 = 625 matrices
+    assert dispatch(["espectrum", "--dim", "2", "--bound", "2",
+                     "--budget", str(budget)]) == code
+    assert ("exceeded budget of 624" in capsys.readouterr().err) == (code == 3)
+
+
 def test_exit_code_budget(capsys):
     code = dispatch(["oracle", "--matrix", "2", "--set", "0;1",
                      "--horizon", "40", "--budget", "100"])
@@ -240,6 +248,13 @@ def test_inline_polynomial(capsys):
     assert code == 0
     assert report["result"]["value"] == {"kind": "exact_log", "base": 2,
                                          "multiplier": "1/1"}
+
+
+def test_rational_polynomial(capsys):
+    # 1/2 - 3t + (2/7)t^2, times 14
+    _, rational = run_json(capsys, ["mahler", "--poly", "1/2,-3,2/7"])
+    _, scaled = run_json(capsys, ["mahler", "--poly", "7,-42,4"])
+    assert rational["result"] == scaled["result"]
 
 
 def test_exact_values_never_serialized_as_floats(capsys):

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,7 +11,7 @@ from entrokit.errors import ZeroPolynomial
 from entrokit.linalg import RatMatrix
 from entrokit.linear_entropy import LinearFlow, topological_entropy
 from entrokit.mahler import mahler_measure, mahler_of_algebraic
-from entrokit.polynomials import IntPolynomial, RatPolynomial, cyclotomic, reciprocal
+from entrokit.polynomials import IntPolynomial, cyclotomic, poly_from_json, reciprocal
 
 from oracles import bisect_real_root
 
@@ -48,7 +47,7 @@ def test_plastic_number():
 
 
 def test_rational_input_reduces_to_primitive():
-    v = mahler_measure(RatPolynomial([Fraction(-1, 2), 1]))  # t - 1/2 -> 2t - 1
+    v = mahler_measure(poly_from_json(["-1/2", "1"]))  # t - 1/2 -> 2t - 1
     assert v.kind == "exact_log" and v.base == 2
 
 

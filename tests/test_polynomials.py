@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +7,7 @@ from entrokit.errors import InputError, NotPrimitive, ZeroConstantTerm, \
     ZeroPolynomial
 from entrokit.polynomials import (
     IntPolynomial,
-    RatPolynomial,
-    content_primitive,
+    clear_denominators,
     cyclotomic,
     delta_exact,
     delta_sequence_exact,
@@ -27,34 +25,6 @@ from entrokit.polynomials import (
 from oracles import delta_reference, resultant
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
-
-
-def test_content_primitive_examples():
-    c, p = content_primitive(IntPolynomial((-1, -1, 1)).to_rational())
-    assert c == 1 and p.coeffs == (-1, -1, 1)
-    c, p = content_primitive(RatPolynomial([Fraction(-1, 2), Fraction(1, 2)]))
-    assert c == Fraction(1, 2) and p.coeffs == (-1, 1)
-    c, p = content_primitive(RatPolynomial([Fraction(-1, 2), 1]))
-    assert c == Fraction(1, 2) and p.coeffs == (-1, 2)
-
-
-def test_content_primitive_round_trip():
-    rng = random.Random(7)
-    for _ in range(60):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 7))]
-        if all(c == 0 for c in coeffs):
-            coeffs.append(Fraction(1))
-        f = RatPolynomial(coeffs)
-        content, prim = content_primitive(f)
-        rebuilt = [content * c for c in prim.coeffs]
-        assert tuple(rebuilt) == f.coeffs
-        assert prim.lead > 0
-        assert prim.content() in (1, -1)
-
-
-def test_content_rejects_zero():
-    with pytest.raises(ZeroPolynomial):
-        content_primitive(RatPolynomial([]))
 
 
 def test_cyclotomic_small():
@@ -198,8 +168,10 @@ def test_squarefree_decomposition():
 
 
 def test_poly_json_round_trip():
-    f = RatPolynomial([Fraction(1, 2), Fraction(-3), Fraction(2, 7)])
-    assert poly_from_json(poly_to_json(f)).coeffs == f.coeffs
+    # rational coefficients are scaled by the lcm of their denominators
+    f = poly_from_json(["1/2", "-3", "2/7"])
+    assert f.coeffs == (7, -42, 4)
+    assert poly_from_json(poly_to_json(f)) == f
     g = IntPolynomial((1, 0, -2))
     assert poly_from_json(poly_to_json(g)).coeffs == (1, 0, -2)
 
@@ -235,6 +207,22 @@ if given is not None:
                   for p in (f, d))
         _, rem = sf.div(sd, auto=False)
         assert (q is None) == (not rem.is_zero)
+
+    @given(st.lists(st.fractions(max_denominator=9), max_size=6))
+    def test_clear_denominators_and_primitive_part(values):
+        d, ints = clear_denominators(values)
+        assert all(type(c) is int for c in ints)
+        assert ints == [d * v for v in values]
+        assert d >= 1 and not any(all((m * v).denominator == 1 for v in values)
+                                  for m in range(1, d))
+        f = IntPolynomial(ints)
+        if f.is_zero():
+            with pytest.raises(ZeroPolynomial):
+                f.primitive()
+        else:
+            prim = f.primitive()
+            assert prim.lead > 0 and prim.content() == 1
+            assert prim * (f.content() * (1 if f.lead > 0 else -1)) == f
 
     # monic f of degree <= 6; one Sylvester determinant of size <= 66 each
     _monic = st.lists(st.integers(-3, 3), max_size=6).map(lambda c: IntPolynomial(c + [1]))

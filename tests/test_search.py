@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from entrokit import search
 from entrokit.errors import BudgetExceeded, InputError
 from entrokit.search import (
     SearchSpec,
@@ -70,6 +71,22 @@ def test_determinism_across_worker_counts():
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         SearchSpec(max_degree=40, max_height=9, budget=10)
+
+
+def test_budget_stops_the_enumeration(monkeypatch):
+    # the space check passes (3**9 <= 400 * 100), the candidate count does not
+    pulled = []
+    candidates = search._candidate_polys
+
+    def counted(spec):
+        for coeffs in candidates(spec):
+            pulled.append(coeffs)
+            yield coeffs
+
+    monkeypatch.setattr(search, "_candidate_polys", counted)
+    with pytest.raises(BudgetExceeded):
+        lehmer_search(SearchSpec(max_degree=8, budget=100))
+    assert len(pulled) == 101
 
 
 def test_espectrum_dimension_one():
