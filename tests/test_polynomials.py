@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,48 @@ from entrokit.polynomials import (
 from oracles import delta_reference, resultant
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+
+
+def _content_primitive(values):
+    """(content, primitive part) of a polynomial with rational coefficients,
+    through clear_denominators and IntPolynomial.primitive: the content is
+    signed so that the primitive part has positive lead."""
+    d, ints = clear_denominators(values)
+    f = IntPolynomial(ints)
+    prim = f.primitive()
+    return Fraction(f.lead, prim.lead * d), prim
+
+
+def test_content_primitive_examples():
+    c, p = _content_primitive([-1, -1, 1])
+    assert c == 1 and p.coeffs == (-1, -1, 1)
+    c, p = _content_primitive([Fraction(-1, 2), Fraction(1, 2)])
+    assert c == Fraction(1, 2) and p.coeffs == (-1, 1)
+    c, p = _content_primitive([Fraction(-1, 2), 1])
+    assert c == Fraction(1, 2) and p.coeffs == (-1, 2)
+    c, p = _content_primitive([Fraction(2, 3), Fraction(-4, 3)])
+    assert c == Fraction(-2, 3) and p.coeffs == (-1, 2)
+
+
+def test_content_primitive_round_trip():
+    rng = random.Random(7)
+    for _ in range(60):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 7))]
+        if all(c == 0 for c in coeffs):
+            coeffs.append(Fraction(1))
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        content, prim = _content_primitive(coeffs)
+        rebuilt = [content * c for c in prim.coeffs]
+        assert rebuilt == coeffs
+        assert prim.lead > 0
+        assert prim.content() == 1
+
+
+def test_content_rejects_zero():
+    for values in ([], [0], [Fraction(0), Fraction(0, 7)]):
+        with pytest.raises(ZeroPolynomial):
+            IntPolynomial(clear_denominators(values)[1]).primitive()
 
 
 def test_cyclotomic_small():
