@@ -12,6 +12,7 @@ and lives with the generalized shifts.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InputError, SingularMap
@@ -94,25 +95,13 @@ def enumerate_lattices(n: int, max_index: int):
                 yield (d,) + rest
 
     for diag in sorted(diagonals(n, max_index)):
-        # column j has free entries in rows i < j, each modulo diag[i]
-        def fill(j, cols):
-            if j == n:
-                yield tuple(map(tuple, cols))
-                return
-            free = [range(diag[i]) for i in range(j)]
-
-            def assign(i, col):
-                if i == j:
-                    col = col + [diag[j]] + [0] * (n - j - 1)
-                    yield from fill(j + 1, cols + [col])
-                    return
-                for v in free[i]:
-                    yield from assign(i + 1, col + [v])
-
-            yield from assign(0, [])
-
-        for basis in fill(0, []):
-            yield Lattice(n, basis)
+        # column j has free entries in rows i < j, each modulo diag[i]; the
+        # entries are taken column by column, column j from offset j(j-1)/2
+        free = [range(diag[i]) for j in range(n) for i in range(j)]
+        for entries in itertools.product(*free):
+            yield Lattice(n, tuple(entries[j * (j - 1) // 2:j * (j + 1) // 2]
+                                   + (diag[j],) + (0,) * (n - j - 1)
+                                   for j in range(n)))
 
 
 def lattice_count(n: int, max_index: int, cap: int) -> int:

@@ -29,7 +29,6 @@ from .set_maps import SymbolicSelfMap, covariant_entropy, contravariant_entropy,
     cotrajectory_profile
 from .shifts import GeneralizedShiftSpec, adjoint_entropy_of_shift, \
     shift_algebraic_entropy, shift_bruteforce_oracle, shift_topological_entropy
-from .values import EntropyValue
 
 
 def _load_json_or_inline(arg: str):
@@ -377,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--height", type=int, default=1)
     p.add_argument("--top", type=_positive_int, default=5)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="worker processes, capped at the CPU count")
     p.add_argument("--non-monic", action="store_true")
 
     p = add("espectrum", _cmd_espectrum,

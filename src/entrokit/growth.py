@@ -1,12 +1,14 @@
 """Growth functions of finitely generated groups with cheap normal forms.
 
-Supported families: free abelian groups (integer vectors), free groups
-(reduced words), the discrete Heisenberg group (upper unitriangular 3x3
-integer matrices), and finite direct products of these.  Ball sizes come
-from exact breadth-first closure over normal forms, and for a product from
-the convolution of its factors' sphere sizes; arbitrary finite
-presentations are rejected because the word problem would make the counts
-unreliable.
+Supported families: free groups (reduced words packed into ints), the
+discrete Heisenberg group (upper unitriangular 3x3 integer matrices), free
+abelian groups, and finite direct products of these.  The first two carry
+a multiplication, and their balls come from exact breadth-first closure over
+normal forms.  Word length adds across the factors of a product, so its
+spheres are the convolution of its factors' sphere sizes, and Z^D is the
+D-fold product of Z; neither builds an element, so they carry only their
+rank or factors.  Arbitrary finite presentations are rejected because the
+word problem would make the counts unreliable.
 
 The ball sequence gamma(n) is submultiplicative, so log gamma(n)/n
 converges (Fekete); the headline rate estimate is the last one-step
@@ -26,49 +28,17 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, InputError
 
 
-class GroupFamily:
-    """A group with a decidable normal form and a symmetric generating set."""
-
-    def identity(self):
-        raise NotImplementedError
-
-    def generators(self):
-        """Symmetric list (closed under inverse, identity excluded)."""
-        raise NotImplementedError
-
-    def multiply(self, a, b):
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
-class FreeAbelian(GroupFamily):
+class FreeAbelian:
     def __init__(self, rank: int):
         if rank < 1:
             raise InputError("rank must be positive")
         self.rank = rank
 
-    def identity(self):
-        return (0,) * self.rank
-
-    def generators(self):
-        gens = []
-        for i in range(self.rank):
-            for sign in (1, -1):
-                v = [0] * self.rank
-                v[i] = sign
-                gens.append(tuple(v))
-        return gens
-
-    def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
     def describe(self):
         return f"free abelian of rank {self.rank}"
 
 
-class Free(GroupFamily):
+class Free:
     """Free group; elements are reduced words packed into ints.
 
     A word over the signed letters 1..rank is an int in base 2*rank + 1:
@@ -139,7 +109,7 @@ class Free(GroupFamily):
         return f"free of rank {self.rank} with {len(self._gens)} generators"
 
 
-class Heisenberg3(GroupFamily):
+class Heisenberg3:
     """Upper unitriangular 3x3 integer matrices, stored as (x, y, z)."""
 
     def identity(self):
@@ -155,32 +125,17 @@ class Heisenberg3(GroupFamily):
         return "discrete Heisenberg group"
 
 
-class DirectProduct(GroupFamily):
+class DirectProduct:
     def __init__(self, factors):
         if not factors:
             raise InputError("a product needs at least one factor")
         self.factors = list(factors)
 
-    def identity(self):
-        return tuple(f.identity() for f in self.factors)
-
-    def generators(self):
-        gens = []
-        for i, f in enumerate(self.factors):
-            for g in f.generators():
-                e = [fac.identity() for fac in self.factors]
-                e[i] = g
-                gens.append(tuple(e))
-        return gens
-
-    def multiply(self, a, b):
-        return tuple(f.multiply(x, y) for f, x, y in zip(self.factors, a, b))
-
     def describe(self):
         return " x ".join(f.describe() for f in self.factors)
 
 
-def family_from_spec(spec: str, budget=None) -> GroupFamily:
+def family_from_spec(spec: str, budget=None):
     """Parse "abelian:2", "free:2", "free:2:standard+ab", "heisenberg",
     or "product:heisenberg,abelian:1".  The generating set is the sphere of
     radius 1, so it is checked against the budget before it is built."""
@@ -216,14 +171,13 @@ def _check_generating_set(size: int, budget) -> None:
 @dataclass(frozen=True)
 class GrowthTable:
     gamma: tuple              # gamma(0..n): exact ball sizes
-    rate_sequence: tuple      # log gamma(n) / n for n >= 1
 
     @property
     def horizon(self) -> int:
         return len(self.gamma) - 1
 
 
-def growth_table(family: GroupFamily, horizon: int,
+def growth_table(family, horizon: int,
                  budget: int = 5_000_000) -> GrowthTable:
     """Exact word-metric ball sizes; raises BudgetExceeded when
     gamma(horizon) > budget."""
@@ -235,11 +189,10 @@ def growth_table(family: GroupFamily, horizon: int,
         if g > budget:
             raise BudgetExceeded(budget, "ball enumeration")
         gamma.append(g)
-    rates = tuple(math.log(g) / n for n, g in enumerate(gamma) if n >= 1)
-    return GrowthTable(tuple(gamma), rates)
+    return GrowthTable(tuple(gamma))
 
 
-def _spheres(family: GroupFamily, budget: int):
+def _spheres(family, budget: int):
     """Sphere sizes s(0), s(1), ... of the word metric, one radius per step.
 
     A direct product carries the union of its factors' generating sets, so
@@ -304,7 +257,8 @@ def growth_rate(table: GrowthTable) -> GrowthRate:
         raise InputError("rate estimation needs a horizon of at least 4")
     n = table.horizon
     last = math.log(table.gamma[n]) - math.log(table.gamma[n - 1])
-    return GrowthRate(last, min(table.rate_sequence))
+    fekete = min(math.log(g) / k for k, g in enumerate(table.gamma) if k)
+    return GrowthRate(last, fekete)
 
 
 def growth_exponent(table: GrowthTable):

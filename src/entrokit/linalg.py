@@ -399,12 +399,7 @@ def lattice_preimage(a: RatMatrix, lat: Lattice) -> Lattice:
 
 
 # ----------------------------------------------------------------------
-# JSON forms
-
-def matrix_to_json(a: RatMatrix) -> dict:
-    return {"rows": [[f"{x.numerator}/{x.denominator}" if x.denominator != 1
-                      else str(x.numerator) for x in row] for row in a.entries]}
-
+# JSON form
 
 def matrix_from_json(obj) -> RatMatrix:
     return RatMatrix([[parse_fraction(x) for x in row]

@@ -16,7 +16,7 @@ decided by the closed form; the empirical profile is advisory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -45,8 +45,8 @@ class LinearFlow:
                 raise InputError(f"{self.prime} is not a prime")
         elif self.matrix is None:
             raise InputError("matrix domains need a matrix")
-        elif self.domain == "zn" and not self.matrix.is_integer():
-            raise InputError("an endomorphism of Z^n needs integer entries")
+        elif self.domain in ("zn", "tn_dual") and not self.matrix.is_integer():
+            raise InputError("an endomorphism of Z^n or T^n needs integer entries")
 
     @staticmethod
     def on_integer_lattice(matrix: RatMatrix) -> "LinearFlow":

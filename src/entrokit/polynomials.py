@@ -533,10 +533,6 @@ def delta_sequence_exact(f: IntPolynomial, horizon: int):
 # ----------------------------------------------------------------------
 # JSON form
 
-def poly_to_json(f: IntPolynomial) -> dict:
-    return {"coeffs": [str(c) for c in f.coeffs]}
-
-
 def parse_fraction(text) -> Fraction:
     """Exact rational from decimal or "p/q" text; a zero denominator is an
     InputError rather than a ZeroDivisionError."""

@@ -16,6 +16,7 @@ bit-identical across worker counts.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, product
@@ -127,28 +128,24 @@ def _measure_one(coeffs: tuple):
                          coeffs, value))
 
 
-def _measure_chunk(chunk):
-    return [_measure_one(c) for c in chunk]
-
-
 def lehmer_search(spec: SearchSpec, workers: int = 1) -> SearchResult:
     """Scan the bounded family and rank the smallest positive measures.
 
     The worker count only splits the candidate list into chunks; the final
     leaderboard is a deterministic sort, identical for any worker count.
+    The pool is capped at the CPU count and at the number of chunks, since
+    the executor starts every worker it is asked for at once.
     """
     # one candidate past the budget is enough to know it is blown
     candidates = list(islice(_candidate_polys(spec), spec.budget + 1))
     if len(candidates) > spec.budget:
         raise BudgetExceeded(spec.budget, "candidate enumeration")
+    workers = max(1, min(workers, os.cpu_count() or 1))
+    chunk_size = max(64, len(candidates) // (8 * workers) + 1)
+    workers = min(workers, -(-len(candidates) // chunk_size))
     if workers > 1:
-        chunk_size = max(64, len(candidates) // (8 * workers) + 1)
-        chunks = [candidates[i:i + chunk_size]
-                  for i in range(0, len(candidates), chunk_size)]
-        outcomes = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_measure_chunk, chunks):
-                outcomes.extend(part)
+            outcomes = list(pool.map(_measure_one, candidates, chunksize=chunk_size))
     else:
         outcomes = [_measure_one(c) for c in candidates]
 

@@ -21,11 +21,15 @@ accepted only in the form ``point_name`` writes back (no sign, no leading
 zero, no blank, digits below the branching).  A map is checked when it is
 constructed and raises ``InvalidMap`` listing every violated invariant.
 
-The covariant entropy counts pairwise disjoint infinite forward orbits: one
-per weakly connected component whose terminal structure is a ray.  The
-contravariant entropy lives on the surjective core: infinite when a tree
-survives there (unbounded antichains of ramification points), otherwise the
-number of pairwise disjoint backward-infinite strings.
+Every core node has exactly one image, so a weakly connected component is
+the basin of one terminal, a core cycle or a ray, and ``components`` finds
+it by a forward walk from each core node.  The covariant entropy counts
+pairwise disjoint infinite forward orbits: one per component whose terminal
+is a ray, so one per ray.  The contravariant entropy lives on the
+surjective core: infinite when a tree survives there (unbounded antichains
+of ramification points), otherwise the number of pairwise disjoint
+backward-infinite strings; the surjective core keeps every string and tree,
+so both entropies are read off the presentation.
 """
 from __future__ import annotations
 
@@ -277,59 +281,42 @@ class Component:
 
 
 def components(m: SymbolicSelfMap) -> list:
-    parent = {}
+    """The weakly connected components, sorted by (core nodes, rays).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    One forward walk per core node, in sorted order and memoized on the
+    nodes already placed, finds its terminal; strings and trees join the
+    component of their attach node.  The first walk into a component starts
+    at its smallest node, and a cycle is listed from the first of its nodes
+    that walk meets.
+    """
+    terminal_of = {}
+    for start in m.core:
+        path, position, current = [], {}, start
+        while isinstance(current, str) and current not in terminal_of \
+                and current not in position:
+            position[current] = len(path)
+            path.append(current)
+            current = m.core[current]
+        if not isinstance(current, str):
+            terminal = ("ray", current[0])
+        elif current in terminal_of:
+            terminal = terminal_of[current]
+        else:
+            terminal = ("cycle", tuple(path[position[current]:]))
+        terminal_of.update(dict.fromkeys(path, terminal))
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for unit in list(m.core) + list(m.out_rays) + \
-            [("s", s.id) for s in m.in_strings] + [("t", t.id) for t in m.in_trees]:
-        parent[unit] = unit
-    for node, target in m.core_map:
-        union(node, target if isinstance(target, str) else target[0])
+    members = {("ray", r): ([], [], []) for r in m.out_rays}  # nodes, strings, trees
+    for node, terminal in terminal_of.items():
+        members.setdefault(terminal, ([], [], []))[0].append(node)
     for s in m.in_strings:
-        union(("s", s.id), s.attach)
+        members[terminal_of[s.attach]][1].append(s.id)
     for t in m.in_trees:
-        union(("t", t.id), t.attach)
-
-    groups = {}
-    for unit in parent:
-        groups.setdefault(find(unit), []).append(unit)
-
-    out = []
-    for members in groups.values():
-        nodes = tuple(sorted(u for u in members if isinstance(u, str) and u in m.core))
-        rays = tuple(sorted(u for u in members if isinstance(u, str) and u not in m.core))
-        strings = tuple(sorted(u[1] for u in members if isinstance(u, tuple) and u[0] == "s"))
-        trees = tuple(sorted(u[1] for u in members if isinstance(u, tuple) and u[0] == "t"))
-        out.append(Component(nodes, rays, strings, trees, _terminal(m, nodes, rays)))
+        members[terminal_of[t.attach]][2].append(t.id)
+    out = [Component(tuple(sorted(nodes)), (terminal[1],) if terminal[0] == "ray" else (),
+                     tuple(sorted(strings)), tuple(sorted(trees)), terminal)
+           for terminal, (nodes, strings, trees) in members.items()]
     out.sort(key=lambda c: (c.core_nodes, c.rays))
     return out
-
-
-def _terminal(m: SymbolicSelfMap, nodes, rays):
-    if not nodes:
-        # a bare ray with no feeders
-        return ("ray", rays[0])
-    path = []
-    position = {}
-    current = nodes[0]
-    while True:
-        if current in position:
-            return ("cycle", tuple(path[position[current]:]))
-        position[current] = len(path)
-        path.append(current)
-        current = m.core[current]
-        if not isinstance(current, str):
-            return ("ray", current[0])
 
 
 def qper_wan_partition(m: SymbolicSelfMap):

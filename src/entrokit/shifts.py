@@ -18,6 +18,7 @@ entropy with respect to N_F is the local covariant entropy times log q.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -117,10 +118,16 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
     basis = {}  # pivot column -> reduced row, rows as {column: value mod p}
 
     def eliminate(row):
+        # a basis row has no column below its pivot, so clearing a pivot
+        # only adds columns above it: the pivots come off a heap of the
+        # row's columns, and each added column is pushed as it appears
         nonlocal stored
         row = {c: v % p for c, v in row.items() if v % p}
-        while row:
-            pivot = min(row)
+        heap = sorted(row)
+        while heap:
+            pivot = heapq.heappop(heap)
+            if pivot not in row:
+                continue
             if pivot not in basis:
                 inv = pow(row[pivot], -1, p)
                 basis[pivot] = {c: (v * inv) % p for c, v in row.items()}
@@ -130,10 +137,12 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
             factor = row[pivot]
             for c, v in basis[pivot].items():
                 val = (row.get(c, 0) - factor * v) % p
-                if val:
-                    row[c] = val
-                else:
+                if not val:
                     row.pop(c, None)
+                    continue
+                if c not in row:
+                    heapq.heappush(heap, c)
+                row[c] = val
         return 0
 
     forward = list(base)

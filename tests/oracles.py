@@ -212,6 +212,51 @@ def cotrajectory_reference(obj: dict, names, horizon: int):
     return tuple(reduced[:horizon]), tuple(naive[:horizon]), limit
 
 
+def components_reference(obj: dict):
+    """The weakly connected components of a self-map given in its JSON form,
+    as (core nodes, rays, strings, trees, terminal) tuples sorted by (core
+    nodes, rays), by union-find over the nodes, rays, strings and trees.
+    The terminal is ("ray", id) or ("cycle", nodes), the cycle listed from
+    the first of its nodes met walking forward from the smallest node."""
+    core = obj.get("core", {})
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    units = [("n", c) for c in core] + [("r", r) for r in obj.get("out_rays", ())] \
+        + [("s", e["id"]) for e in obj.get("in_strings", ())] \
+        + [("t", e["id"]) for e in obj.get("in_trees", ())]
+    parent.update((u, u) for u in units)
+    edges = [(("n", c), ("r", t[len("ray:"):]) if t.startswith("ray:") else ("n", t))
+             for c, t in core.items()]
+    edges += [((kind, e["id"]), ("n", e["attach"]))
+              for kind, key in (("s", "in_strings"), ("t", "in_trees"))
+              for e in obj.get(key, ())]
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups = {}
+    for u in units:
+        groups.setdefault(find(u), []).append(u)
+    out = []
+    for members in groups.values():
+        nodes, rays, strings, trees = (tuple(sorted(name for kind, name in members
+                                                    if kind == k)) for k in "nrst")
+        if not nodes:
+            terminal = ("ray", rays[0])
+        else:
+            path, current = [], nodes[0]
+            while current not in path and not current.startswith("ray:"):
+                path.append(current)
+                current = core[current]
+            terminal = ("ray", current[len("ray:"):]) if current.startswith("ray:") \
+                else ("cycle", tuple(path[path.index(current):]))
+        out.append((nodes, rays, strings, trees, terminal))
+    return sorted(out, key=lambda c: (c[0], c[1]))
+
+
 def reduce_word(word):
     """The reduced form of a free-group word given as signed letters."""
     out = []

@@ -198,6 +198,24 @@ def test_lehmer_top_must_be_positive(capsys, top):
     assert "not a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["-1", "0", "x"])
+def test_lehmer_threads_must_be_positive(capsys, threads):
+    with pytest.raises(SystemExit) as exit_info:
+        dispatch(["lehmer", "--max-degree", "4", f"--threads={threads}"])
+    assert exit_info.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["topological", "--domain", "tn", "--matrix", "1/2"],
+    ["yuzvinski", "--domain", "tn", "--matrix", "1/2,0;0,3"],
+])
+def test_torus_needs_integer_entries(capsys, argv):
+    # x -> Ax induces a map of the torus only for an integer A
+    assert dispatch(argv) == 2
+    assert "needs integer entries" in capsys.readouterr().err
+
+
 def test_padic_at_a_large_prime(capsys):
     # 2**61 - 1 is prime; 2**89 - 1 is prime but above the proven
     # Miller-Rabin bound, so it is refused rather than guessed

@@ -42,13 +42,10 @@ def test_abelian_ball_counts():
     assert line.gamma == tuple(2 * n + 1 for n in range(11))
 
 
-def test_abelian_spheres_are_convolved(monkeypatch):
-    # Z^D is the D-fold product of Z: no element of its ball is built
-    def no_ball(self, *args):
-        raise AssertionError("a free abelian ball was enumerated")
-
-    monkeypatch.setattr(FreeAbelian, "generators", no_ball)
-    monkeypatch.setattr(FreeAbelian, "multiply", no_ball)
+def test_abelian_spheres_are_convolved():
+    # Z^D is the D-fold product of Z: it has no multiplication, so no
+    # element of its ball can be built
+    assert not hasattr(FreeAbelian(3), "multiply")
     assert growth_table(FreeAbelian(1000), 2).gamma == (1, 2001, 2002001)
     assert growth_table(FreeAbelian(3), 6).gamma == growth_reference(["abelian:3"], 6)
 
@@ -112,8 +109,7 @@ def test_bass_guivarch_matches_empirical_exponents():
 
 
 def test_generating_sets_are_symmetric():
-    for fam in (Free(2), FreeAbelian(3), Heisenberg3(),
-                family_from_spec("product:abelian:1,heisenberg")):
+    for fam in (Free(2), Heisenberg3()):
         gens = fam.generators()
         ident = fam.identity()
         assert ident not in gens
@@ -206,18 +202,11 @@ def test_product_budget_stops_at_the_first_radius_past_it(monkeypatch):
 
 
 def test_product_spheres_are_convolved():
-    # |(g, h)| = |g| + |h|: the product's ball is never enumerated
+    # |(g, h)| = |g| + |h|: the product has no multiplication, so its
+    # ball is never enumerated
     fam = family_from_spec("product:free:2,abelian:2")
-    multiplied = []
-    real_multiply = fam.multiply
-
-    def multiply(a, b):
-        multiplied.append(1)
-        return real_multiply(a, b)
-
-    fam.multiply = multiply
+    assert not hasattr(fam, "multiply")
     assert growth_table(fam, 8).gamma == growth_reference(["free:2", "abelian:2"], 8)
-    assert not multiplied
 
 
 try:

@@ -68,6 +68,41 @@ def test_determinism_across_worker_counts():
     assert serial.zero_count == parallel.zero_count
 
 
+def test_worker_pool_is_capped(monkeypatch):
+    # the executor starts every worker it is asked for: a huge --threads is
+    # capped at the CPU count and at the number of chunks (no real process)
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    spec = SearchSpec(max_degree=6)
+    serial = lehmer_search(spec, workers=1)
+    assert not pools
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    assert lehmer_search(spec, workers=10 ** 9) == serial
+    assert pools == [2]
+    # 221 candidates in chunks of at least 64 make 4 chunks
+    assert serial.scanned_count == 221
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 64)
+    assert lehmer_search(spec, workers=10 ** 9) == serial
+    assert pools == [2, 4]
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert lehmer_search(spec, workers=10 ** 9) == serial
+    assert len(pools) == 2
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         SearchSpec(max_degree=40, max_height=9, budget=10)

@@ -21,7 +21,7 @@ from entrokit.set_maps import (
     validate,
 )
 
-from oracles import cotrajectory_reference
+from oracles import components_reference, cotrajectory_reference
 
 RHO = right_shift()
 SIG = left_shift()
@@ -383,6 +383,16 @@ if given is not None:
         string_number = 0 if sc.is_empty() else \
             math.inf if sc.in_trees else len(sc.in_strings)
         assert contravariant_entropy(m) == string_number
+
+    @settings(max_examples=150)
+    @given(_small_maps())
+    @example(({"core": {}, "out_rays": ["R0", "R1"], "in_strings": [], "in_trees": []}, []))
+    @example(({"core": {"c0": "c1", "c1": "c2", "c2": "c1", "c3": "c2"}, "out_rays": [],
+               "in_strings": [{"id": "S0", "attach": "c3"}], "in_trees": []}, []))
+    def test_components_match_union_find(case):
+        comps = components(SymbolicSelfMap.from_json(case[0]))
+        assert [(c.core_nodes, c.rays, c.strings, c.trees, c.terminal) for c in comps] \
+            == components_reference(case[0])
 
     @given(st.integers(2, 36), st.integers(1, 10 ** 6))
     def test_tree_names_round_trip(branching, k):

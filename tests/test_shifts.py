@@ -96,6 +96,13 @@ def test_oracle_examples():
     assert rep.ranks == (2, 4, 6, 8, 10)
 
 
+def test_oracle_long_horizon():
+    # f^-j(z) on the left shift is z and S:0..S:j-1, so each step adds the
+    # new point S:j-1 to the span: rank n after n steps
+    rep = shift_bruteforce_oracle(GeneralizedShiftSpec(SIG, 2, "direct_sum"), ["z"], 300)
+    assert rep.ranks == tuple(range(1, 301))
+
+
 def test_oracle_agrees_with_closed_form_after_stabilization():
     # rank increments stabilize to h*(map) when F is the antichain of string
     # heads (or any finite set when h* = 0)
