@@ -290,14 +290,21 @@ def _cmd_oracle(args):
 
 # ----------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+def _positive(convert, what: str):
+    """An argparse type: convert(text), which must be positive and finite."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a positive {what}")
+        return value
+    return parse
+
+
+_positive_int = _positive(int, "integer")
+_positive_float = _positive(float, "finite number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true",
                        help="emit the machine-readable report")
-        p.add_argument("--tol", type=float, default=1e-12,
+        p.add_argument("--tol", type=_positive_float, default=1e-12,
                        help="root certification tolerance")
         p.add_argument("--budget", type=_positive_int, default=5_000_000,
                        help="element budget for enumerations")

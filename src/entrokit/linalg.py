@@ -1,18 +1,19 @@
 """Exact rational matrix algebra and integer lattice arithmetic.
 
 Matrices are exact (Fraction entries); lattices are full-rank subgroups of
-Z^n held in a canonical column-style Hermite normal form: the basis matrix
-is upper triangular with positive diagonal and each above-diagonal entry
-reduced modulo its row's diagonal.  Equality of lattices is equality of
-canonical bases.
+Z^n in a canonical column Hermite normal form: the basis matrix is upper
+triangular with positive diagonal and each above-diagonal entry reduced
+modulo its row's diagonal, so equal lattices have equal bases.
 
-The characteristic polynomial and the determinant come from one kernel,
-division-free Berkowitz over Python ints (``int_char_poly``); rational
-matrices are scaled to integer ones by the lcm of their denominators first
-(``clear_denominators``), and ``char_poly`` returns the primitive integer
-polynomial with the roots of det(tI - A), building no Fraction at all.
-No stage here is numerical, so the only numerical stage in the entropy
-pipeline is root finding.
+Rational entries are scaled to integers by the lcm of their denominators
+(``clear_denominators``), and every job then runs on one of two kernels.
+Division-free Berkowitz (``int_char_poly``) gives the characteristic
+polynomial, the determinant and, by Cayley-Hamilton, the inverse.  An
+integer column echelon (``_Echelon``), whose vectors carry a companion
+recording the inputs they were built from, gives the Hermite normal form,
+lattice meets and preimages, and rational kernels and column solves from
+the companions of the vectors that reduce to zero.  No stage here is
+numerical: root finding is the only numerical stage of the pipeline.
 """
 from __future__ import annotations
 
@@ -39,12 +40,6 @@ class RatMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def row(self, i):
-        return self.entries[i]
-
     def is_integer(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
 
@@ -60,10 +55,8 @@ class RatMatrix:
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.n != other.n:
             raise InputError("dimension mismatch")
-        n = self.n
-        return RatMatrix([[sum(self.entries[i][k] * other.entries[k][j]
-                               for k in range(n)) for j in range(n)]
-                          for i in range(n)])
+        return RatMatrix([[sum(x * y for x, y in zip(row, col)) for col in zip(*other.entries)]
+                          for row in self.entries])
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         return RatMatrix([[a + b for a, b in zip(r1, r2)]
@@ -74,8 +67,7 @@ class RatMatrix:
         return RatMatrix([[c * x for x in row] for row in self.entries])
 
     def matvec(self, v):
-        return tuple(sum(self.entries[i][j] * v[j] for j in range(self.n))
-                     for i in range(self.n))
+        return tuple(sum(x * y for x, y in zip(row, v)) for row in self.entries)
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(list(zip(*self.entries)))
@@ -106,37 +98,17 @@ class RatMatrix:
         return (-1) ** self.n * Fraction(int_char_poly(b)[0], d ** self.n)
 
     def inverse(self) -> "RatMatrix":
-        n = self.n
-        rows, pivots = _rref([list(row) + [Fraction(int(i == j)) for j in range(n)]
-                              for i, row in enumerate(self.entries)], n)
-        if len(pivots) < n:
+        """A^-1 by Cayley-Hamilton on B = d*A: with c = int_char_poly(B),
+        B^-1 = -(c_1 + c_2 B + ... + c_n B^(n-1)) / c_0 and A^-1 = d B^-1."""
+        d, b = _clear_denominators(self)
+        c = int_char_poly(b)
+        if c[0] == 0:
             raise SingularMap("matrix is singular")
-        return RatMatrix([row[n:] for row in rows])
-
-
-def _rref(rows, ncols: int):
-    """Gauss-Jordan over Q on the first ncols columns of the Fraction rows.
-
-    Returns (reduced rows, pivot columns): row i of the result has a 1 in
-    pivot column i and zeros in every other pivot column, and the rows past
-    the pivots are zero in the first ncols columns.
-    """
-    rows = [list(row) for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-    return rows, pivots
+        m = [[int(i == j) for j in range(self.n)] for i in range(self.n)]  # c_n = 1
+        for ck in reversed(c[1:-1]):  # Horner in B, down to c_1
+            m = [[sum(x * y for x, y in zip(row, col)) + ck * (i == j)
+                  for j, col in enumerate(zip(*b))] for i, row in enumerate(m)]
+        return RatMatrix([[Fraction(-d * x, c[0]) for x in row] for row in m])
 
 
 def _clear_denominators(a: RatMatrix):
@@ -180,32 +152,47 @@ def char_poly(a: RatMatrix) -> IntPolynomial:
 
 
 def kernel_subspace(a: RatMatrix):
-    """Exact basis of ker(A) over Q, as a list of Fraction tuples."""
-    n = a.n
-    rows, pivots = _rref(a.entries, n)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(tuple(v))
-    return basis
+    """Exact basis of ker(A) over Q, as a list of Fraction tuples: per free
+    column, the vector that is 1 there and 0 at the other free columns (the
+    basis read off the reduced row echelon form)."""
+    _, b = _clear_denominators(a)
+    return [tuple(v) for _, v in _relations(list(zip(*b)), a.n)]
 
 
 def solve_columns(columns, target):
-    """Solve sum_j x_j * columns[j] = target exactly; None if inconsistent."""
-    if not columns:
-        return None if any(t != 0 for t in target) else []
-    m = len(columns)
-    rows, pivots = _rref([[Fraction(col[i]) for col in columns] + [Fraction(t)]
-                          for i, t in enumerate(target)], m)
-    if any(row[m] != 0 for row in rows[len(pivots):]):
+    """Solve sum_j x_j * columns[j] = target exactly; None if inconsistent.
+
+    The target lies in the span of the columns exactly when it is a free
+    column of [columns | target]; its reduced relation v then has v_m = 1,
+    and x = -(v_0, ..., v_(m-1)) is 0 at the other free columns."""
+    m, n = len(columns), len(target)
+    _, flat = clear_denominators([Fraction(x) for c in (*columns, target) for x in c])
+    rels = _relations([flat[j * n:(j + 1) * n] for j in range(m + 1)], n)
+    if not rels or rels[-1][0] != m:
         return None
-    x = [Fraction(0)] * m
-    for i, col in enumerate(pivots):
-        x[col] = rows[i][m]
-    return x
+    return [-x for x in rels[-1][1][:m]]
+
+
+def _relations(columns, n):
+    """Reduced basis of the rational relations among integer columns of
+    length n: per free column f (one in the span of those before it), the
+    pair (f, v) with sum_j v_j columns[j] = 0, v_f = 1 and v = 0 at every
+    other free column.  Column j enters the echelon with companion e_j, so
+    f leaves a relation nonzero at f and zero past it, which is scaled and
+    back-substituted."""
+    m = len(columns)
+    ech = _Echelon(n)
+    for j, col in enumerate(columns):
+        ech.insert(col, [int(i == j) for i in range(m)])
+    out = []
+    for rel in ech.kernel:
+        f = _last_nonzero(rel, m)
+        v = [Fraction(x, rel[f]) for x in rel]
+        for g, k in out:
+            if v[g]:
+                v = [x - v[g] * y for x, y in zip(v, k)]
+        out.append((f, v))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -221,50 +208,42 @@ def _xgcd(a: int, b: int):
     return g, x, y
 
 
+def _last_nonzero(v, n):
+    """Index of the last nonzero among the first n coordinates, else -1."""
+    for i in range(n - 1, -1, -1):
+        if v[i]:
+            return i
+    return -1
+
+
 class _Echelon:
-    """Incremental integer column echelon: pivot = last nonzero coordinate."""
+    """Incremental integer column echelon: pivot = last nonzero coordinate
+    among the first n.  The coordinates past n are the vector's companion,
+    which every row operation carries along."""
 
     def __init__(self, n):
         self.n = n
-        self.basis = {}   # pivot index -> (vector, companion)
+        self.basis = {}   # pivot index -> vector followed by its companion
         self.kernel = []  # companions of vectors that reduced to zero
 
-    def insert(self, v, u=None):
-        v = list(v)
-        u = list(u) if u is not None else None
+    def insert(self, v, u=()):
+        v = [*v, *u]
         while True:
-            p = self._last_nonzero(v)
-            if p is None:
-                if u is not None:
-                    self.kernel.append(tuple(u))
+            p = _last_nonzero(v, self.n)
+            if p < 0:
+                self.kernel.append(tuple(v[self.n:]))
                 return
             if p not in self.basis:
-                self.basis[p] = (tuple(v), tuple(u) if u is not None else None)
+                self.basis[p] = tuple(v)
                 return
-            bv, bu = self.basis[p]
-            if v[p] % bv[p] == 0:
-                q = v[p] // bv[p]
-                v = [a - q * b for a, b in zip(v, bv)]
-                if u is not None:
-                    u = [a - q * b for a, b in zip(u, bu)]
+            b = self.basis[p]
+            if v[p] % b[p] == 0:
+                q = v[p] // b[p]
+                v = [x - q * y for x, y in zip(v, b)]
             else:
-                g, x, y = _xgcd(bv[p], v[p])
-                nv = tuple(x * a + y * b for a, b in zip(bv, v))
-                rv = [(bv[p] // g) * b - (v[p] // g) * a for a, b in zip(bv, v)]
-                if u is not None:
-                    nu = tuple(x * a + y * b for a, b in zip(bu, u))
-                    ru = [(bv[p] // g) * b - (v[p] // g) * a for a, b in zip(bu, u)]
-                else:
-                    nu, ru = None, None
-                self.basis[p] = (nv, nu)
-                v, u = rv, ru
-
-    @staticmethod
-    def _last_nonzero(v):
-        for i in range(len(v) - 1, -1, -1):
-            if v[i] != 0:
-                return i
-        return None
+                g, x, y = _xgcd(b[p], v[p])
+                self.basis[p] = tuple(x * s + y * t for s, t in zip(b, v))
+                v = [(b[p] // g) * t - (v[p] // g) * s for s, t in zip(b, v)]
 
 
 @dataclass(frozen=True)
@@ -287,7 +266,7 @@ class Lattice:
             ech.insert(col)
         if len(ech.basis) != n:
             raise RankDeficient(f"rank {len(ech.basis)} < ambient dimension {n}")
-        cols = [list(ech.basis[p][0]) for p in range(n)]
+        cols = [list(ech.basis[p][:n]) for p in range(n)]
         # positive diagonal
         for j in range(n):
             if cols[j][j] < 0:
@@ -314,10 +293,7 @@ class Lattice:
 
     @property
     def index(self) -> int:
-        out = 1
-        for j in range(self.n):
-            out *= self.basis[j][j]
-        return out
+        return math.prod(self.basis[j][j] for j in range(self.n))
 
     def contains(self, v) -> bool:
         w = [int(x) for x in v]
@@ -355,9 +331,6 @@ class Lattice:
                             for k in range(j + 1, i + 1)) / self.basis[j][j]
             out = math.lcm(out, clear_denominators(x)[0])
         return out
-
-    def to_json(self) -> dict:
-        return {"columns": [[str(x) for x in col] for col in self.basis]}
 
 
 def hnf(columns) -> Lattice:

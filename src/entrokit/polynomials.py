@@ -74,9 +74,6 @@ class IntPolynomial:
             out[i] += c
         return IntPolynomial(out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
@@ -117,24 +114,6 @@ class IntPolynomial:
         if self.lead < 0:
             g = -g
         return IntPolynomial([c // g for c in self.coeffs])
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = " - " if c < 0 else (" + " if parts else "")
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            else:
-                var = "t" if i == 1 else f"t^{i}"
-                term = var if mag == 1 else f"{mag}{var}"
-            parts.append(sign + term)
-        return "".join(parts)
 
 
 # ----------------------------------------------------------------------
@@ -321,8 +300,9 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 _SQUAREFREE_PRIME = 1_000_003
 
 
-def _squarefree_mod_p(f: IntPolynomial, p: int = _SQUAREFREE_PRIME) -> bool:
+def _squarefree_mod_p(f: IntPolynomial) -> bool:
     """gcd(f, f') = 1 over GF(p) certifies squarefreeness over Q (one-sided)."""
+    p = _SQUAREFREE_PRIME
     a = list(_trim([c % p for c in f.coeffs]))
     b = list(_trim([(i * c) % p for i, c in enumerate(f.coeffs)][1:]))
     if len(a) - 1 != f.degree:
@@ -368,14 +348,17 @@ def squarefree_decomposition(f: IntPolynomial):
     return parts
 
 
-def rational_roots(f: IntPolynomial, factor_cap: int = 10**12):
+_FACTOR_CAP = 10**12
+
+
+def rational_roots(f: IntPolynomial):
     """Extract all rational roots with multiplicity, exactly.
 
     Returns (roots, cofactor): roots is a list of (Fraction root, mult); the
     cofactor has no rational roots, and f is the cofactor times the
     primitive linear factors (b t - a) of the roots a/b.  A linear cofactor
     is peeled directly.  Otherwise polynomials whose extreme coefficients
-    exceed factor_cap are left unfactored (the numeric stage handles them;
+    exceed _FACTOR_CAP are left unfactored (the numeric stage handles them;
     only exactness of the reporting degrades).
     """
     if f.is_zero():
@@ -385,8 +368,8 @@ def rational_roots(f: IntPolynomial, factor_cap: int = 10**12):
     while g.degree >= 1 and g.constant_term() == 0:
         roots.append((Fraction(0), 1))
         g = IntPolynomial(g.coeffs[1:])
-    if g.degree > 1 and abs(g.constant_term()) <= factor_cap \
-            and abs(g.lead) <= factor_cap:
+    if g.degree > 1 and abs(g.constant_term()) <= _FACTOR_CAP \
+            and abs(g.lead) <= _FACTOR_CAP:
         for root in _candidate_roots(g):
             linear = IntPolynomial((-root.numerator, root.denominator))
             while g.degree > 1:

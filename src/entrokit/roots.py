@@ -95,6 +95,8 @@ def find_roots(f: IntPolynomial, tol: float = 1e-12) -> list:
     residual clusters (from nearly-coincident roots of distinct factors) are
     merged by the 4*radius heuristic.
     """
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol!r}")
     if f.is_zero():
         raise InputError("zero polynomial")
     if f.degree < 1:

@@ -634,8 +634,10 @@ def left_shift() -> SymbolicSelfMap:
     return SymbolicSelfMap.build({"z": "z"}, [], [("S", "z")])
 
 
-def disjoint_union(a: SymbolicSelfMap, b: SymbolicSelfMap,
-                   suffixes=("_l", "_r")) -> SymbolicSelfMap:
+_UNION_SUFFIXES = ("_l", "_r")
+
+
+def disjoint_union(a: SymbolicSelfMap, b: SymbolicSelfMap) -> SymbolicSelfMap:
     def tag(m, suffix):
         def rn(name):
             return f"{name}{suffix}"
@@ -646,7 +648,7 @@ def disjoint_union(a: SymbolicSelfMap, b: SymbolicSelfMap,
                 [(rn(s.id), rn(s.attach)) for s in m.in_strings],
                 [(rn(t.id), rn(t.attach), t.branching) for t in m.in_trees])
 
-    ca, ra, sa, ta = tag(a, suffixes[0])
-    cb, rb, sb, tb = tag(b, suffixes[1])
+    ca, ra, sa, ta = tag(a, _UNION_SUFFIXES[0])
+    cb, rb, sb, tb = tag(b, _UNION_SUFFIXES[1])
     ca.update(cb)
     return SymbolicSelfMap.build(ca, ra + rb, sa + sb, ta + tb)

@@ -84,11 +84,10 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
     s^j(G_F) is spanned by the indicator vectors of the iterated preimages
     f^-j(i), i in F, so the n-th trajectory subgroup is the row span of
     those vectors over GF(p); its cardinality is p**rank.  The carrier is
-    the n-th cotrajectory of F (full preimages) together with the forward
-    trajectory, which contains every support the first n steps can touch,
-    so the truncation is exact.  The budget bounds the points the oracle
-    holds: the carrier, the entries of the stored reduced rows and the
-    preimage list being built.
+    the n-th cotrajectory of F (full preimages), the union of those
+    supports, so the truncation is exact.  The budget bounds the points the
+    oracle holds: the carrier, the entries of the stored reduced rows and
+    the preimage list being built.
     """
     if spec.variant != "direct_sum":
         raise InputError("the subgroup oracle runs on the direct-sum variant")
@@ -144,12 +143,6 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
                     heapq.heappush(heap, c)
                 row[c] = val
         return 0
-
-    forward = list(base)
-    for _ in range(horizon - 1):
-        forward = [m.apply(x) for x in forward]
-        for x in forward:
-            col(x)
 
     # step j contributes, per source point i in F, the indicator vector of
     # the j-th preimage set of i (the image of the basis vector e_i)

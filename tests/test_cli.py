@@ -206,6 +206,19 @@ def test_lehmer_threads_must_be_positive(capsys, threads):
     assert "not a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "x"])
+@pytest.mark.parametrize("argv", [
+    ["mahler", "--poly", "1,0,-2"],
+    ["yuzvinski", "--matrix", "0,1;1,1"],
+    ["topological", "--matrix", "2,0;0,1/2", "--domain", "rn"],
+])
+def test_tol_must_be_positive_and_finite(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exit_info:
+        dispatch(argv + [f"--tol={tol}"])
+    assert exit_info.value.code == 2
+    assert "not a positive finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["topological", "--domain", "tn", "--matrix", "1/2"],
     ["yuzvinski", "--domain", "tn", "--matrix", "1/2,0;0,3"],

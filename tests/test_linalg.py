@@ -92,15 +92,18 @@ def test_int_char_poly_edge_cases():
     assert int_char_poly([[2, 4], [-1, -2]]) == (0, 0, 1)
 
 
-def _random_rational_rows(rng, n, rank):
-    """n x n Fraction rows of the given rank (a product of n x rank and
-    rank x n factors, so rank-deficient ones come up as often as full)."""
+def _random_rational_rows(rng, n, rank, m=None):
+    """n x m (default n x n) Fraction rows of the given rank (a product of
+    n x rank and rank x m factors, so rank-deficient ones come up as often
+    as full)."""
+    m = n if m is None else m
+
     def entry():
         return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
     left = [[entry() for _ in range(rank)] for _ in range(n)]
-    right = [[entry() for _ in range(n)] for _ in range(rank)]
+    right = [[entry() for _ in range(m)] for _ in range(rank)]
     return [[sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0))
-             for j in range(n)] for i in range(n)]
+             for j in range(m)] for i in range(n)]
 
 
 def test_gauss_jordan_sympy_oracle():
@@ -113,6 +116,21 @@ def test_gauss_jordan_sympy_oracle():
 
     def to_fraction(x):
         return Fraction(int(x.p), int(x.q))
+
+    def check_solve(columns, n):
+        # the columns against a random target, and against one inside their
+        # span: None exactly when appending the target grows the rank
+        oracle = to_sympy([[c[i] for c in columns] for i in range(n)])
+        rank = oracle.rank()
+        inside = [sum((rng.randint(-3, 3) * c[i] for c in columns), Fraction(0))
+                  for i in range(n)]
+        for target in ([Fraction(rng.randint(-4, 4)) for _ in range(n)], inside):
+            x = solve_columns(columns, target)
+            grows = oracle.row_join(to_sympy([[t] for t in target])).rank() > rank
+            assert (x is None) == grows
+            if x is not None:
+                assert [sum((xj * c[i] for xj, c in zip(x, columns)), Fraction(0))
+                        for i in range(n)] == target
 
     for trial in range(120):
         n = 1 + trial % 5
@@ -127,18 +145,13 @@ def test_gauss_jordan_sympy_oracle():
                 a.inverse()
         want = [tuple(to_fraction(x) for x in v) for v in oracle.nullspace()]
         assert kernel_subspace(a) == want
-        # the columns of A against a random target, and against one inside
-        # their span: None exactly when appending the target grows the rank
-        columns = [tuple(row[j] for row in rows) for j in range(n)]
-        inside = [sum((rng.randint(-3, 3) * c[i] for c in columns), Fraction(0))
-                  for i in range(n)]
-        for target in ([Fraction(rng.randint(-4, 4)) for _ in range(n)], inside):
-            x = solve_columns(columns, target)
-            grows = oracle.row_join(to_sympy([[t] for t in target])).rank() > rank
-            assert (x is None) == grows
-            if x is not None:
-                assert [sum((xj * c[i] for xj, c in zip(x, columns)), Fraction(0))
-                        for i in range(n)] == target
+        check_solve([tuple(row[j] for row in rows) for j in range(n)], n)
+    # rectangular column sets: m != n columns in Q^n, of every rank
+    for n, m in product(range(1, 6), range(1, 8)):
+        if m != n:
+            for rank in sorted({0, min(n, m) - 1, min(n, m)}):
+                rows = _random_rational_rows(rng, n, rank, m)
+                check_solve([tuple(row[j] for row in rows) for j in range(m)], n)
 
 
 def test_kernel_subspace():

@@ -19,6 +19,7 @@ from entrokit.linear_entropy import (
     trajectory_oracle,
 )
 from entrokit.mahler import mahler_measure
+from entrokit.roots import classify_unit_circle
 import entrokit.linear_entropy
 
 from oracles import interval_contains, mahler_reference
@@ -91,6 +92,21 @@ def test_eigenvalue_lower_bound():
     assert v.as_float() == pytest.approx(math.log(3), abs=1e-9)
     v = eigenvalue_lower_bound(LinearFlow.on_integer_lattice(FIB))
     assert v.as_float() == pytest.approx(GOLDEN, abs=1e-9)
+
+
+def test_eigenvalue_lower_bound_on_boundary_roots():
+    # 5t^2 - 6t + 5 has the roots (3 +- 4i)/5: on the circle, not roots of
+    # unity, so they stay boundary roots whose log|z| is only bounded above
+    rotation = RatMatrix([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
+    v = eigenvalue_lower_bound(LinearFlow.on_rationals(rotation))
+    assert v.kind == "approx" and v.value == 0.0 and v.error < 1e-13
+    caveat = classify_unit_circle(char_poly(rotation)).on_circle_caveat
+    assert len(caveat) == 2
+    lo, hi = v.interval()
+    assert lo <= 0 and hi >= max(math.log(abs(r.approx) + r.radius) for r in caveat) > 0
+    # the roots +-i/2 lie inside the circle: exactly zero
+    inside = RatMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+    assert eigenvalue_lower_bound(LinearFlow.on_rationals(inside)).kind == "exact_zero"
 
 
 def test_lower_bound_never_exceeds_entropy():

@@ -99,7 +99,7 @@ def test_cyclotomic_matches_sympy():
 
 def test_rational_roots_rebuild_the_input():
     # f = cofactor * prod (b t - a)**k; a linear cofactor is peeled even
-    # beyond factor_cap, and its content stays in the cofactor
+    # beyond _FACTOR_CAP, and its content stays in the cofactor
     cases = [
         (IntPolynomial((6, 4)), [(Fraction(-3, 2), 1)], (2,)),
         (IntPolynomial((10 ** 400, 1)), [(Fraction(-10 ** 400), 1)], (1,)),

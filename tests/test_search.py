@@ -4,6 +4,7 @@ import pytest
 
 from entrokit import search
 from entrokit.errors import BudgetExceeded, InputError
+from entrokit.values import EntropyValue
 from entrokit.search import (
     SearchSpec,
     canonical_form,
@@ -101,6 +102,24 @@ def test_worker_pool_is_capped(monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert lehmer_search(spec, workers=10 ** 9) == serial
     assert len(pools) == 2
+
+
+def test_unresolved_measure_is_quarantined(monkeypatch):
+    # a class whose measure stays within its error of zero at both
+    # tolerances is quarantined, never ranked
+    suspect = canonical_form((-1, -1, 0, 1))
+    real = search.mahler_measure
+
+    def mahler_measure(poly, tol):
+        if poly.coeffs == suspect:
+            return EntropyValue.approximate(1e-13, 1e-12)
+        return real(poly, tol)
+
+    monkeypatch.setattr(search, "mahler_measure", mahler_measure)
+    result = lehmer_search(SearchSpec(max_degree=3))
+    assert result.quarantined == (suspect,)
+    assert suspect not in [e.coeffs for e in result.leaderboard]
+    assert result.leaderboard[0].measure > PLASTIC_MEASURE
 
 
 def test_budget_guard():

@@ -98,6 +98,30 @@ def test_forward_profile_examples():
     assert p.sizes[:6] == (1, 2, 3, 4, 5, 5) and p.local_entropy == 0
 
 
+def test_forward_profile_of_a_tree_point():
+    # T:012 drains through T:01 and T:0 into the fixed point z, so the
+    # stabilization bound counts its tree depth 3
+    core, trees = {"z": "z"}, {"T": "z"}
+    m = SymbolicSelfMap.build(core, [], [], [("T", "z", 3)])
+
+    def image(p):
+        tail, _, word = p.partition(":")
+        if not word:
+            return core[p]
+        return f"{tail}:{word[:-1]}" if len(word) > 1 else trees[tail]
+
+    union, p, sizes = {"T:012"}, "T:012", [1]
+    for _ in range(8):
+        p = image(p)
+        union.add(p)
+        sizes.append(len(union))
+    profile = covariant_trajectory_profile(m, ["T:012"], 9)
+    assert profile.sizes == tuple(sizes) == (1, 2, 3, 4, 4, 4, 4, 4, 4)
+    assert profile.local_entropy == 0
+    with pytest.raises(HorizonTooShort):  # bound 3 + 1 + 2, window 2
+        covariant_trajectory_profile(m, ["T:012"], 7)
+
+
 def test_forward_profile_bounded_by_set_size():
     maps = [RHO, SIG, disjoint_union(RHO, RHO), fan_example(3)]
     sets = [["R:0"], ["S:2", "z"], ["R_l:0", "R_r:3"], ["z", "c1", "x2_1"]]
