@@ -257,7 +257,8 @@ def _cmd_lehmer(args):
 
 
 def _cmd_espectrum(args):
-    report = espectrum_sample(args.dim, args.bound, budget=args.budget)
+    report = espectrum_sample(args.dim, args.bound, budget=args.budget,
+                              tol=args.tol)
     minimal = report.minimal_positive
     payload = {
         "dimension": report.dimension,

@@ -5,7 +5,9 @@ real roots come from rational bisection on exact polynomial signs, lattice
 questions from brute-force enumeration of residues, characteristic
 polynomials of 2x2 matrices from the cofactor formula, Mahler measures
 from mpmath ``polyroots`` at 100 digits, resultants from fraction-free
-Bareiss elimination on the Sylvester matrix.
+Bareiss elimination on the Sylvester matrix.  The one exception is
+``espectrum_reference``, which checks an enumeration, not a kernel: it
+calls the library's Berkowitz and Mahler kernels once per matrix.
 """
 import math
 from fractions import Fraction
@@ -122,6 +124,31 @@ def resultant(f, g) -> int:
 def delta_reference(f, n: int) -> int:
     """D_n = |Res(f, t**n - 1)| of a monic f given by ascending coefficients."""
     return abs(resultant(tuple(f), (-1,) + (0,) * (n - 1) + (1,)))
+
+
+def espectrum_reference(dim: int, bound: int, measure=None):
+    """(values, scanned, minimal_positive) of the entropy spectrum of the
+    dim x dim integer matrices with entries in [-bound, bound], by brute
+    force: one int_char_poly per matrix in row-major order, then a stable
+    sort of the whole list, so among equal floats the first matrix wins.
+    ``measure`` (default: the library's mahler_measure) maps an
+    IntPolynomial to its EntropyValue."""
+    from itertools import product
+
+    from entrokit.linalg import int_char_poly
+    from entrokit.mahler import mahler_measure
+    from entrokit.polynomials import IntPolynomial
+
+    measure = measure or mahler_measure
+    cache, values = {}, []
+    for flat in product(range(-bound, bound + 1), repeat=dim * dim):
+        key = int_char_poly([flat[i * dim:(i + 1) * dim] for i in range(dim)])
+        if key not in cache:
+            cache[key] = measure(IntPolynomial(key))
+        values.append(cache[key])
+    values.sort(key=lambda v: (v.as_float(), str(v.kind)))
+    minimal = next((v for v in values if not v.is_zero()), None)
+    return tuple((v.as_float(), v.kind) for v in values), len(values), minimal
 
 
 def mahler_reference(coeffs, dps=100):

@@ -92,6 +92,29 @@ def test_int_char_poly_edge_cases():
     assert int_char_poly([[2, 4], [-1, -2]]) == (0, 0, 1)
 
 
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # the property test below needs hypothesis
+    given = None
+
+if given is not None:
+    _square_rows = st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-1000, 1000), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+    @given(_square_rows)
+    def test_int_char_poly_is_affine_in_the_last_row(rows):
+        # det(tI - A) is linear in the last row a, so
+        # chi_A = chi_0 + sum_j a_j (chi_(e_j) - chi_0)
+        n, prefix, last = len(rows), rows[:-1], rows[-1]
+        base = int_char_poly(prefix + [[0] * n])
+        want = list(base)
+        for j, a in enumerate(last):
+            unit = int_char_poly(prefix + [[int(i == j) for i in range(n)]])
+            want = [w + a * (u - b) for w, u, b in zip(want, unit, base)]
+        assert int_char_poly(rows) == tuple(want)
+
+
 def _random_rational_rows(rng, n, rank, m=None):
     """n x m (default n x n) Fraction rows of the given rank (a product of
     n x rank and rank x m factors, so rank-deficient ones come up as often

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from entrokit import search
+from entrokit.cli import dispatch
 from entrokit.errors import BudgetExceeded, InputError
 from entrokit.values import EntropyValue
 from entrokit.search import (
@@ -11,6 +12,7 @@ from entrokit.search import (
     espectrum_sample,
     lehmer_search,
 )
+from oracles import espectrum_reference
 
 PLASTIC_MEASURE = 0.28119957432359323
 
@@ -159,6 +161,56 @@ def test_espectrum_trivial_box():
     report = espectrum_sample(1, 1)
     assert report.minimal_positive is None
     assert all(v == 0.0 for v, _ in report.values)
+
+
+@pytest.mark.parametrize("dimension, bound", [
+    (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+def test_espectrum_matches_brute_force(dimension, bound):
+    values, scanned, minimal = espectrum_reference(dimension, bound)
+    report = espectrum_sample(dimension, bound)
+    assert report.values == values
+    assert report.scanned == scanned
+    if minimal is None:
+        assert report.minimal_positive is None
+    else:
+        assert report.minimal_positive.to_json() == minimal.to_json()
+
+
+@pytest.mark.parametrize("dimension, bound", [(2, 1), (2, 2), (3, 1)])
+def test_espectrum_ties_keep_the_first_matrix(monkeypatch, dimension, bound):
+    # the real boxes tie equal floats with different errors, but never at
+    # the minimal value; a measure rounded to one decimal, with an error
+    # that names the polynomial, ties there too, so the reported minimal
+    # value shows which matrix won
+    real = search.mahler_measure
+
+    def coarse(poly, tol=1e-12):
+        value = real(poly, tol)
+        if value.is_zero():
+            return value
+        # one tag per polynomial while every |coefficient| < 64
+        tag = sum((c + 64) * 128 ** i for i, c in enumerate(poly.coeffs))
+        return EntropyValue.approximate(round(value.as_float(), 1), 1e-12 * tag)
+
+    monkeypatch.setattr(search, "mahler_measure", coarse)
+    values, _, minimal = espectrum_reference(dimension, bound, coarse)
+    report = espectrum_sample(dimension, bound)
+    assert report.values == values
+    assert report.minimal_positive.to_json() == minimal.to_json()
+
+
+def test_espectrum_tol_reaches_every_measure(monkeypatch, capsys):
+    real, tols = search.mahler_measure, []
+
+    def mahler_measure(poly, tol=1e-12):
+        tols.append(tol)
+        return real(poly, tol)
+
+    monkeypatch.setattr(search, "mahler_measure", mahler_measure)
+    assert dispatch(["espectrum", "--dim", "2", "--bound", "1",
+                     "--tol", "1e-20"]) == 0
+    capsys.readouterr()
+    assert tols and set(tols) == {1e-20}
 
 
 def test_espectrum_rejects_large_dimension():
