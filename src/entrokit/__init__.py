@@ -5,7 +5,7 @@ from .polynomials import IntPolynomial, cyclotomic, delta_sequence_exact, \
     is_zero_mahler, reciprocal
 from .roots import CertifiedRoot, CircleClassification, classify_unit_circle, \
     find_roots
-from .mahler import mahler_measure, mahler_of_algebraic
+from .mahler import mahler_measure
 from .linalg import Lattice, RatMatrix, char_poly, hnf, int_char_poly, \
     kernel_subspace, lattice_intersect, lattice_preimage
 from .linear_entropy import LinearFlow, algebraic_entropy, classify_growth, \

@@ -97,14 +97,3 @@ def mahler_measure(f: IntPolynomial, tol: float = 1e-12) -> EntropyValue:
         return log_value(measure_int)
     return outside_sum(classification, math.log(measure_int), math.log(lead))
 
-
-def mahler_of_algebraic(minpoly: IntPolynomial, tol: float = 1e-12) -> EntropyValue:
-    """Mahler measure of an algebraic number given by its minimal polynomial.
-
-    Irreducibility is the caller's assertion and is not checked.
-    """
-    if minpoly.is_zero():
-        raise ZeroPolynomial("zero polynomial")
-    if minpoly.degree < 1:
-        raise ZeroPolynomial("a minimal polynomial must be nonconstant")
-    return mahler_measure(minpoly, tol)

@@ -8,10 +8,36 @@ measure whose certified interval touches zero without an exact zero proof
 is re-verified at higher precision and quarantined if still ambiguous, so a
 false positive can never contaminate the leaderboard.
 
+Most classes are proven off the board without root finding.  Graeffe's
+root squaring g(t^2) = (-1)^n f(t) f(-t) squares every root and the lead,
+so M(g) = M(f)^2 with g in Z[t] of the same degree n, and Mahler's
+inequality |a_j| <= C(n, j) M(f) (Mathematika 7, 1960) applied after k
+squarings gives the integer-only lower bound
+
+    log M(f) >= 2^-k max_j (log|a_j^(k)| - log C(n, j)),
+
+whose slack halves with every squaring.  The scan bounds every class at
+k = 4, then measures classes in increasing bound order, deepening each to
+k = 8 before it is measured.  Once the board holds ``top`` entries it stops
+at the first class whose bound exceeds the top-th entry's upper end
+(measure + error) plus 1e-9, more than 100 times the largest certified
+error of a scan measure.  That is sound:
+
+* a skipped class's float would lie strictly above the top-th entry's, so
+  it could not enter the board, ties included;
+* an exact zero has every |a_j^(k)| <= C(n, j), so its bound is <= 0 and
+  it is always measured and counted;
+* a class that could be quarantined has a bound no larger than its tiny
+  measure, so it is always measured too.
+
+Each bound is rounded down past the error of its two logs, so rounding can
+only keep a class, never drop it.
+
 Enumeration order and the leaderboard merge are deterministic: the merge is
-a sort keyed on (measure, coefficients), and each polynomial's measure is
-computed identically regardless of worker schedule, so runs are
-bit-identical across worker counts.
+a sort keyed on (measure, coefficients), each polynomial's bound and
+measure are computed identically regardless of worker schedule, and the
+measuring runs in the calling process, so runs are bit-identical across
+worker counts.
 
 The entropy spectrum of a box of integer matrices is the Mahler measure of
 each characteristic polynomial (algebraic Yuzvinski formula).  det(tI - A)
@@ -21,17 +47,20 @@ last row is an integer combination of them.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import os
+from bisect import insort
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice, product
 from operator import add
 
 from .errors import BudgetExceeded, InputError
 from .linalg import int_char_poly
-from .mahler import mahler_measure
+from .mahler import mahler_measure, sum_logs
 from .polynomials import IntPolynomial
 from .values import EntropyValue
 
@@ -69,7 +98,10 @@ class SearchResult:
 
 
 def canonical_form(coeffs) -> tuple:
-    """Public alias for the search's symmetry-class representative."""
+    """Public alias for the search's symmetry-class representative.
+
+    Kept as library API: board entries are compared through it, by the
+    acceptance tests and by users matching a polynomial to its entry."""
     return _canonical(tuple(int(c) for c in coeffs))
 
 
@@ -136,13 +168,67 @@ def _measure_one(coeffs: tuple):
                          coeffs, value))
 
 
+_CHEAP_SQUARINGS, _DEEP_SQUARINGS = 4, 8
+_MARGIN = 1e-9     # above 100 x the largest certified error of a scan measure
+
+
+def _square(c: list) -> list:
+    """Coefficients of p(t)**2 for p given by its (nonempty) coefficients."""
+    out = [0] * (2 * len(c) - 1)
+    for i, a in enumerate(c):
+        if a:
+            out[2 * i] += a * a
+            a2 = 2 * a
+            for j in range(i + 1, len(c)):
+                out[i + j] += a2 * c[j]
+    return out
+
+
+def _graeffe(coeffs: list) -> list:
+    """g with g(t^2) = (-1)^n f(t) f(-t): the roots of f squared, same degree.
+
+    With f(t) = E(t^2) + t O(t^2), f(t) f(-t) = E(t^2)^2 - t^2 O(t^2)^2."""
+    g = _square(coeffs[0::2]) + [0]
+    for i, c in enumerate(_square(coeffs[1::2]), 1):
+        g[i] -= c
+    g = g[:len(coeffs)]
+    return [-c for c in g] if len(coeffs) % 2 == 0 else g
+
+
+@lru_cache(maxsize=None)
+def _log_binomials(n: int) -> tuple:
+    return tuple(math.log(math.comb(n, j)) for j in range(n + 1))
+
+
+def _graeffe_bound(coeffs: tuple, squarings: int) -> float:
+    """A float no larger than 2^-k max_j (log|a_j^(k)| - log C(n, j)), the
+    lower bound on log M(f) after k squarings; rounded down past the error
+    of its two logs, so it never exceeds the true log M(f)."""
+    c = list(coeffs)
+    for _ in range(squarings):
+        c = _graeffe(c)
+    logs = _log_binomials(len(c) - 1)
+    _, j = max((math.log(abs(a)) - logs[j], j) for j, a in enumerate(c) if a)
+    value, error = sum_logs([(1, math.log(abs(c[j]))), (-1, logs[j])])
+    return math.nextafter(math.ldexp(value - error, -squarings), -math.inf)
+
+
+def _bound_one(coeffs: tuple):
+    """The scan's heap entry (bound, coeffs, deepened) for one class.
+    Coefficient tuples are distinct, so the flag is never compared."""
+    return _graeffe_bound(coeffs, _CHEAP_SQUARINGS), coeffs, False
+
+
 def lehmer_search(spec: SearchSpec, workers: int = 1) -> SearchResult:
     """Scan the bounded family and rank the smallest positive measures.
 
-    The worker count only splits the candidate list into chunks; the final
-    leaderboard is a deterministic sort, identical for any worker count.
-    The pool is capped at the CPU count and at the number of chunks, since
-    the executor starts every worker it is asked for at once.
+    Every class gets a cheap Graeffe bound; classes are then measured in
+    increasing bound order until the next bound lies above the board (see
+    the module docstring).  The worker count only splits the bound pass
+    into chunks; the measuring runs here, and the final leaderboard is a
+    deterministic sort, identical for any worker count.  The pool is capped
+    at the CPU count and at the number of chunks, since the executor starts
+    every worker it is asked for at once.
     """
     # one candidate past the budget is enough to know it is blown
     candidates = list(islice(_candidate_polys(spec), spec.budget + 1))
@@ -153,23 +239,31 @@ def lehmer_search(spec: SearchSpec, workers: int = 1) -> SearchResult:
     workers = min(workers, -(-len(candidates) // chunk_size))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_measure_one, candidates, chunksize=chunk_size))
+            heap = list(pool.map(_bound_one, candidates, chunksize=chunk_size))
     else:
-        outcomes = [_measure_one(c) for c in candidates]
-
+        heap = [_bound_one(c) for c in candidates]
+    heapq.heapify(heap)
     zero_count = 0
     quarantined = []
-    positives = []
-    for kind, payload in outcomes:
+    board = []          # the best `top` positives so far, in rank order
+    while heap:
+        bound, coeffs, deepened = heapq.heappop(heap)
+        if len(board) == spec.top and bound > board[-1][0] + board[-1][1] + _MARGIN:
+            break
+        if not deepened:
+            deep = max(bound, _graeffe_bound(coeffs, _DEEP_SQUARINGS))
+            heapq.heappush(heap, (deep, coeffs, True))
+            continue
+        kind, payload = _measure_one(coeffs)
         if kind == "zero":
             zero_count += 1
         elif kind == "quarantine":
             quarantined.append(payload)
         else:
-            positives.append(payload)
-    positives.sort(key=lambda p: (p[0], p[2]))
-    board = tuple(LeaderboardEntry(*p) for p in positives[:spec.top])
-    return SearchResult(board, zero_count, len(candidates), tuple(sorted(quarantined)))
+            insort(board, payload, key=lambda p: (p[0], p[2]))
+            del board[spec.top:]
+    return SearchResult(tuple(LeaderboardEntry(*p) for p in board), zero_count,
+                        len(candidates), tuple(sorted(quarantined)))
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,10 @@ real roots come from rational bisection on exact polynomial signs, lattice
 questions from brute-force enumeration of residues, characteristic
 polynomials of 2x2 matrices from the cofactor formula, Mahler measures
 from mpmath ``polyroots`` at 100 digits, resultants from fraction-free
-Bareiss elimination on the Sylvester matrix.  The one exception is
-``espectrum_reference``, which checks an enumeration, not a kernel: it
-calls the library's Berkowitz and Mahler kernels once per matrix.
+Bareiss elimination on the Sylvester matrix.  The two exceptions are
+``espectrum_reference`` and ``lehmer_reference``, which check an
+enumeration, not a kernel: they call the library's Berkowitz and Mahler
+kernels once per matrix or class.
 """
 import math
 from fractions import Fraction
@@ -149,6 +150,30 @@ def espectrum_reference(dim: int, bound: int, measure=None):
     values.sort(key=lambda v: (v.as_float(), str(v.kind)))
     minimal = next((v for v in values if not v.is_zero()), None)
     return tuple((v.as_float(), v.kind) for v in values), len(values), minimal
+
+
+def lehmer_reference(spec):
+    """The SearchResult of an unpruned Lehmer scan: the library's
+    ``_measure_one`` on every candidate class, then one sort of all the
+    positives by (measure, coefficients).  It checks an enumeration, not a
+    kernel: the pruned scan must measure a subset of these classes and
+    report the same result."""
+    from entrokit import search
+
+    candidates = list(search._candidate_polys(spec))
+    zero_count, quarantined, positives = 0, [], []
+    for coeffs in candidates:
+        kind, payload = search._measure_one(coeffs)
+        if kind == "zero":
+            zero_count += 1
+        elif kind == "quarantine":
+            quarantined.append(payload)
+        else:
+            positives.append(payload)
+    positives.sort(key=lambda p: (p[0], p[2]))
+    board = tuple(search.LeaderboardEntry(*p) for p in positives[:spec.top])
+    return search.SearchResult(board, zero_count, len(candidates),
+                               tuple(sorted(quarantined)))
 
 
 def mahler_reference(coeffs, dps=100):

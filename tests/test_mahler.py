@@ -10,7 +10,7 @@ import entrokit.roots
 from entrokit.errors import ZeroPolynomial
 from entrokit.linalg import RatMatrix
 from entrokit.linear_entropy import LinearFlow, topological_entropy
-from entrokit.mahler import mahler_measure, mahler_of_algebraic
+from entrokit.mahler import mahler_measure
 from entrokit.polynomials import IntPolynomial, cyclotomic, poly_from_json, reciprocal
 
 from oracles import bisect_real_root
@@ -52,9 +52,9 @@ def test_rational_input_reduces_to_primitive():
 
 
 def test_minimal_polynomials():
-    assert mahler_of_algebraic(IntPolynomial((-2, 1))).base == 2
-    assert mahler_of_algebraic(IntPolynomial((1, 0, 1))).is_zero()
-    golden = mahler_of_algebraic(IntPolynomial((-1, -1, 1)))
+    assert mahler_measure(IntPolynomial((-2, 1))).base == 2
+    assert mahler_measure(IntPolynomial((1, 0, 1))).is_zero()
+    golden = mahler_measure(IntPolynomial((-1, -1, 1)))
     assert golden.as_float() == pytest.approx(math.log((1 + 5 ** 0.5) / 2), abs=1e-10)
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from entrokit import search
 from entrokit.cli import dispatch
 from entrokit.errors import BudgetExceeded, InputError
+from entrokit.polynomials import IntPolynomial, cyclotomic
 from entrokit.values import EntropyValue
 from entrokit.search import (
     SearchSpec,
@@ -12,7 +14,7 @@ from entrokit.search import (
     espectrum_sample,
     lehmer_search,
 )
-from oracles import espectrum_reference
+from oracles import espectrum_reference, lehmer_reference, mahler_reference
 
 PLASTIC_MEASURE = 0.28119957432359323
 
@@ -143,6 +145,72 @@ def test_budget_stops_the_enumeration(monkeypatch):
     with pytest.raises(BudgetExceeded):
         lehmer_search(SearchSpec(max_degree=8, budget=100))
     assert len(pulled) == 101
+
+
+# ----------------------------------------------------------------------
+# the Graeffe-pruned scan against the unpruned one
+
+_reference = functools.lru_cache(maxsize=None)(lehmer_reference)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec", [
+    # monic height 1; top = 50 runs into the ties at log(theta_0)
+    *(SearchSpec(max_degree=d, top=top) for d in range(1, 9) for top in (1, 5, 50)),
+    # non-monic height 2
+    *(SearchSpec(max_degree=d, max_height=2, monic_only=False, top=top)
+      for d in range(1, 5) for top in (1, 5, 50)),
+    # more places than positive classes: nothing is pruned
+    SearchSpec(max_degree=4, top=10_000),
+    SearchSpec(max_degree=3, max_height=2, monic_only=False, top=10_000),
+], ids=lambda s: f"deg{s.max_degree}-h{s.max_height}-{'monic' if s.monic_only else 'any'}"
+                 f"-top{s.top}")
+def test_pruned_scan_matches_unpruned(spec, workers):
+    assert lehmer_search(spec, workers) == _reference(spec)
+
+
+def test_pruning_skips_most_classes(monkeypatch):
+    calls, real = [], search.mahler_measure
+
+    def mahler_measure(poly, tol):
+        calls.append(poly.coeffs)
+        return real(poly, tol)
+
+    monkeypatch.setattr(search, "mahler_measure", mahler_measure)
+    result = lehmer_search(SearchSpec(max_degree=8))
+    assert result.scanned_count == 1760
+    assert len(calls) <= 150
+
+
+def test_graeffe_step_squares_the_roots():
+    # f = (t - 2)(t + 3) -> (s - 4)(s - 9)
+    assert search._graeffe([-6, 1, 1]) == [36, -13, 1]
+    # f = t^3 - t - 1: g(t^2) = -f(t) f(-t)
+    assert search._graeffe([-1, -1, 0, 1]) == [-1, 1, -2, 1]
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property tests below need hypothesis
+    given = None
+
+if given is not None:
+    _coeffs = st.lists(st.integers(-50, 50), min_size=2, max_size=13).filter(
+        lambda c: c[0] != 0 and c[-1] != 0 and math.gcd(*c) == 1)
+
+    @settings(max_examples=80)
+    @given(_coeffs)
+    def test_graeffe_bound_is_below_the_measure(coeffs):
+        measure = mahler_reference(coeffs)[0]
+        for k in range(9):
+            assert search._graeffe_bound(tuple(coeffs), k) <= measure
+
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    def test_graeffe_bound_of_cyclotomic_products_is_not_positive(orders):
+        f = functools.reduce(lambda a, b: a * b, map(cyclotomic, orders),
+                             IntPolynomial((1,)))
+        for k in range(9):
+            assert search._graeffe_bound(f.coeffs, k) <= 0
 
 
 def test_espectrum_dimension_one():
