@@ -88,6 +88,20 @@ def parse_vectors(arg: str):
     return [tuple(int(str(x)) for x in v) for v in vectors]
 
 
+def _decimals(ints) -> list:
+    """The decimal strings of ints, past CPython's cap on the digits of one
+    conversion; the caller bounds the total digits."""
+    cap = getattr(sys, "get_int_max_str_digits", None)
+    if cap is None:
+        return [str(i) for i in ints]
+    saved = cap()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(i) for i in ints]
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _count_json(x):
     return "infinity" if x == math.inf else int(x)
 
@@ -169,11 +183,12 @@ def _cmd_shift(args):
         points = parse_nodes(args.oracle)
         report = shift_bruteforce_oracle(spec, points, args.horizon,
                                         budget=args.budget)
-        payload["oracle_sizes"] = [str(s) for s in report.sizes]
+        sizes = _decimals(report.sizes)
+        payload["oracle_sizes"] = sizes
         payload["oracle_ranks"] = list(report.ranks)
         adj = adjoint_entropy_of_shift(spec, points, budget=args.budget)
         payload["coordinate_adjoint"] = adj.to_json()
-        lines.append(f"oracle subgroup sizes: {list(report.sizes)}")
+        lines.append(f"oracle subgroup sizes: [{', '.join(sizes)}]")
         lines.append(f"coordinate-subgroup adjoint entropy: {adj}")
     return payload, lines
 

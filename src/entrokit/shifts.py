@@ -9,16 +9,16 @@ entropy times log q, the algebraic entropy of the direct-sum shift is the
 contravariant entropy times log q.
 
 Two exact brute-force oracles accompany the closed forms.  Over K = Z/p the
-direct-sum trajectory subgroups are vector subspaces of the coordinate space
-on a truncated carrier, so their cardinalities are p**rank, computed by
-elimination mod p.  For the adjoint side, the coordinate subgroup N_F (all
-functions vanishing on F) pulls back along the shift to N over the forward
-trajectory of F, so the index sequence is q**|T_n(f, F)| and the adjoint
-entropy with respect to N_F is the local covariant entropy times log q.
+direct-sum trajectory subgroups are spans of indicator vectors of iterated
+preimages, a laminar family of sets, so their cardinalities are p**rank with
+the rank counted by one backward sweep from F, no elimination needed.  For
+the adjoint side, the coordinate subgroup N_F (all functions vanishing on F)
+pulls back along the shift to N over the forward trajectory of F, so the
+index sequence is q**|T_n(f, F)| and the adjoint entropy with respect to N_F
+is the local covariant entropy times log q.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -42,6 +42,8 @@ class GeneralizedShiftSpec:
     variant: str
 
     def __post_init__(self):
+        if not isinstance(self.group_order, int):
+            raise InputError("the group order must be an integer")
         if self.group_order < 2:
             raise InputError("the group must be non-trivial")
         if self.variant not in VARIANTS:
@@ -69,7 +71,7 @@ def shift_algebraic_entropy(spec: GeneralizedShiftSpec) -> EntropyValue:
 
 
 # ----------------------------------------------------------------------
-# exact GF(p) trajectory oracle for the direct-sum shift
+# exact trajectory oracle for the direct-sum shift over Z/p
 
 @dataclass(frozen=True)
 class ShiftOracleReport:
@@ -82,12 +84,15 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
     """Exact sizes of G_F + s(G_F) + ... + s^(n-1)(G_F) over K = Z/p.
 
     s^j(G_F) is spanned by the indicator vectors of the iterated preimages
-    f^-j(i), i in F, so the n-th trajectory subgroup is the row span of
-    those vectors over GF(p); its cardinality is p**rank.  The carrier is
-    the n-th cotrajectory of F (full preimages), the union of those
-    supports, so the truncation is exact.  The budget bounds the points the
-    oracle holds: the carrier, the entries of the stored reduced rows and
-    the preimage list being built.
+    f^-j(a), a in F, and the n-th trajectory subgroup is their span over
+    GF(p), of cardinality p**rank.  Because f^j is a function these sets form
+    a laminar family, so the span is that of their private parts (the points
+    in no smaller member), which are disjoint: the rank counts the pairs
+    (a, j < n) with a nonempty private part.  The private part of f^-j(a) is
+    its j-th level, the points x with f^j(x) = a whose path x, ..., f^(j-1)(x)
+    avoids F; level 0 is {a} and level j+1 is the preimages of level j
+    outside F.  The budget bounds the current and next levels held plus the
+    decimal digits of the sizes, r * len(str(p)) at most for p**r.
     """
     if spec.variant != "direct_sum":
         raise InputError("the subgroup oracle runs on the direct-sum variant")
@@ -101,70 +106,30 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
     if not base:
         raise InputError("F must be non-empty")
 
-    index = {}  # carrier point -> column
-    stored = 0  # entries of the rows kept in basis
-
-    def check(building=0):
-        if len(index) + stored + building > budget:
-            raise BudgetExceeded(budget, "oracle enumeration")
-
-    def col(point):
-        if point not in index:
-            index[point] = len(index)
-            check()
-        return index[point]
-
-    basis = {}  # pivot column -> reduced row, rows as {column: value mod p}
-
-    def eliminate(row):
-        # a basis row has no column below its pivot, so clearing a pivot
-        # only adds columns above it: the pivots come off a heap of the
-        # row's columns, and each added column is pushed as it appears
-        nonlocal stored
-        row = {c: v % p for c, v in row.items() if v % p}
-        heap = sorted(row)
-        while heap:
-            pivot = heapq.heappop(heap)
-            if pivot not in row:
-                continue
-            if pivot not in basis:
-                inv = pow(row[pivot], -1, p)
-                basis[pivot] = {c: (v * inv) % p for c, v in row.items()}
-                stored += len(row)
-                check()
-                return 1
-            factor = row[pivot]
-            for c, v in basis[pivot].items():
-                val = (row.get(c, 0) - factor * v) % p
-                if not val:
-                    row.pop(c, None)
-                    continue
-                if c not in row:
-                    heapq.heappush(heap, c)
-                row[c] = val
-        return 0
-
-    # step j contributes, per source point i in F, the indicator vector of
-    # the j-th preimage set of i (the image of the basis vector e_i)
-    per_source = {i: [i] for i in base}
-    rank = 0
-    ranks = []
+    sources = set(base)
+    width = len(str(p))
+    levels = [[a] for a in base]  # the nonempty levels of step j
+    rank, digits, ranks = 0, 0, []
     while True:
-        for i in base:
-            vec = {}
-            for x in per_source[i]:
-                c = col(x)
-                vec[c] = vec.get(c, 0) + 1
-            rank += eliminate(vec)
+        rank += len(levels)
+        digits += rank * width
         ranks.append(rank)
+        used = sum(map(len, levels)) + digits
+        if used > budget:
+            raise BudgetExceeded(budget, "oracle enumeration")
         if len(ranks) == horizon:
             break
-        for i in base:
-            preimages = []
-            for x in per_source[i]:
-                preimages += m.preimages(x)
-                check(len(preimages))
-            per_source[i] = preimages
+        deeper = []
+        for level in levels:
+            nxt = []
+            for x in level:
+                nxt += [y for y in m.preimages(x) if y not in sources]
+                if used + len(nxt) > budget:
+                    raise BudgetExceeded(budget, "oracle enumeration")
+            if nxt:
+                deeper.append(nxt)
+                used += len(nxt)
+        levels = deeper
     return ShiftOracleReport(tuple(p ** r for r in ranks), tuple(ranks))
 
 

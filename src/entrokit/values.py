@@ -43,14 +43,14 @@ class EntropyValue:
     @staticmethod
     def log_of(base: int, multiplier=1) -> "EntropyValue":
         """q*log(base), collapsing to exact zero when the product vanishes."""
-        q = Fraction(multiplier)
-        if base <= 0:
+        b, q = Fraction(base), Fraction(multiplier)
+        if b.denominator != 1 or b <= 0:
             raise ValueError("log base must be a positive integer")
         if q < 0:
             raise ValueError("multiplier must be non-negative")
-        if base == 1 or q == 0:
+        if b == 1 or q == 0:
             return EntropyValue.zero()
-        return EntropyValue("exact_log", base=int(base), multiplier=q)
+        return EntropyValue("exact_log", base=b.numerator, multiplier=q)
 
     @staticmethod
     def approximate(value: float, error: float) -> "EntropyValue":
@@ -171,7 +171,7 @@ class EntropyValue:
         if kind == "exact_zero":
             return EntropyValue.zero()
         if kind == "exact_log":
-            return EntropyValue.log_of(int(obj["base"]), Fraction(obj["multiplier"]))
+            return EntropyValue.log_of(obj["base"], Fraction(obj["multiplier"]))
         if kind == "approx":
             return EntropyValue.approximate(float(obj["value"]), float(obj["error"]))
         if kind == "infinite":

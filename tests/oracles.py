@@ -194,17 +194,10 @@ def interval_contains(value: dict, reference) -> bool:
         return abs(mpmath.mpf(value["value"]) - reference) <= mpmath.mpf(value["error"])
 
 
-def cotrajectory_reference(obj: dict, names, horizon: int):
-    """(reduced_sizes, naive_sizes, limit) of a self-map given in its JSON
-    form, for the point names E, by two separate sweeps over string names.
-
-    The surjective core is the greatest set of core nodes each of which has
-    a preimage in the set or a string or tree attached (the nodes with
-    infinite backward depth); a ray survives when a surviving node feeds
-    it.  The limit is read off the sizes: infinite when a tree point enters
-    the reduced union, otherwise the last reduced increment once the finite
-    part of the backward closure is exhausted.
-    """
+def _named_preimages(obj: dict):
+    """The full preimage function of a self-map given in its JSON form, on
+    point names: core nodes, "R:i" on rays, "S:i" on strings, "T:digits" on
+    trees."""
     core = obj.get("core", {})
     rays = set(obj.get("out_rays", ()))
     strings = {s["id"]: s["attach"] for s in obj.get("in_strings", ())}
@@ -225,6 +218,60 @@ def cotrajectory_reference(obj: dict, names, horizon: int):
         if tail in strings:
             return [f"{tail}:{int(suffix) + 1}"]
         return [f"{tail}:{suffix}{digits[d]}" for d in range(trees[tail][1])]
+
+    return preimages
+
+
+def shift_rank_reference(obj: dict, names, horizon: int, p: int):
+    """The ranks over GF(p) of the direct-sum shift trajectories of F (the
+    point names) on a self-map given in its JSON form: step j adds, per
+    point a of F, the indicator vector of f^-j(a), reduced by sparse
+    elimination mod p against rows keyed by their least point name."""
+    preimages = _named_preimages(obj)
+    basis = {}  # pivot name -> row {name: value mod p} with 1 at the pivot
+
+    def eliminate(row):
+        while row:
+            pivot = min(row)
+            if pivot not in basis:
+                inv = pow(row[pivot], -1, p)
+                basis[pivot] = {c: v * inv % p for c, v in row.items()}
+                return 1
+            factor = row[pivot]
+            for c, v in basis[pivot].items():
+                value = (row.get(c, 0) - factor * v) % p
+                if value:
+                    row[c] = value
+                else:
+                    row.pop(c, None)
+        return 0
+
+    sets = {a: [a] for a in dict.fromkeys(names)}
+    rank, ranks = 0, []
+    for _ in range(horizon):
+        for a, points in sets.items():
+            rank += eliminate(dict.fromkeys(points, 1))
+            sets[a] = [q for x in points for q in preimages(x)]
+        ranks.append(rank)
+    return tuple(ranks)
+
+
+def cotrajectory_reference(obj: dict, names, horizon: int):
+    """(reduced_sizes, naive_sizes, limit) of a self-map given in its JSON
+    form, for the point names E, by two separate sweeps over string names.
+
+    The surjective core is the greatest set of core nodes each of which has
+    a preimage in the set or a string or tree attached (the nodes with
+    infinite backward depth); a ray survives when a surviving node feeds
+    it.  The limit is read off the sizes: infinite when a tree point enters
+    the reduced union, otherwise the last reduced increment once the finite
+    part of the backward closure is exhausted.
+    """
+    core = obj.get("core", {})
+    rays = set(obj.get("out_rays", ()))
+    strings = {s["id"] for s in obj.get("in_strings", ())}
+    trees = {t["id"] for t in obj.get("in_trees", ())}
+    preimages = _named_preimages(obj)
 
     alive = set(core)
     changed = True

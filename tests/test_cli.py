@@ -1,7 +1,9 @@
 import contextlib
+import decimal
 import io
 import json
 import pathlib
+import sys
 
 import mpmath
 import pytest
@@ -162,6 +164,36 @@ def test_shift_oracle_budget(capsys, tmp_path):
     assert "exceeded budget of 10" in capsys.readouterr().err
     assert dispatch(argv) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("oracle, horizon", [("z", 3_000_000), ("S:0", 40_000)])
+def test_shift_oracle_budget_counts_size_digits(capsys, oracle, horizon):
+    # the ranks on the left shift grow by one a step, so the sizes 2**1 ..
+    # 2**n hold n(n + 1)/2 digits: over the default budget from n = 3,162
+    argv = ["shift", "--map", str(DATA / "left_shift.json"), "--order", "2",
+            "--variant", "sum", "--oracle", oracle, "--horizon", str(horizon)]
+    assert dispatch(argv) == 3
+    assert "oracle enumeration exceeded budget of 5000000" in capsys.readouterr().err
+
+
+def test_shift_oracle_prints_sizes_past_the_int_digit_cap(capsys, tmp_path):
+    # 500 strings on a fixed point: rank 500n, and 2**15000 at horizon 30 has
+    # 4,516 digits, past CPython's default 4,300 for one int-to-str conversion
+    path = tmp_path / "strings500.json"
+    path.write_text(json.dumps({"core": {"z": "z"}, "in_strings": [
+        {"id": f"S{i}", "attach": "z"} for i in range(500)]}))
+    argv = ["shift", "--map", str(path), "--order", "2", "--variant", "sum",
+            "--oracle", ",".join(f"S{i}:0" for i in range(500)), "--horizon", "30"]
+    expected = format(decimal.Context(prec=5000).power(2, 15000), "f")
+    assert len(expected) == 4516
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert report["result"]["oracle_sizes"][-1] == expected
+    assert report["result"]["oracle_ranks"][-1] == 15000
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out.count(expected + "]") == 1
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
 
 def test_forward_profile_budget(capsys, tmp_path):

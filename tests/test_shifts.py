@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,8 @@ from entrokit.shifts import (
     shift_topological_entropy,
 )
 from entrokit.values import EntropyValue
+
+from oracles import shift_rank_reference
 
 RHO = right_shift()
 SIG = left_shift()
@@ -127,31 +130,55 @@ def _default_points(m):
 def test_oracle_budget_bounds_the_points_it_holds(monkeypatch):
     tree = SymbolicSelfMap.build({"z": "z"}, [], [], [("T", "z", 3)])
     spec = GeneralizedShiftSpec(tree, 2, "direct_sum")
-    made = []
+    level = {"z": 0}  # point -> sweep level; z is F and never leaves level 0
+    peak = 0
     real_preimages = SymbolicSelfMap.preimages
 
     def preimages(self, point):
+        nonlocal peak
         out = real_preimages(self, point)
-        made.extend(out)
+        level.update((q, level[point] + 1) for q in out if q != "z")
+        # the sweep holds the level being read and the one being built
+        j = level[point]
+        peak = max(peak, sum(1 for k in level.values() if k in (j, j + 1)))
         return out
 
     monkeypatch.setattr(SymbolicSelfMap, "preimages", preimages)
-    # the preimage list of step j is z and the tree down to depth j - 1,
-    # (3**j - 1) / 2 points; the list after the last step is never built
+    # level j of z is the 3**(j-1) tree points of depth j: one nonempty
+    # level per step, and the level after the last step is never built
     rep = shift_bruteforce_oracle(spec, ["z"], 5)
     assert rep.ranks == (1, 2, 3, 4, 5)
-    assert len(made) == 4 + 13 + 40 + 121
-    made.clear()
+    assert max(level.values()) == 4
+    level, peak = {"z": 0}, 0
     with pytest.raises(BudgetExceeded):
         shift_bruteforce_oracle(spec, ["z"], 12, budget=100)
-    # the carrier, the stored rows and the preimage list being built stay
-    # within the budget; one node's preimages may pass it by branching
-    assert len(set(made)) <= 100 + 3
+    # the two levels held stay within the budget; one node's preimages may
+    # pass it by the branching
+    assert peak <= 100 + 3
+
+
+def test_oracle_budget_counts_size_digits():
+    # sizes 2**1 .. 2**n have 1 + ... + n digits at most, and the level
+    # held is one point: horizon 13 needs 91 + 1
+    spec = GeneralizedShiftSpec(SIG, 2, "direct_sum")
+    assert shift_bruteforce_oracle(spec, ["S:0"], 13, budget=92).ranks[-1] == 13
+    with pytest.raises(BudgetExceeded):
+        shift_bruteforce_oracle(spec, ["S:0"], 13, budget=91)
+    # p = 11 has two digits a rank
+    spec = GeneralizedShiftSpec(SIG, 11, "direct_sum")
+    with pytest.raises(BudgetExceeded):
+        shift_bruteforce_oracle(spec, ["S:0"], 13, budget=182)
 
 
 def test_oracle_requires_prime_order():
     with pytest.raises(InputError):
         shift_bruteforce_oracle(GeneralizedShiftSpec(SIG, 4, "direct_sum"), ["S:0"], 4)
+
+
+def test_group_order_must_be_an_int():
+    for order in (2.5, 2.0, Fraction(5, 2)):
+        with pytest.raises(InputError):
+            GeneralizedShiftSpec(SIG, order, "direct_sum")
 
 
 def test_coordinate_subgroup_adjoint_values():
@@ -183,3 +210,21 @@ def test_adjoint_matches_forward_index_oracle():
         profile = covariant_trajectory_profile(
             m, points, 40 + 2 * len(dict(m.core_map)))
         assert value.same_value(EntropyValue.log_of(2, profile.local_entropy))
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below needs hypothesis
+    given = None
+
+if given is not None:
+    from test_set_maps import _small_maps
+
+    @settings(max_examples=150)
+    @given(_small_maps(), st.integers(1, 7), st.sampled_from([2, 3]))
+    def test_oracle_ranks_match_elimination_reference(case, horizon, p):
+        obj, names = case
+        spec = GeneralizedShiftSpec(SymbolicSelfMap.from_json(obj), p, "direct_sum")
+        rep = shift_bruteforce_oracle(spec, names, horizon)
+        assert rep.ranks == shift_rank_reference(obj, names, horizon, p)
+        assert rep.sizes == tuple(p ** r for r in rep.ranks)

@@ -14,6 +14,18 @@ def test_constructors_collapse():
     assert EntropyValue.infinity().is_infinite()
 
 
+def test_log_base_must_be_integral():
+    for base, multiplier in ((2.5, 1), (Fraction(7, 2), 2), (0, 1), (-3, 1)):
+        with pytest.raises(ValueError):
+            EntropyValue.log_of(base, multiplier)
+    for base in (2.5, "7/2"):
+        with pytest.raises(ValueError):
+            EntropyValue.from_json({"kind": "exact_log", "base": base,
+                                    "multiplier": "1/1"})
+    assert EntropyValue.log_of(Fraction(4, 1)) == EntropyValue.log_of(4)
+    assert EntropyValue.log_of(Fraction(4, 1)).base == 4
+
+
 def test_as_float():
     assert EntropyValue.zero().as_float() == 0.0
     assert EntropyValue.log_of(2, 3).as_float() == pytest.approx(3 * math.log(2))
