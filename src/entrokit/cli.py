@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from itertools import groupby
 from pathlib import Path
 
 from .adjoint import adjoint_entropy_at, dichotomy_probe
@@ -279,7 +280,7 @@ def _cmd_espectrum(args):
         "dimension": report.dimension,
         "entry_bound": report.entry_bound,
         "scanned": report.scanned,
-        "distinct_values": sorted({round(v, 12) for v, _ in report.values}),
+        "distinct_values": sorted({round(v, 12) for (v, _), _ in groupby(report.values)}),
         "minimal_positive": minimal.to_json() if minimal else None,
     }
     lines = [f"scanned {report.scanned} matrices",

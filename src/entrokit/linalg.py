@@ -69,9 +69,6 @@ class RatMatrix:
     def matvec(self, v):
         return tuple(sum(x * y for x, y in zip(row, v)) for row in self.entries)
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.entries)))
-
     def power(self, k: int) -> "RatMatrix":
         if k < 0:
             raise InputError("negative matrix powers are not supported")
@@ -83,15 +80,6 @@ class RatMatrix:
             base = base * base
             k >>= 1
         return result
-
-    def block_diag(self, other: "RatMatrix") -> "RatMatrix":
-        n, m = self.n, other.n
-        rows = []
-        for i in range(n):
-            rows.append(list(self.entries[i]) + [Fraction(0)] * m)
-        for i in range(m):
-            rows.append([Fraction(0)] * n + list(other.entries[i]))
-        return RatMatrix(rows)
 
     def determinant(self) -> Fraction:
         d, b = _clear_denominators(self)
@@ -309,27 +297,23 @@ class Lattice:
     def is_sublattice_of(self, other: "Lattice") -> bool:
         return all(other.contains(col) for col in self.basis)
 
-    def transformed(self, p: RatMatrix) -> "Lattice":
-        """Image under an integer matrix (caller guarantees full rank)."""
-        rows = p.int_rows()
-        n = self.n
-        cols = [tuple(sum(rows[i][k] * col[k] for k in range(n)) for i in range(n))
-                for col in self.basis]
-        return Lattice.from_columns(cols)
-
     def exponent(self) -> int:
         """Exponent of Z^n / L: lcm of the orders of the unit vectors.
 
-        m * e_i lies in L exactly when m * B^-1 e_i is integral, so the
-        order of e_i is the lcm of the denominators of B^-1 e_i, read off
-        the triangular basis B by back-substitution."""
+        The order of e_i is found on the triangular basis from row i down:
+        once the rows above j are cleared, a multiple k w lies in L only if
+        the diagonal entry b_jj divides k w_j, so w is scaled by
+        b_jj / gcd(w_j, b_jj) and column j cleared from it."""
         out = 1
         for i in range(self.n):
-            x = [Fraction(0)] * i + [Fraction(1, self.basis[i][i])]
-            for j in range(i - 1, -1, -1):
-                x[j] = -sum(self.basis[k][j] * x[k]
-                            for k in range(j + 1, i + 1)) / self.basis[j][j]
-            out = math.lcm(out, clear_denominators(x)[0])
+            order, w = 1, [int(j == i) for j in range(i + 1)]
+            for j in range(i, -1, -1):
+                col = self.basis[j]
+                scale = col[j] // math.gcd(w[j], col[j])
+                order *= scale
+                q = w[j] * scale // col[j]
+                w = [scale * x - q * c for x, c in zip(w[:j], col)]
+            out = math.lcm(out, order)
         return out
 
 

@@ -186,27 +186,30 @@ def cyclotomic(m: int) -> IntPolynomial:
     return poly
 
 
-def _totients_upto(limit: int):
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for k in range(p, limit + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
+# the largest degree d sieved so far and its (m, euler_phi(m) <= d) pairs
+_totients = [0, ()]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_candidates(degree: int):
-    """All m with euler_phi(m) <= degree, by brute enumeration m <= 3*degree**2.
+    """All m with euler_phi(m) <= degree, in increasing order.
 
-    The bound is safe at every degree: euler_phi(m) >= sqrt(m / 2) for all
-    m, so euler_phi(m) <= d forces m <= 2*d**2.
+    euler_phi(m) >= sqrt(m / 2) for all m, so euler_phi(m) <= d forces
+    m <= 2*d**2: one totient sieve to that bound serves every degree up to
+    d, and only the pairs it keeps outlive it.
     """
     if degree < 1:
         return []
-    limit = 3 * degree * degree + 1
-    phi = _totients_upto(limit)
-    return [m for m in range(1, limit + 1) if phi[m] <= degree]
+    if degree > _totients[0]:
+        limit = 2 * degree * degree
+        phi = list(range(limit + 1))
+        for p in range(2, limit + 1):
+            if phi[p] == p:  # p prime
+                for k in range(p, limit + 1, p):
+                    phi[k] -= phi[k] // p
+        _totients[:] = degree, [(m, phi[m]) for m in range(1, limit + 1)
+                                if phi[m] <= degree]
+    return [m for m, phi_m in _totients[1] if phi_m <= degree]
 
 
 def strip_cyclotomic_factors(f: IntPolynomial):

@@ -41,9 +41,10 @@ worker counts.
 
 The entropy spectrum of a box of integer matrices is the Mahler measure of
 each characteristic polynomial (algebraic Yuzvinski formula).  det(tI - A)
-is linear in the last row, so the box is enumerated one row prefix at a
-time: n+1 Berkowitz polynomials per prefix, and the polynomial of every
-last row is an integer combination of them.
+is affine in every row, so (n+1)^n Berkowitz polynomials, one per matrix
+whose rows are 0 or unit vectors, fix it on the whole box; the rows are
+then folded in one at a time, and every polynomial is an integer
+combination of table entries.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product, repeat
 from operator import add
 
 from .errors import BudgetExceeded, InputError
@@ -283,13 +284,15 @@ def espectrum_sample(dimension: int, entry_bound: int,
     multiset; the smallest positive value is highlighted.  Each measure is
     certified at ``tol``.
 
-    Row n-1 of tI - A is t e_(n-1) - a, and a determinant is linear in each
-    row, so chi_A = chi_0 + sum_j a_j (chi_(e_j) - chi_0), where chi_0 and
-    chi_(e_j) are int_char_poly of the first n-1 rows with last row 0 and
-    e_j: n+1 Berkowitz calls per row prefix, and every last row is a vector
-    sum.  Matrices are visited in row-major order and their polynomials
-    counted in first-seen order; each distinct polynomial is measured once,
-    and the stable sort keeps the first matrix's value among equal floats."""
+    Row i of tI - A is t e_i - a_i and a determinant is linear in each row,
+    so chi_A is affine in each row: a table of (n+1)^n int_char_poly calls,
+    one per choice of rows in {0, e_1, ..., e_n}, fixes it on the whole box,
+    flat and row-major.  Setting the first free row to a folds a table of
+    n+1 blocks T_0 .. T_n into T_0 + sum_j a_j (T_j - T_0), depth-first,
+    until the blocks are single polynomials.  Matrices are visited in
+    row-major order and their polynomials counted in first-seen order; each
+    distinct polynomial is measured once, and the stable sort keeps the
+    first matrix's value among equal floats."""
     if dimension < 1 or dimension > 3:
         raise InputError("spectrum sampling is desk-scale: dimension 1..3")
     if entry_bound < 0:
@@ -298,21 +301,30 @@ def espectrum_sample(dimension: int, entry_bound: int,
     entries = range(-entry_bound, entry_bound + 1)
     if len(entries) ** (n * n) > budget:
         raise BudgetExceeded(budget, "matrix box enumeration")
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rows = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    stack = [tuple(c for choice in product(rows, repeat=n)
+                   for c in int_char_poly(choice))]
     counts = Counter()
-    for prefix in product(product(entries, repeat=n), repeat=n - 1):
-        base = int_char_poly([*prefix, (0,) * n])
-        polys = [base]
-        for unit in units:
-            step = [c - b for c, b in zip(int_char_poly([*prefix, unit]), base)]
+    while stack:
+        table = stack.pop()
+        size = len(table) // (n + 1)
+        base = table[:size]
+        out, leaf = [base], size == n + 1
+        # tables are lists: freed small tuples would pile up in free lists
+        build = tuple if leaf else list
+        for j in range(size, len(table), size):
+            step = [c - b for c, b in zip(table[j:j + size], base)]
             shifts = [[a * d for d in step] for a in entries]
-            polys = [tuple(map(add, p, s)) for p in polys for s in shifts]
-        counts.update(polys)
+            out = [build(map(add, p, s)) for p in out for s in shifts]
+        if leaf:
+            counts.update(out)
+        else:
+            stack.extend(reversed(out))
     measured = sorted(((mahler_measure(IntPolynomial(key), tol), count)
                        for key, count in counts.items()),
                       key=lambda vc: (vc[0].as_float(), str(vc[0].kind)))
     minimal = next((v for v, _ in measured if not v.is_zero()), None)
-    values = tuple(pair for v, count in measured
-                   for pair in [(v.as_float(), v.kind)] * count)
+    values = tuple(chain.from_iterable(repeat((v.as_float(), v.kind), count)
+                                       for v, count in measured))
     return SpectrumReport(dimension, entry_bound, values, minimal,
                           sum(counts.values()))

@@ -136,7 +136,7 @@ def test_conjugation_invariance():
         conj = p * a * p.inverse()
         if not conj.is_integer():
             continue
-        moved = lattice.transformed(p)
+        moved = hnf([p.matvec(col) for col in lattice.basis])
         ra = adjoint_entropy_at(a, lattice)
         rc = adjoint_entropy_at(conj, moved)
         assert ra.indices == rc.indices
@@ -212,12 +212,14 @@ def test_probe_checks_the_lattice_count_before_probing(monkeypatch):
 
 
 def test_exponent_is_the_least_scale_inside():
-    # the smallest m with m * Z^n inside L, by trying m = 1, 2, ...
-    for n, max_index in ((1, 12), (2, 12), (3, 8)):
-        for lattice in enumerate_lattices(n, max_index):
-            m = next(m for m in range(1, lattice.index + 1)
-                     if Lattice.scaled(n, m).is_sublattice_of(lattice))
-            assert lattice.exponent() == m
+    # the smallest e dividing the index with e * e_i in L for every i
+    for n in (1, 2, 3):
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        for lattice in enumerate_lattices(n, 30):
+            index = lattice.index
+            e = next(e for e in range(1, index + 1) if index % e == 0
+                     and all(lattice.contains([e * x for x in u]) for u in units))
+            assert lattice.exponent() == e
 
 
 def test_probe_checks_the_matrix_once(monkeypatch):

@@ -57,10 +57,14 @@ def test_char_poly_conjugation_invariance():
         assert char_poly(conj).coeffs == char_poly(a).coeffs
 
 
+def block_diag(a, b):
+    return RatMatrix([[*r, *[0] * b.n] for r in a.entries] + [[*[0] * a.n, *r] for r in b.entries])
+
+
 def test_char_poly_block_sum():
     a = RatMatrix([[0, 1], [1, 1]])
     b = RatMatrix([[2]])
-    assert char_poly(a.block_diag(b)).coeffs == (char_poly(a) * char_poly(b)).coeffs
+    assert char_poly(block_diag(a, b)).coeffs == (char_poly(a) * char_poly(b)).coeffs
 
 
 def test_char_poly_and_determinant_sympy_oracle():
@@ -102,15 +106,20 @@ if given is not None:
         st.lists(st.integers(-1000, 1000), min_size=n, max_size=n),
         min_size=n, max_size=n))
 
-    @given(_square_rows)
-    def test_int_char_poly_is_affine_in_the_last_row(rows):
-        # det(tI - A) is linear in the last row a, so
-        # chi_A = chi_0 + sum_j a_j (chi_(e_j) - chi_0)
-        n, prefix, last = len(rows), rows[:-1], rows[-1]
-        base = int_char_poly(prefix + [[0] * n])
+    @given(_square_rows, st.integers(0, 2))
+    def test_int_char_poly_is_affine_in_every_row(rows, index):
+        # row i of tI - A is t e_i - a_i and det is linear in each row, so
+        # chi_A = chi_0 + sum_j a_ij (chi_(e_j) - chi_0) with row i replaced
+        n = len(rows)
+        i = index % n
+
+        def with_row(row):
+            return int_char_poly(rows[:i] + [row] + rows[i + 1:])
+
+        base = with_row([0] * n)
         want = list(base)
-        for j, a in enumerate(last):
-            unit = int_char_poly(prefix + [[int(i == j) for i in range(n)]])
+        for j, a in enumerate(rows[i]):
+            unit = with_row([int(k == j) for k in range(n)])
             want = [w + a * (u - b) for w, u, b in zip(want, unit, base)]
         assert int_char_poly(rows) == tuple(want)
 

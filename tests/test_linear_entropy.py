@@ -28,6 +28,10 @@ FIB = RatMatrix([[0, 1], [1, 1]])
 GOLDEN = math.log((1 + 5 ** 0.5) / 2)
 
 
+def block_diag(a, b):
+    return RatMatrix([[*r, *[0] * b.n] for r in a.entries] + [[*[0] * a.n, *r] for r in b.entries])
+
+
 def test_multiplication_map():
     v = algebraic_entropy(LinearFlow.on_integer_lattice(RatMatrix([[6]])))
     assert v.kind == "exact_log" and v.base == 6 and v.multiplier == 1
@@ -74,8 +78,9 @@ def test_reals_drop_the_leading_term():
 
 def test_bridge_identity():
     toral = topological_entropy(LinearFlow.on_torus_dual(FIB))
-    lattice = algebraic_entropy(LinearFlow.on_integer_lattice(FIB.transpose()))
-    assert char_poly(FIB).coeffs == char_poly(FIB.transpose()).coeffs
+    transpose = RatMatrix(list(zip(*FIB.entries)))
+    lattice = algebraic_entropy(LinearFlow.on_integer_lattice(transpose))
+    assert char_poly(FIB).coeffs == char_poly(transpose).coeffs
     assert toral.same_value(lattice, slack=1e-12)
 
 
@@ -131,7 +136,7 @@ def test_log_law_and_weak_addition():
             assert abs(hk.as_float() - k * h.as_float()) <= k * h.error + hk.error + 1e-9
         b = RatMatrix([[rng.randint(-2, 2)]])
         hb = algebraic_entropy(LinearFlow.on_rationals(b))
-        direct = algebraic_entropy(LinearFlow.on_rationals(a.block_diag(b)))
+        direct = algebraic_entropy(LinearFlow.on_rationals(block_diag(a, b)))
         assert abs(direct.as_float() - (h.as_float() + hb.as_float())) \
             <= h.error + hb.error + direct.error + 1e-9
 

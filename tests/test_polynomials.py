@@ -1,15 +1,18 @@
 import math
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
+from entrokit import polynomials
 from entrokit.errors import InputError, NotPrimitive, ZeroConstantTerm, \
     ZeroPolynomial
 from entrokit.polynomials import (
     IntPolynomial,
     clear_denominators,
     cyclotomic,
+    cyclotomic_candidates,
     delta_exact,
     delta_sequence_exact,
     is_prime,
@@ -133,6 +136,20 @@ def test_is_zero_mahler_products_up_to_20():
 def test_is_zero_mahler_requires_primitive():
     with pytest.raises(NotPrimitive):
         is_zero_mahler(IntPolynomial((2, 2)))
+
+
+def test_cyclotomic_candidates_match_brute_force_totients(monkeypatch):
+    # euler_phi(m) as a gcd count, over 1..2 d^2 for d up to 40
+    top = 2 * 40 * 40
+    phi = [0] + [sum(map((1).__eq__, map(math.gcd, range(m), repeat(m))))
+                 for m in range(1, top + 1)]
+    for order in (range(1, 41), range(40, 0, -1)):
+        monkeypatch.setattr(polynomials, "_totients", [0, ()])
+        cyclotomic_candidates.cache_clear()
+        for d in order:
+            want = [m for m in range(1, 2 * d * d + 1) if phi[m] <= d]
+            assert cyclotomic_candidates(d) == want
+    cyclotomic_candidates.cache_clear()
 
 
 def test_strip_cyclotomic_factors():

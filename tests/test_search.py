@@ -267,6 +267,22 @@ def test_espectrum_ties_keep_the_first_matrix(monkeypatch, dimension, bound):
     assert report.minimal_positive.to_json() == minimal.to_json()
 
 
+@pytest.mark.parametrize("dimension, bound", [(2, 1), (2, 2), (3, 1)])
+def test_espectrum_tabulates_chi_once_per_box(monkeypatch, dimension, bound):
+    # chi_A is affine in every row, so one int_char_poly per matrix whose
+    # rows are 0 or unit vectors fixes it on the box, whatever the bound
+    real, calls = search.int_char_poly, []
+
+    def int_char_poly(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(search, "int_char_poly", int_char_poly)
+    report = espectrum_sample(dimension, bound)
+    assert len(calls) == (dimension + 1) ** dimension
+    assert report.scanned == (2 * bound + 1) ** (dimension * dimension)
+
+
 def test_espectrum_tol_reaches_every_measure(monkeypatch, capsys):
     real, tols = search.mahler_measure, []
 
