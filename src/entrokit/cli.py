@@ -10,6 +10,7 @@ values never degraded to floats).  Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -324,6 +325,7 @@ _positive_int = _positive(int, "integer")
 _positive_float = _positive(float, "finite number")
 
 
+@functools.cache          # built once per process: dispatch runs many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrokit",

@@ -1,14 +1,15 @@
 """Growth functions of finitely generated groups with cheap normal forms.
 
 Supported families: free groups (reduced words packed into ints), the
-discrete Heisenberg group (upper unitriangular 3x3 integer matrices), free
-abelian groups, and finite direct products of these.  The first two carry
-a multiplication, and their balls come from exact breadth-first closure over
-normal forms.  Word length adds across the factors of a product, so its
-spheres are the convolution of its factors' sphere sizes, and Z^D is the
-D-fold product of Z; neither builds an element, so they carry only their
-rank or factors.  Arbitrary finite presentations are rejected because the
-word problem would make the counts unreliable.
+discrete Heisenberg group (upper unitriangular 3x3 integer matrices, also
+packed into ints), free abelian groups, and finite direct products of
+these.  The first two carry a multiplication and a bulk ``step``, and their
+balls come from exact breadth-first closure over normal forms.  Word length
+adds across the factors of a product, so its spheres are the convolution of
+its factors' sphere sizes, and Z^D is the D-fold product of Z; neither
+builds an element, so they carry only their rank or factors.  Arbitrary
+finite presentations are rejected because the word problem would make the
+counts unreliable.
 
 The ball sequence gamma(n) is submultiplicative, so log gamma(n)/n
 converges (Fekete); the headline rate estimate is the last one-step
@@ -50,6 +51,8 @@ class Free:
     the set is closed under inverses automatically.
     """
 
+    MAX_RADIUS = math.inf         # words of any length fit an int
+
     def __init__(self, rank: int, generator_words=None):
         if rank < 1:
             raise InputError("rank must be positive")
@@ -65,6 +68,10 @@ class Free:
             gens[g] = None
             gens[self.element([-x for x in reversed(w)])] = None
         self._gens = list(gens)
+        # the (digit, inverse digit) pairs of each generator's letters, in order
+        digit = {a: a if a > 0 else rank - a for a in range(-rank, rank + 1)}
+        self._letters = [[(digit[a], digit[-a]) for a in self.word(g)]
+                         for g in self._gens]
 
     def element(self, letters) -> int:
         """The packed reduced word of a sequence of signed letters."""
@@ -105,21 +112,55 @@ class Free:
             a = a // base if a % base == inverse else a * base + d
         return a
 
+    def step(self, xs, i):
+        """[multiply(x, generators()[i]) for x in xs], one pass per letter."""
+        base = self._base
+        for d, inverse in self._letters[i]:
+            xs = [x // base if x % base == inverse else x * base + d for x in xs]
+        return xs
+
     def describe(self):
         return f"free of rank {self.rank} with {len(self._gens)} generators"
 
 
 class Heisenberg3:
-    """Upper unitriangular 3x3 integer matrices, stored as (x, y, z)."""
+    """Upper unitriangular 3x3 integer matrices (x, y above the diagonal, z
+    in the corner), packed into the int x * 2**40 + y * 2**20 + z of signed
+    20-bit fields, so (x, y, z)(x', y', z') = (x + x', y + y', z + z' + x y')
+    is a + b + x y'.  ``pack`` and ``unpack`` convert at the edges.  At word
+    length r, |x|, |y| <= r and |z| <= r^2 / 4: up to MAX_RADIUS, all fit.
+    """
+
+    MAX_RADIUS = 1448             # floor(1448^2 / 4) < 2**19
+
+    def pack(self, x: int, y: int, z: int) -> int:
+        if max(abs(x), abs(y), abs(z)) >= 1 << 19:
+            raise InputError(f"({x}, {y}, {z}) does not fit 20-bit fields")
+        return (x << 40) + (y << 20) + z
+
+    def unpack(self, e: int) -> tuple:
+        z = (e + (1 << 19) & 0xFFFFF) - (1 << 19)
+        y = ((e - z >> 20) + (1 << 19) & 0xFFFFF) - (1 << 19)
+        return e - (y << 20) - z >> 40, y, z
 
     def identity(self):
-        return (0, 0, 0)
+        return 0
 
     def generators(self):
-        return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+        return [1 << 40, -(1 << 40), 1 << 20, -(1 << 20)]
 
     def multiply(self, a, b):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
+        return a + b + self.unpack(a)[0] * self.unpack(b)[1]
+
+    def step(self, xs, i):
+        """[multiply(x, generators()[i]) for x in xs]: a y generator adds
+        (0, ±1, ±x), with x read off by one shift."""
+        if i < 2:
+            g = self.generators()[i]
+            return [e + g for e in xs]
+        if i == 2:
+            return [e + (1 << 20) + (e + (1 << 39) >> 40) for e in xs]
+        return [e - (1 << 20) - (e + (1 << 39) >> 40) for e in xs]
 
     def describe(self):
         return "discrete Heisenberg group"
@@ -156,6 +197,7 @@ def family_from_spec(spec: str, budget=None):
         _check_generating_set(2 * rank + 2 * len(extra), budget)
         return Free(rank, [(i,) for i in range(1, rank + 1)] + extra)
     if name in ("heisenberg", "heisenberg3") and not fields:
+        _check_generating_set(4, budget)
         return Heisenberg3()
     raise InputError(f"unknown group family {spec!r}")
 
@@ -192,6 +234,9 @@ def growth_table(family, horizon: int,
     return GrowthTable(tuple(gamma))
 
 
+_SLICE = 4096                 # frontier elements stepped per bulk call
+
+
 def _spheres(family, budget: int):
     """Sphere sizes s(0), s(1), ... of the word metric, one radius per step.
 
@@ -199,8 +244,12 @@ def _spheres(family, budget: int):
     word length adds across factors and the product's spheres are the
     convolution of the factors' spheres; its ball is never built.  Z^D is
     the D-fold product of Z, whose spheres are 1, 2, 2, ...  Any other
-    family is enumerated by breadth-first closure, with the budget checked
-    at each insertion (a factor's ball is no larger than the product's at
+    family is enumerated by breadth-first closure: for each generator, the
+    frontier is stepped in bulk slice by slice, and the products not yet in
+    the ball join it and the next frontier (right multiplication by a
+    generator is injective, so a slice repeats no element).  A slice is
+    never longer than the budget leaves room for, so at most budget + 1
+    elements are made (a factor's ball is no larger than the product's at
     the same radius, so this raises only when the product's would too).
     """
     if isinstance(family, DirectProduct):
@@ -210,21 +259,27 @@ def _spheres(family, budget: int):
         yield from _convolve([itertools.chain([1], itertools.repeat(2))
                               for _ in range(family.rank)])
         return
-    gens = family.generators()
-    multiply = family.multiply
+    step = family.step
+    generators = range(len(family.generators()))
     ball = {family.identity()}
     frontier = list(ball)
-    while True:
+    for radius in itertools.count(1):
         yield len(frontier)
+        if radius > family.MAX_RADIUS:      # the elements would not fit
+            raise BudgetExceeded(budget, f"ball enumeration past radius "
+                                         f"{family.MAX_RADIUS}")
         new_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = multiply(x, g)
-                if y not in ball:
-                    ball.add(y)
-                    if len(ball) > budget:
-                        raise BudgetExceeded(budget, "ball enumeration")
-                    new_frontier.append(y)
+        for i in generators:
+            start = 0
+            while start < len(frontier):
+                stop = start + min(_SLICE, budget - len(ball) + 1)
+                fresh = list(itertools.filterfalse(
+                    ball.__contains__, step(frontier[start:stop], i)))
+                ball.update(fresh)
+                if len(ball) > budget:
+                    raise BudgetExceeded(budget, "ball enumeration")
+                new_frontier += fresh
+                start = stop
         frontier = new_frontier
 
 

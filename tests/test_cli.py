@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import decimal
 import io
@@ -8,6 +9,7 @@ import sys
 import mpmath
 import pytest
 
+from entrokit import cli
 from entrokit.cli import dispatch
 
 from oracles import interval_contains, mahler_reference
@@ -303,6 +305,21 @@ def test_growth_budget(capsys, family, horizon, budget, code):
     assert dispatch(["growth", "--family", family, "--horizon", str(horizon),
                      "--budget", str(budget)]) == code
     assert ("exceeded budget" in capsys.readouterr().err) == (code == 3)
+
+
+def test_dispatch_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert dispatch(["padic", "--p", "5", "--xi", "2/25"]) == 0
+    assert built.count("entrokit") == 1
 
 
 def test_inline_polynomial(capsys):

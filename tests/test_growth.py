@@ -16,7 +16,7 @@ from entrokit.growth import (
     growth_table,
 )
 
-from oracles import growth_reference, reduce_word
+from oracles import _growth_factor, growth_reference, reduce_word
 
 
 def test_free_group_closed_form():
@@ -129,20 +129,55 @@ def test_family_spec_parsing():
 
 
 def test_budget_per_insertion():
-    fam = Free(2)
-    made = set()
-    real_multiply = fam.multiply
+    # every element the search makes comes out of a bulk step
+    for fam in (Free(2), family_from_spec("free:2:standard+ab"), Heisenberg3()):
+        made = set()
+        real_step = fam.step
 
-    def multiply(a, b):
-        out = real_multiply(a, b)
-        made.add(out)
-        return out
+        def step(xs, i):
+            out = real_step(xs, i)
+            made.update(out)
+            return out
 
-    fam.multiply = multiply
+        fam.step = step
+        with pytest.raises(BudgetExceeded):
+            growth_table(fam, 10, budget=100)
+        assert made
+        # the ball stops growing one element past the budget
+        assert len(made | {fam.identity()}) <= 100 + 1
+
+
+@pytest.mark.parametrize("spec", ["free:2", "free:3", "free:2:standard+ab",
+                                  "heisenberg"])
+def test_step_is_bulk_right_multiplication(spec):
+    fam = family_from_spec(spec)
+    gens = fam.generators()
+    xs = {fam.identity()}
+    for _ in range(4):
+        xs |= {fam.multiply(x, g) for x in xs for g in gens}
+    xs = sorted(xs)
+    for i, g in enumerate(gens):
+        assert fam.step(xs, i) == [fam.multiply(x, g) for x in xs]
+
+
+def test_heisenberg_ball_matches_reference():
+    assert growth_table(Heisenberg3(), 8).gamma == growth_reference(["heisenberg"], 8)
+
+
+def test_heisenberg_radius_guard(monkeypatch):
+    # the largest corner entry at MAX_RADIUS, x^a y^b with a + b = r, fits
+    # its 20-bit field; the next radius's does not
+    heis = Heisenberg3()
+    a = Heisenberg3.MAX_RADIUS // 2
+    b = Heisenberg3.MAX_RADIUS - a
+    assert heis.unpack(heis.pack(a, b, a * b)) == (a, b, a * b)
+    with pytest.raises(InputError):
+        heis.pack(a, b + 1, a * (b + 1))
+    # the search checks each radius before it builds that sphere
+    monkeypatch.setattr(Heisenberg3, "MAX_RADIUS", 5)
+    assert growth_table(Heisenberg3(), 5).gamma == growth_reference(["heisenberg"], 5)
     with pytest.raises(BudgetExceeded):
-        growth_table(fam, 10, budget=100)
-    # the ball stops growing one element past the budget
-    assert len(made | {fam.identity()}) <= 100 + 1
+        growth_table(Heisenberg3(), 6)
 
 
 def test_free_words_are_packed_ints():
@@ -169,12 +204,13 @@ def test_generating_set_checked_against_the_budget(monkeypatch):
 
     monkeypatch.setattr(Free, "element", counting_element)
     for spec, budget in [("free:6", 12), ("free:2:standard+ab", 6),
-                         ("product:heisenberg,free:6", 12)]:
+                         ("product:heisenberg,free:6", 12), ("heisenberg", 4)]:
         with pytest.raises(BudgetExceeded):
             family_from_spec(spec, budget=budget)
     assert not built
     assert len(family_from_spec("free:6", budget=13).generators()) == 12
     assert len(family_from_spec("free:2:standard+ab", budget=7).generators()) == 6
+    assert len(family_from_spec("heisenberg", budget=5).generators()) == 4
     with pytest.raises(BudgetExceeded):
         family_from_spec("abelian:10000000", budget=5_000_000)
 
@@ -227,6 +263,35 @@ if given is not None:
         # a right factor that starts with the inverse of a cancels deeply
         c = reduce_word(tuple(-x for x in reversed(a)) + b)
         assert free.word(free.multiply(x, free.element(c))) == reduce_word(a + c)
+
+    _field = st.integers(-(1 << 19) + 1, (1 << 19) - 1)
+    # x y' + z + z' stays inside the field
+    _small = st.integers(-700, 700)
+    _factor = st.tuples(_small, _small, st.integers(-10_000, 10_000))
+
+    @given(st.tuples(_field, _field, _field), _factor, _factor)
+    def test_heisenberg_packing_matches_the_tuple_law(e, a, b):
+        heis = Heisenberg3()
+        identity, gens, multiply = _growth_factor("heisenberg")
+        assert heis.unpack(heis.pack(*e)) == e
+        assert heis.unpack(heis.identity()) == identity
+        assert [heis.unpack(g) for g in heis.generators()] == gens
+        assert heis.unpack(heis.multiply(heis.pack(*a), heis.pack(*b))) \
+            == multiply(a, b)
+
+    # elements one radius short of MAX_RADIUS: one step stays inside the fields
+    _near = st.integers(-1447, 1447)
+    _elements = st.lists(st.tuples(_near, _near, st.integers(-(1 << 19) + 1449,
+                                                             (1 << 19) - 1449)),
+                         max_size=20)
+
+    @given(_elements, st.integers(0, 3))
+    def test_heisenberg_step_across_the_fields(elements, i):
+        heis = Heisenberg3()
+        _, gens, multiply = _growth_factor("heisenberg")
+        xs = [heis.pack(*e) for e in elements]
+        assert [heis.unpack(y) for y in heis.step(xs, i)] \
+            == [multiply(e, gens[i]) for e in elements]
 
     # factors with at most 8 generators in all keep the reference BFS small
     _FACTOR_GENERATORS = {"free:1": 2, "free:2": 4, "free:2:standard+ab": 6,
