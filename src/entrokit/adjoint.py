@@ -19,6 +19,8 @@ from .errors import BudgetExceeded, InputError, SingularMap
 from .linalg import Lattice, RatMatrix, _meet_preimage
 from .values import EntropyValue
 
+COTRAJECTORY_HORIZON = 64     # safety stop on chain steps (see adjoint_entropy_at)
+
 
 @dataclass(frozen=True)
 class CotrajectoryReport:
@@ -39,7 +41,7 @@ def _check_matrix(a: RatMatrix, n: int) -> None:
 
 
 def adjoint_entropy_at(a: RatMatrix, n_lattice: Lattice,
-                       horizon: int = 64) -> CotrajectoryReport:
+                       horizon: int = COTRAJECTORY_HORIZON) -> CotrajectoryReport:
     """Cotrajectory chain of N under A with the exact freeze certificate.
 
     The horizon is a safety stop only; the chain provably freezes within
@@ -127,8 +129,7 @@ class DichotomyProbe:
     max_stabilization: int
 
 
-def dichotomy_probe(a: RatMatrix, max_index: int,
-                    horizon: int = 64, budget: int = 100_000) -> DichotomyProbe:
+def dichotomy_probe(a: RatMatrix, max_index: int, budget: int = 100_000) -> DichotomyProbe:
     """Probe every lattice of index <= max_index.
 
     Over Z^n every probe lands on the zero side of the dichotomy, and the
@@ -142,7 +143,7 @@ def dichotomy_probe(a: RatMatrix, max_index: int,
     rows = a.int_rows()
     probed = worst = 0
     for lattice in enumerate_lattices(a.n, max_index):
-        report = _cotrajectory(rows, lattice, horizon)
+        report = _cotrajectory(rows, lattice, COTRAJECTORY_HORIZON)
         if not (report.value.is_zero() and report.certificate):
             raise AssertionError("a Z^n probe failed its freeze certificate")
         worst = max(worst, report.stationary_at)

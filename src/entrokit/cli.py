@@ -2,10 +2,10 @@
 
 One executable, one subcommand per pipeline.  File inputs are JSON; small
 inputs can be given inline ("1,1,0,-1" for polynomials, "0,1;1,1" for
-matrices, "a,b" for node sets).  Reports echo the inputs and carry the
-result payload; --json emits the machine form (identical numbers, exact
-values never degraded to floats).  Exit codes: 0 success, 2 invalid input,
-3 numerical non-certification or blown budget.
+matrices, "a,b" for node sets).  A subcommand takes --tol and --budget only
+if it reads them.  Reports echo the inputs and carry the result payload;
+--json emits the machine form (same numbers, exact values never floats).
+Exit codes: 0 success, 2 invalid input, 3 non-certification or blown budget.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import time
 from itertools import groupby
 from pathlib import Path
 
-from .adjoint import adjoint_entropy_at, dichotomy_probe
+from .adjoint import COTRAJECTORY_HORIZON, adjoint_entropy_at, dichotomy_probe
 from .errors import CertificationError, BudgetExceeded, EntrokitError, InputError
 from .growth import family_from_spec, growth_exponent, growth_rate, growth_table
 from .linalg import Lattice, RatMatrix, matrix_from_json
@@ -228,9 +228,6 @@ def _cmd_adjoint_probe(args):
 
 
 def _cmd_growth(args):
-    if args.gens != "standard":
-        raise InputError("generating sets are chosen through the family spec "
-                         "(e.g. free:2:standard+ab); --gens only takes 'standard'")
     if args.horizon < 1:
         raise InputError("horizon must be positive")
     family = family_from_spec(args.family, budget=args.budget)
@@ -331,30 +328,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entrokit",
         description="dynamical entropies: Mahler measures, linear and "
                     "symbolic systems, lattice cotrajectories, group growth")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the machine-readable report")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, **kwargs):
+    # a subcommand takes --tol or --budget only if its handler reads it
+    def add(name, handler, tol=False, budget=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true",
                        help="emit the machine-readable report")
-        p.add_argument("--tol", type=_positive_float, default=1e-12,
-                       help="root certification tolerance")
-        p.add_argument("--budget", type=_positive_int, default=5_000_000,
-                       help="element budget for enumerations")
+        if tol:
+            p.add_argument("--tol", type=_positive_float, default=1e-12,
+                           help="root certification tolerance")
+        if budget:
+            p.add_argument("--budget", type=_positive_int, default=5_000_000,
+                           help="element budget for enumerations")
         return p
 
-    p = add("mahler", _cmd_mahler, help="Mahler measure of a polynomial")
+    p = add("mahler", _cmd_mahler, tol=True, help="Mahler measure of a polynomial")
     p.add_argument("--poly", required=True)
 
-    p = add("yuzvinski", _cmd_yuzvinski,
+    p = add("yuzvinski", _cmd_yuzvinski, tol=True,
             help="entropy of a linear endomorphism via its characteristic polynomial")
     p.add_argument("--matrix", required=True)
     p.add_argument("--domain", choices=["zn", "qn", "rn", "tn"], default="zn")
 
-    p = add("topological", _cmd_topological,
+    p = add("topological", _cmd_topological, tol=True,
             help="topological entropy on R^n or the dual toral map")
     p.add_argument("--matrix", required=True)
     p.add_argument("--domain", choices=["rn", "tn"], default="tn")
@@ -367,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="covariant and contravariant set-theoretic entropies")
     p.add_argument("--map", required=True)
 
-    p = add("cotrajectory", _cmd_cotrajectory,
+    p = add("cotrajectory", _cmd_cotrajectory, budget=True,
             help="backward cotrajectory profile of a node set")
     p.add_argument("--map", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--horizon", type=int, default=12)
 
-    p = add("shift", _cmd_shift, help="entropies of a generalized shift")
+    p = add("shift", _cmd_shift, budget=True, help="entropies of a generalized shift")
     p.add_argument("--map", required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--variant", choices=["sum", "prod"], required=True)
@@ -384,21 +382,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="adjoint entropy of an integer matrix at a lattice")
     p.add_argument("--matrix", required=True)
     p.add_argument("--lattice", required=True)
-    p.add_argument("--horizon", type=_positive_int, default=64)
+    p.add_argument("--horizon", type=_positive_int, default=COTRAJECTORY_HORIZON)
 
-    p = add("adjoint-probe", _cmd_adjoint_probe,
+    p = add("adjoint-probe", _cmd_adjoint_probe, budget=True,
             help="probe all lattices up to an index bound")
     p.add_argument("--matrix", required=True)
     p.add_argument("--max-index", type=_positive_int, required=True)
 
-    p = add("growth", _cmd_growth, help="growth function of a group family")
+    p = add("growth", _cmd_growth, budget=True, help="growth function of a group family")
     p.add_argument("--family", required=True,
-                   help="abelian:D | free:K[:standard+ab] | heisenberg | product:...")
-    p.add_argument("--gens", default="standard",
-                   help="generating set (families define their standard set)")
+                   help="abelian:D | free:K[:standard+ab] | heisenberg | product:...; "
+                        "the spec chooses the generating set")
     p.add_argument("--horizon", type=int, default=10)
 
-    p = add("lehmer", _cmd_lehmer, help="search for small positive Mahler measures")
+    p = add("lehmer", _cmd_lehmer, budget=True,
+            help="search for small positive Mahler measures")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--height", type=int, default=1)
     p.add_argument("--top", type=_positive_int, default=5)
@@ -406,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes, capped at the CPU count")
     p.add_argument("--non-monic", action="store_true")
 
-    p = add("espectrum", _cmd_espectrum,
+    p = add("espectrum", _cmd_espectrum, tol=True, budget=True,
             help="entropy values over a box of integer matrices")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
 
-    p = add("oracle", _cmd_oracle, aliases=["trajectory"],
+    p = add("oracle", _cmd_oracle, budget=True, aliases=["trajectory"],
             help="exact sumset trajectory oracle on Z^n")
     p.add_argument("--matrix", required=True)
     p.add_argument("--set", required=True)

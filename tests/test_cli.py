@@ -4,6 +4,7 @@ import decimal
 import io
 import json
 import pathlib
+import shlex
 import sys
 
 import mpmath
@@ -62,6 +63,47 @@ def test_golden_reports(capsys, name):
     assert code == 0
     golden = json.loads((DATA / "golden" / f"{name}.json").read_text())
     assert canonical(report) == canonical(golden)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_every_accepted_option_is_read(capsys, name):
+    # a parsed option that the handler never reads would only be echoed
+    read = set()
+
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, attr):
+            read.add(attr)
+            return super().__getattribute__(attr)
+
+    args = cli.build_parser().parse_args(GOLDEN_CASES[name], namespace=RecordingNamespace())
+    read.clear()
+    args.handler(args)
+    capsys.readouterr()
+    assert set(vars(args)) - read - {"handler", "subcommand", "json"} == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "padic", "--p", "3", "--xi", "1/9"],
+    ["set-entropy", "--map", str(DATA / "two_rays.json"), "--tol", "1e-3"],
+    ["mahler", "--poly", "1,1", "--budget", "10"],
+    ["lehmer", "--max-degree", "3", "--tol", "1e-30"],
+    ["growth", "--family", "free:2", "--gens", "standard"],
+])
+def test_removed_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        dispatch(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("entrokit ")]
+    assert len(lines) == 13
+    for argv in lines:
+        cli.build_parser().parse_args(argv[1:])
 
 
 def test_human_and_json_share_payload(capsys):
