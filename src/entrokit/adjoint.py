@@ -135,7 +135,10 @@ def dichotomy_probe(a: RatMatrix, max_index: int, budget: int = 100_000) -> Dich
     Over Z^n every probe lands on the zero side of the dichotomy, and the
     run records the exact freeze certificate for each lattice.  The infinite
     side is realized only by infinite-rank systems (the direct-sum Bernoulli
-    shift), outside this module's domain.
+    shift), outside this module's domain.  So the probe illustrates the
+    freeze theorem (the adjoint entropy of an endomorphism of Z^n is 0) on
+    concrete lattices; it does not search for a counterexample, and a probe
+    without a certificate is a bug, raised as AssertionError.
     """
     _check_matrix(a, a.n)
     if lattice_count(a.n, max_index, budget) > budget:

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 invalid input, 3 non-certification or blown budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -88,20 +89,6 @@ def parse_nodes(arg: str):
 def parse_vectors(arg: str):
     vectors = _read_list(arg, "vectors", rows=True)
     return [tuple(int(str(x)) for x in v) for v in vectors]
-
-
-def _decimals(ints) -> list:
-    """The decimal strings of ints, past CPython's cap on the digits of one
-    conversion; the caller bounds the total digits."""
-    cap = getattr(sys, "get_int_max_str_digits", None)
-    if cap is None:
-        return [str(i) for i in ints]
-    saved = cap()
-    sys.set_int_max_str_digits(0)
-    try:
-        return [str(i) for i in ints]
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 def _count_json(x):
@@ -185,7 +172,7 @@ def _cmd_shift(args):
         points = parse_nodes(args.oracle)
         report = shift_bruteforce_oracle(spec, points, args.horizon,
                                         budget=args.budget)
-        sizes = _decimals(report.sizes)
+        sizes = [str(size) for size in report.sizes]
         payload["oracle_sizes"] = sizes
         payload["oracle_ranks"] = list(report.ranks)
         adj = adjoint_entropy_of_shift(spec, points, budget=args.budget)
@@ -420,35 +407,54 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _echo_inputs(args) -> dict:
     skip = {"handler", "subcommand", "json"}
+    if args.subcommand == "shift" and args.oracle is None:
+        skip |= {"horizon", "budget"}  # only the oracle reads them
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+
+
+@contextlib.contextmanager
+def _uncapped_int_digits():
+    """Lifts CPython's cap on the digits of one int-to-str conversion: a
+    size may run to thousands of digits, and the budgets bound the total."""
+    cap = getattr(sys, "get_int_max_str_digits", None)
+    if cap is None:
+        yield
+        return
+    saved = cap()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    try:
-        payload, lines = args.handler(args)
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CertificationError, BudgetExceeded) as exc:
-        print(f"not certified: {exc}", file=sys.stderr)
-        return 3
-    except EntrokitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = {
-        "subcommand": args.subcommand,
-        "inputs": _echo_inputs(args),
-        "result": payload,
-        "timing_ms": round(1000 * (time.perf_counter() - started), 3),
-    }
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    with _uncapped_int_digits():
+        try:
+            payload, lines = args.handler(args)
+        except (InputError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (CertificationError, BudgetExceeded) as exc:
+            print(f"not certified: {exc}", file=sys.stderr)
+            return 3
+        except EntrokitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        report = {
+            "subcommand": args.subcommand,
+            "inputs": _echo_inputs(args),
+            "result": payload,
+            "timing_ms": round(1000 * (time.perf_counter() - started), 3),
+        }
+        if args.json:
+            print(json.dumps(report, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
     return 0
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .errors import BudgetExceeded, HorizonTooShort, InputError, InvalidMap
 
@@ -116,15 +117,16 @@ class SymbolicSelfMap:
     @cached_property
     def _listed_preimages(self) -> dict:
         """Preimages of the core nodes and of the ray heads, the only points
-        with a core node among their preimages."""
-        out = {node: [] for node, _ in self.core_map}
-        out.update(((r, 0), []) for r in self.out_rays)
+        with a core node among their preimages: the core nodes, then the
+        tail points as (tail, lo, hi) ranges of positions."""
+        out = {node: ([], []) for node, _ in self.core_map}
+        out.update(((r, 0), ([], [])) for r in self.out_rays)
         for node, target in self.core_map:
-            out[target].append(node)
+            out[target][0].append(node)
         for s in self.in_strings:
-            out[s.attach].append((s.id, 0))
+            out[s.attach][1].append((s.id, 0, 0))
         for t in self.in_trees:
-            out[t.attach] += [(t.id, j) for j in range(1, t.branching + 1)]
+            out[t.attach][1].append((t.id, 1, t.branching))
         return out
 
     def is_empty(self) -> bool:
@@ -147,7 +149,9 @@ class SymbolicSelfMap:
         """Full preimage set (finite by construction)."""
         listed = self._listed_preimages.get(point)
         if listed is not None:
-            return list(listed)
+            nodes, ranges = listed
+            return nodes + [(tail_id, k) for tail_id, lo, hi in ranges
+                            for k in range(lo, hi + 1)]
         tail_id, k = point
         tail = self.tails[tail_id]
         if tail is None:
@@ -490,41 +494,113 @@ def cotrajectory_profile(m: SymbolicSelfMap, points, horizon: int,
     counts the strings whose tail the iterated preimages eventually march
     down, each contributing one fresh point per step.
 
-    One breadth-first sweep serves both profiles: the surjective core is
-    forward-invariant, so a point of the core has all its forward images
-    there, and the reduced union is the naive union intersected with the
-    core.  Each point is expanded once, when it first appears.
+    The n-th union is the disjoint union of the first n backward levels of
+    E (``_backward_levels``): its size sums their core points and range
+    lengths.  The surjective core is forward-invariant, so the reduced
+    union is the naive union intersected with the core: a range counts
+    there when its tail survives, a core point when it does.  The budget
+    bounds the pieces (core points and ranges) of the levels held plus the
+    decimal digits of the sizes, so a size may run to thousands of digits.
     """
     if horizon < 1:
         raise HorizonTooShort("horizon must be at least 1")
     e = [m.resolve(p) for p in points]
     sc = surjective_core(m)
-    naive = set(e)
-    reduced = sum(point_in_core(sc, p) for p in naive)
-    naive_sizes = [len(naive)]
-    reduced_sizes = [reduced]
-    frontier = list(naive)
-    for _ in range(horizon - 1):
-        fresh = []
-        for p in frontier:
-            for q in m.preimages(p):
-                if q not in naive:
-                    naive.add(q)
-                    if len(naive) > budget:
-                        raise BudgetExceeded(budget, "cotrajectory enumeration")
-                    fresh.append(q)
-                    reduced += point_in_core(sc, q)
-        frontier = fresh
-        naive_sizes.append(len(naive))
+    naive_digits, reduced_digits = _digit_counter(), _digit_counter()
+    naive = reduced = digits = 0
+    naive_sizes, reduced_sizes = [], []
+    for levels in islice(_backward_levels(m, e), horizon):
+        held = 0
+        for nodes, ranges in levels:
+            held += len(nodes) + len(ranges)
+            naive += len(nodes)
+            reduced += sum(x in sc.core for x in nodes)
+            for tail_id, lo, hi in ranges:
+                naive += hi - lo + 1
+                if tail_id in sc.tails:
+                    reduced += hi - lo + 1
+        digits += naive_digits(naive) + reduced_digits(reduced)
+        if held + digits > budget:
+            raise BudgetExceeded(budget, "cotrajectory enumeration")
+        naive_sizes.append(naive)
         reduced_sizes.append(reduced)
     return BackwardProfile(tuple(reduced_sizes), tuple(naive_sizes),
                            _backward_limit(sc, [p for p in e if point_in_core(sc, p)]))
 
 
-def cotrajectory_limit(m: SymbolicSelfMap, points):
-    """Exact h*(f, E) for E inside (or intersected with) the surjective core."""
-    sc = surjective_core(m)
-    return _backward_limit(sc, [p for p in map(m.resolve, points) if point_in_core(sc, p)])
+def _backward_levels(m: SymbolicSelfMap, sources):
+    """The backward sweep that stops at the finite source set F, one step
+    at a time: yields, per step j, the nonempty j-th levels of the sources.
+
+    Level 0 of a source a is {a}, and level j + 1 is the preimages of level
+    j outside F, so level j holds the points x with f^j(x) = a whose path
+    x, f(x), ... meets F first at a.  Each point meets F first at one time
+    only, so the levels are pairwise disjoint and no visited set is kept.
+
+    A level is a pair (core nodes, (tail, lo, hi) ranges of positions).
+    Below a tree point, a level is one contiguous range of heap indices,
+    and string and ray points have one forward path, so a level stays a few
+    core points plus O(1) ranges per tail whatever its size: a tree range
+    [lo, hi] pulls back to [b*lo + 1, b*hi + b], a string range moves up by
+    one, a ray range down by one and, from position 0, hands over to the
+    core preimages of the ray head; a source inside a range splits it.
+    """
+    sources = list(dict.fromkeys(sources))
+    f = set(sources)
+    cuts = {}  # tail id -> sorted positions of the sources on that tail
+    for p in sorted(p for p in f if not isinstance(p, str)):
+        cuts.setdefault(p[0], []).append(p[1])
+    listed = m._listed_preimages
+
+    def pull_back(level):
+        nodes, ranges = [], []
+        for x in level[0]:
+            listed_nodes, listed_ranges = listed[x]
+            nodes += listed_nodes
+            ranges += listed_ranges
+        for tail_id, lo, hi in level[1]:
+            tail = m.tails[tail_id]
+            if isinstance(tail, InTree):
+                ranges.append((tail_id, tail.branching * lo + 1,
+                               tail.branching * (hi + 1)))
+            elif isinstance(tail, InString):
+                ranges.append((tail_id, lo + 1, hi + 1))
+            else:
+                if lo == 0:
+                    nodes += listed[(tail_id, 0)][0]
+                    lo = 1
+                if lo <= hi:
+                    ranges.append((tail_id, lo - 1, hi - 1))
+        kept = []
+        for tail_id, lo, hi in ranges:
+            for k in cuts.get(tail_id, ()):
+                if lo <= k <= hi:
+                    if lo < k:
+                        kept.append((tail_id, lo, k - 1))
+                    lo = k + 1
+            if lo <= hi:
+                kept.append((tail_id, lo, hi))
+        return [x for x in nodes if x not in f], kept
+
+    levels = [([p], []) if isinstance(p, str) else ([], [(p[0], p[1], p[1])])
+              for p in sources]
+    while True:
+        yield levels
+        levels = [level for level in map(pull_back, levels) if level != ([], [])]
+
+
+def _digit_counter():
+    """Counts the decimal digits of a non-decreasing sequence of ints, one
+    call each, against a running power of ten: str() of a long int is
+    capped and quadratic."""
+    width, power = 1, 10
+
+    def digits(n: int) -> int:
+        nonlocal width, power
+        while n >= power:
+            width, power = width + 1, power * 10
+        return width
+    return digits
 
 
 def _backward_limit(sc: SymbolicSelfMap, start: list):
@@ -548,6 +624,9 @@ def _backward_limit(sc: SymbolicSelfMap, start: list):
             if isinstance(tail, InString):
                 strings_hit.add(p[0])
                 continue  # the backward chain stays inside the string
+            if tail is None and p[1]:
+                frontier.append((p[0], 0))  # down the ray to its head at once
+                continue
         frontier += sc.preimages(p)
     return len(strings_hit)
 

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import BudgetExceeded, InputError
 from .polynomials import is_prime
 from .set_maps import (
     SymbolicSelfMap,
+    _backward_levels,
     covariant_entropy,
     covariant_local_entropy,
     contravariant_entropy,
@@ -89,10 +91,11 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
     a laminar family, so the span is that of their private parts (the points
     in no smaller member), which are disjoint: the rank counts the pairs
     (a, j < n) with a nonempty private part.  The private part of f^-j(a) is
-    its j-th level, the points x with f^j(x) = a whose path x, ..., f^(j-1)(x)
-    avoids F; level 0 is {a} and level j+1 is the preimages of level j
-    outside F.  The budget bounds the current and next levels held plus the
-    decimal digits of the sizes, r * len(str(p)) at most for p**r.
+    the j-th backward level of a from F (``set_maps._backward_levels``), so
+    each step adds one rank per source whose level is nonempty.  The levels
+    are held as core points and ranges of tail positions, and the budget
+    bounds those pieces plus the decimal digits of the sizes,
+    r * len(str(p)) at most for p**r.
     """
     if spec.variant != "direct_sum":
         raise InputError("the subgroup oracle runs on the direct-sum variant")
@@ -102,34 +105,18 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
     if horizon < 1:
         raise InputError("horizon must be positive")
     m = spec.map
-    base = list(dict.fromkeys(m.resolve(x) for x in points))
+    base = [m.resolve(x) for x in points]
     if not base:
         raise InputError("F must be non-empty")
 
-    sources = set(base)
     width = len(str(p))
-    levels = [[a] for a in base]  # the nonempty levels of step j
     rank, digits, ranks = 0, 0, []
-    while True:
+    for levels in islice(_backward_levels(m, base), horizon):
         rank += len(levels)
         digits += rank * width
         ranks.append(rank)
-        used = sum(map(len, levels)) + digits
-        if used > budget:
+        if sum(len(nodes) + len(ranges) for nodes, ranges in levels) + digits > budget:
             raise BudgetExceeded(budget, "oracle enumeration")
-        if len(ranks) == horizon:
-            break
-        deeper = []
-        for level in levels:
-            nxt = []
-            for x in level:
-                nxt += [y for y in m.preimages(x) if y not in sources]
-                if used + len(nxt) > budget:
-                    raise BudgetExceeded(budget, "oracle enumeration")
-            if nxt:
-                deeper.append(nxt)
-                used += len(nxt)
-        levels = deeper
     return ShiftOracleReport(tuple(p ** r for r in ranks), tuple(ranks))
 
 

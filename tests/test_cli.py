@@ -3,8 +3,10 @@ import contextlib
 import decimal
 import io
 import json
+import os
 import pathlib
 import shlex
+import subprocess
 import sys
 
 import mpmath
@@ -16,6 +18,7 @@ from entrokit.cli import dispatch
 from oracles import interval_contains, mahler_reference
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parents[1] / "src"
 
 GOLDEN_CASES = {
     "mahler_lehmer": ["mahler", "--poly", str(DATA / "lehmer.json")],
@@ -240,6 +243,96 @@ def test_shift_oracle_prints_sizes_past_the_int_digit_cap(capsys, tmp_path):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
 
+# a core 2-cycle fed by a ternary tree and, through a third node, a string
+TREE3 = {"core": {"a": "b", "b": "a", "c": "a"},
+         "in_strings": [{"id": "S", "attach": "c"}],
+         "in_trees": [{"id": "T", "attach": "a", "branching": 3}]}
+
+
+def _tree3_sizes(horizon: int) -> list:
+    """The union sizes from E = {a} on TREE3, the whole map being its core:
+    a; then b, c and the 3 depth-1 tree points; then each step n >= 3 adds
+    the string point S:n-3 and the 3**(n-1) tree points of depth n-1."""
+    return [1] + [n + 4 + (3 ** n - 9) // 2 for n in range(2, horizon + 1)]
+
+
+def _tree3_argv(tmp_path, command, horizon):
+    path = tmp_path / "tree3.json"
+    path.write_text(json.dumps(TREE3))
+    if command == "cotrajectory":
+        return ["cotrajectory", "--map", str(path), "--set", "a",
+                "--horizon", str(horizon)]
+    return ["shift", "--map", str(path), "--order", "2", "--variant", "sum",
+            "--oracle", "a", "--horizon", str(horizon)]
+
+
+def test_cotrajectory_long_horizon_matches_closed_form(capsys, tmp_path):
+    code, report = run_json(capsys, _tree3_argv(tmp_path, "cotrajectory", 1000))
+    assert code == 0
+    result = report["result"]
+    assert result["naive_sizes"] == result["reduced_sizes"] == _tree3_sizes(1000)
+    assert result["limit"] == "infinity"
+
+
+# runs dispatch on its argv and prints the peak resident set of its own
+# address space, in kB: ru_maxrss would count the parent's peak, which a
+# child keeps across fork and exec on Linux
+_PEAK_RSS_CHILD = """\
+import sys
+from entrokit.cli import dispatch
+code = dispatch(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")),
+          file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
+                    reason="reads the peak resident set from /proc")
+def test_shift_oracle_long_horizon_is_fast_and_small(tmp_path):
+    # the level of a is two ranges a step, however many points they hold
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    argv = [sys.executable, "-c", _PEAK_RSS_CHILD,
+            *_tree3_argv(tmp_path, "shift", 1000), "--json"]
+    child = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0
+    report = json.loads(child.stdout)
+    assert report["result"]["oracle_ranks"] == list(range(1, 1001))
+    assert report["timing_ms"] < 1000
+    assert int(child.stderr) < 100 * 1024
+
+
+def test_cotrajectory_prints_sizes_past_the_int_digit_cap(capsys, tmp_path):
+    # at horizon 10,000 the union holds about 3**10000 / 2 points, 4,771
+    # digits, past CPython's default 4,300 for one int-to-str conversion;
+    # the budget holds the 2 pieces a step and the ~48 million digits
+    argv = _tree3_argv(tmp_path, "cotrajectory", 10_000) + ["--budget", "100000000"]
+    n = 10_000
+    context = decimal.Context(prec=6000)
+    last = context.add(context.divide(context.subtract(context.power(3, n), 9), 2), n + 4)
+    expected = format(last, "f")
+    assert len(expected) == 4771
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert dispatch(argv + ["--json"]) == 0
+    result = json.loads(capsys.readouterr().out, parse_int=str)["result"]
+    assert result["naive_sizes"][-1] == result["reduced_sizes"][-1] == expected
+    assert len(result["naive_sizes"]) == n
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+def test_shift_echoes_horizon_and_budget_only_with_the_oracle(capsys):
+    argv = ["shift", "--map", str(DATA / "left_shift.json"), "--order", "2",
+            "--variant", "sum", "--horizon", "5"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert "horizon" not in report["inputs"] and "budget" not in report["inputs"]
+    code, report = run_json(capsys, argv + ["--oracle", "S:0"])
+    assert code == 0
+    assert (report["inputs"]["horizon"], report["inputs"]["budget"]) == (5, 5_000_000)
+
+
 def test_forward_profile_budget(capsys, tmp_path):
     # the ray offset sets the forward horizon: the profile holds ~10**5 points
     path = tmp_path / "fed_ray.json"
@@ -462,9 +555,7 @@ if given is not None:
     ARGV_MAPS = {
         "left_shift": {"core": {"z": "z"}, "in_strings": [{"id": "S", "attach": "z"}]},
         "two_rays": {"core": {}, "out_rays": ["R", "R1"]},
-        "tree3": {"core": {"a": "b", "b": "a", "c": "a"},
-                  "in_strings": [{"id": "S", "attach": "c"}],
-                  "in_trees": [{"id": "T", "attach": "a", "branching": 3}]},
+        "tree3": TREE3,
         "fed_ray": {"core": {"a": "ray:R", "b": "a"}, "out_rays": ["R"],
                     "in_strings": [{"id": "S", "attach": "b"}]},
         "dangling": {"core": {"a": "b"}},

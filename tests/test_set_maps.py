@@ -7,7 +7,6 @@ from entrokit.set_maps import (
     SymbolicSelfMap,
     components,
     contravariant_entropy,
-    cotrajectory_limit,
     cotrajectory_profile,
     covariant_entropy,
     covariant_local_entropy,
@@ -205,11 +204,11 @@ def test_fan_example_reduced_vs_naive():
 
 
 def test_cotrajectory_limit_from_inside_periodic_set():
-    assert cotrajectory_limit(SIG, ["z"]) == 1
-    assert cotrajectory_limit(fan_example(4), ["z"]) == 1
-    assert cotrajectory_limit(RHO, ["R:0"]) == 0
     cyc = SymbolicSelfMap.build({"a": "b", "b": "a"})
-    assert cotrajectory_limit(cyc, ["a"]) == 0
+    for m, e, limit in ((SIG, ["z"], 1), (fan_example(4), ["z"], 1),
+                        (RHO, ["R:0"], 0), (cyc, ["a"], 0)):
+        assert cotrajectory_profile(m, e, 1).limit == limit
+        assert cotrajectory_reference(m.to_json(), e, 1)[2] == limit
 
 
 def test_power_map_entropies():
@@ -319,45 +318,83 @@ def tree3_map():
                                  [("T", "a", 3)])
 
 
-def test_cotrajectory_is_one_sweep(monkeypatch):
-    import entrokit.set_maps as set_maps
-    m = tree3_map()
-    calls = {"core": 0, "preimages": 0}
-    real_core, real_preimages = set_maps.surjective_core, SymbolicSelfMap.preimages
-
-    def core(arg):
-        calls["core"] += 1
-        return real_core(arg)
-
-    def preimages(self, point):
-        calls["preimages"] += self is m
-        return real_preimages(self, point)
-
-    monkeypatch.setattr(set_maps, "surjective_core", core)
-    monkeypatch.setattr(SymbolicSelfMap, "preimages", preimages)
-    p = cotrajectory_profile(m, ["a", "S:2"], 7)
-    assert calls["core"] == 1
-    # every point of the union before the last step is expanded exactly once
-    assert calls["preimages"] == p.naive_sizes[-2]
-    assert (p.reduced_sizes, p.naive_sizes, p.limit) == \
-        cotrajectory_reference(m.to_json(), ["a", "S:2"], 7)
-
-
-def test_cotrajectory_budget_per_insertion(monkeypatch):
-    made = set()
+def _count_preimage_calls(monkeypatch, m):
+    """The points whose preimages are asked of m (the limit walks the
+    surjective core, another map)."""
+    calls = []
     real_preimages = SymbolicSelfMap.preimages
 
     def preimages(self, point):
-        out = real_preimages(self, point)
-        made.update(out)
-        return out
+        if self is m:
+            calls.append(point)
+        return real_preimages(self, point)
 
     monkeypatch.setattr(SymbolicSelfMap, "preimages", preimages)
+    return calls
+
+
+def test_cotrajectory_is_one_sweep(monkeypatch):
+    import entrokit.set_maps as set_maps
+    m = tree3_map()
+    cores = []
+    real_core = set_maps.surjective_core
+
+    def core(arg):
+        cores.append(arg)
+        return real_core(arg)
+
+    monkeypatch.setattr(set_maps, "surjective_core", core)
+    calls = _count_preimage_calls(monkeypatch, m)
+    # the levels of a are b, c and T:0-T:2, then S:0 and the 9 depth-2
+    # tree points (the preimage a of b is a source), then S:1 and depth 3;
+    # S:2 is a source, so the string range of a ends there, and from step 4
+    # on each source holds one range: a tree range below a, a string range
+    # above S:2.  The pieces held per step are 2, 4, 3, 3, 2, 2, 2.
+    p = cotrajectory_profile(m, ["a", "S:2"], 7)
+    assert len(cores) == 1 and calls == []
+    assert (p.reduced_sizes, p.naive_sizes, p.limit) == \
+        cotrajectory_reference(m.to_json(), ["a", "S:2"], 7)
+    # the budget needs the 2 pieces of the last step plus the digits of the
+    # naive and the reduced sizes, equal here: the whole map is its core
+    assert p.naive_sizes == p.reduced_sizes == (2, 8, 19, 48, 130, 374, 1104)
+    digits = 2 * sum(len(str(n)) for n in p.naive_sizes)
+    assert cotrajectory_profile(m, ["a", "S:2"], 7, budget=2 + digits) == p
     with pytest.raises(BudgetExceeded):
-        cotrajectory_profile(tree_on_fixed_point(3), ["z"], 12, budget=100)
-    # the stored set stops one point past the budget; the preimage list
-    # being consumed holds at most branching - 1 more
-    assert len(made | {"z"}) <= 100 + 3
+        cotrajectory_profile(m, ["a", "S:2"], 7, budget=1 + digits)
+
+
+def test_cotrajectory_budget_counts_pieces_not_points(monkeypatch):
+    tree = tree_on_fixed_point(3)
+    calls = _count_preimage_calls(monkeypatch, tree)
+    # z, then one range of tree points a step: the union after n steps is
+    # the (3**n - 1) / 2 points of depth below n, all in the core
+    sizes = tuple((3 ** n - 1) // 2 for n in range(1, 13))
+    budget = 1 + 2 * sum(len(str(n)) for n in sizes)
+    assert budget < sizes[-1] == 265_720
+    p = cotrajectory_profile(tree, ["z"], 12, budget=budget)
+    assert p.naive_sizes == p.reduced_sizes == sizes
+    with pytest.raises(BudgetExceeded):
+        cotrajectory_profile(tree, ["z"], 12, budget=budget - 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("e", [["z", "T:1", "T:02"], ["T:0", "T:00", "T:0012"],
+                               ["T:2", "T:20", "T:21", "T:222"]])
+def test_cotrajectory_sources_split_ranges(e):
+    # a source inside a range of ternary tree points splits it: T:1 the
+    # depth-1 range of z, T:02 the depth-2 range below T:0, and so on
+    m = tree_on_fixed_point(3)
+    for horizon in (1, 2, 3, 5, 8):
+        p = cotrajectory_profile(m, e, horizon)
+        assert (p.reduced_sizes, p.naive_sizes, p.limit) == \
+            cotrajectory_reference(m.to_json(), e, horizon)
+
+
+def test_cotrajectory_long_ray_offset():
+    # the limit walks down a ray to its head at once, not point by point
+    m = SymbolicSelfMap.build({"a": "ray:R", "b": "a"}, ["R"], [("S", "b")])
+    p = cotrajectory_profile(m, ["R:1000000000"], 3)
+    assert p.naive_sizes == (1, 2, 3) and p.limit == 1
 
 
 try:
@@ -368,7 +405,12 @@ except ImportError:  # the property tests below need hypothesis
 if given is not None:
     @st.composite
     def _small_maps(draw):
-        """A random valid map in JSON form and up to three point names."""
+        """A random valid map in JSON form and up to three point names.
+
+        Trees are binary: the point-by-point references expand a tree to
+        2**13 points at horizon 12, where a ternary one would be 3**13.
+        Ternary ranges are split in test_cotrajectory_sources_split_ranges.
+        """
         nodes = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
         rays = [f"R{i}" for i in range(draw(st.integers(0, 2)))]
         targets = nodes + ["ray:" + r for r in rays]
@@ -376,18 +418,19 @@ if given is not None:
         strings = [{"id": f"S{i}", "attach": draw(st.sampled_from(nodes))}
                    for i in range(draw(st.integers(0, 2)))]
         trees = [{"id": f"T{i}", "attach": draw(st.sampled_from(nodes)),
-                  "branching": draw(st.integers(2, 3))}
+                  "branching": 2}
                  for i in range(draw(st.integers(0, 1)))]
         names = nodes + [f"{tail}:{i}" for tail in rays + [s["id"] for s in strings]
-                         for i in range(3)]
-        names += [f"{t['id']}:{w}" for t in trees for w in ("0", "1", "01")]
+                         for i in range(6)]
+        names += [f"{t['id']}:{w}" for t in trees
+                  for w in ("0", "1", "01", "10", "011", "101", "0110", "1001")]
         chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3,
                                unique=True))
         return {"core": core, "out_rays": rays, "in_strings": strings,
                 "in_trees": trees}, chosen
 
     @settings(max_examples=150)
-    @given(_small_maps(), st.integers(1, 6))
+    @given(_small_maps(), st.integers(1, 12))
     def test_cotrajectory_matches_two_sweep_reference(case, horizon):
         obj, names = case
         p = cotrajectory_profile(SymbolicSelfMap.from_json(obj), names, horizon)

@@ -127,34 +127,36 @@ def _default_points(m):
     return [f"{m.out_rays[0]}:0"]
 
 
-def test_oracle_budget_bounds_the_points_it_holds(monkeypatch):
+def test_oracle_budget_bounds_the_pieces_it_holds(monkeypatch):
     tree = SymbolicSelfMap.build({"z": "z"}, [], [], [("T", "z", 3)])
     spec = GeneralizedShiftSpec(tree, 2, "direct_sum")
-    level = {"z": 0}  # point -> sweep level; z is F and never leaves level 0
-    peak = 0
+    calls = []
     real_preimages = SymbolicSelfMap.preimages
 
     def preimages(self, point):
-        nonlocal peak
-        out = real_preimages(self, point)
-        level.update((q, level[point] + 1) for q in out if q != "z")
-        # the sweep holds the level being read and the one being built
-        j = level[point]
-        peak = max(peak, sum(1 for k in level.values() if k in (j, j + 1)))
-        return out
+        calls.append(point)
+        return real_preimages(self, point)
 
     monkeypatch.setattr(SymbolicSelfMap, "preimages", preimages)
-    # level j of z is the 3**(j-1) tree points of depth j: one nonempty
-    # level per step, and the level after the last step is never built
-    rep = shift_bruteforce_oracle(spec, ["z"], 5)
-    assert rep.ranks == (1, 2, 3, 4, 5)
-    assert max(level.values()) == 4
-    level, peak = {"z": 0}, 0
+    # level j of z is the 3**(j-1) tree points of depth j, held as one
+    # range: one piece and one rank a step, so horizon n needs the piece
+    # plus the n(n + 1)/2 digits of the sizes, whatever the level holds
+    rep = shift_bruteforce_oracle(spec, ["z"], 30, budget=1 + 30 * 31 // 2)
+    assert rep.ranks == tuple(range(1, 31))
     with pytest.raises(BudgetExceeded):
-        shift_bruteforce_oracle(spec, ["z"], 12, budget=100)
-    # the two levels held stay within the budget; one node's preimages may
-    # pass it by the branching
-    assert peak <= 100 + 3
+        shift_bruteforce_oracle(spec, ["z"], 30, budget=30 * 31 // 2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("points", [["z", "T:1", "T:02"], ["T:0", "T:00", "T:0012"],
+                                    ["T:2", "T:20", "T:21", "T:222"]])
+def test_oracle_sources_split_ranges(points):
+    # a point of F inside a range of ternary tree points splits it
+    tree = SymbolicSelfMap.build({"z": "z"}, [], [], [("T", "z", 3)])
+    for p in (2, 3):
+        rep = shift_bruteforce_oracle(GeneralizedShiftSpec(tree, p, "direct_sum"),
+                                      points, 6)
+        assert rep.ranks == shift_rank_reference(tree.to_json(), points, 6, p)
 
 
 def test_oracle_budget_counts_size_digits():
@@ -221,7 +223,7 @@ if given is not None:
     from test_set_maps import _small_maps
 
     @settings(max_examples=150)
-    @given(_small_maps(), st.integers(1, 7), st.sampled_from([2, 3]))
+    @given(_small_maps(), st.integers(1, 12), st.sampled_from([2, 3]))
     def test_oracle_ranks_match_elimination_reference(case, horizon, p):
         obj, names = case
         spec = GeneralizedShiftSpec(SymbolicSelfMap.from_json(obj), p, "direct_sum")
