@@ -96,11 +96,12 @@ def _count_json(x):
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers: each returns (result_payload, human_lines)
+# subcommand handlers: each returns (result_payload, lines), where lines()
+# gives the human-readable lines; they are formatted only to be printed
 
 def _cmd_mahler(args):
     value = mahler_measure(parse_poly(args.poly), args.tol)
-    return {"value": value.to_json()}, [f"mahler measure: {value}"]
+    return {"value": value.to_json()}, lambda: [f"mahler measure: {value}"]
 
 
 def _cmd_yuzvinski(args):
@@ -113,7 +114,7 @@ def _cmd_yuzvinski(args):
     else:
         value = topological_entropy(LinearFlow("tn_dual", matrix), args.tol)
         label = "topological entropy (dual toral map)"
-    return {"domain": domain, "value": value.to_json()}, [f"{label}: {value}"]
+    return {"domain": domain, "value": value.to_json()}, lambda: [f"{label}: {value}"]
 
 
 def _cmd_topological(args):
@@ -121,14 +122,14 @@ def _cmd_topological(args):
     domain = "tn_dual" if args.domain == "tn" else args.domain
     value = topological_entropy(LinearFlow(domain, matrix), args.tol)
     return {"domain": args.domain, "value": value.to_json()}, \
-        [f"topological entropy: {value}"]
+        lambda: [f"topological entropy: {value}"]
 
 
 def _cmd_padic(args):
     flow = LinearFlow.padic_scalar(args.p, parse_fraction(args.xi))
     value = algebraic_entropy(flow)
     return {"p": args.p, "xi": args.xi, "value": value.to_json()}, \
-        [f"algebraic entropy of x -> ({args.xi})*x on Q_{args.p}: {value}"]
+        lambda: [f"algebraic entropy of x -> ({args.xi})*x on Q_{args.p}: {value}"]
 
 
 def _cmd_set_entropy(args):
@@ -136,8 +137,8 @@ def _cmd_set_entropy(args):
     h = covariant_entropy(m)
     h_star = contravariant_entropy(m)
     payload = {"h": _count_json(h), "h_star": _count_json(h_star)}
-    return payload, [f"covariant entropy h = {h}",
-                     f"contravariant entropy h* = {h_star}"]
+    return payload, lambda: [f"covariant entropy h = {h}",
+                             f"contravariant entropy h* = {h_star}"]
 
 
 def _cmd_cotrajectory(args):
@@ -149,7 +150,7 @@ def _cmd_cotrajectory(args):
         "naive_sizes": list(profile.naive_sizes),
         "limit": _count_json(profile.limit),
     }
-    return payload, [
+    return payload, lambda: [
         f"reduced cotrajectory sizes: {list(profile.reduced_sizes)}",
         f"naive cotrajectory sizes:   {list(profile.naive_sizes)}",
         f"exact limit h*(map, E) = {profile.limit}",
@@ -167,7 +168,6 @@ def _cmd_shift(args):
         value = shift_algebraic_entropy(spec)
         label = "algebraic entropy of the direct-sum shift"
     payload = {"variant": args.variant, "order": args.order, "value": value.to_json()}
-    lines = [f"{label}: {value}"]
     if args.oracle:
         points = parse_nodes(args.oracle)
         report = shift_bruteforce_oracle(spec, points, args.horizon,
@@ -177,8 +177,12 @@ def _cmd_shift(args):
         payload["oracle_ranks"] = list(report.ranks)
         adj = adjoint_entropy_of_shift(spec, points, budget=args.budget)
         payload["coordinate_adjoint"] = adj.to_json()
-        lines.append(f"oracle subgroup sizes: [{', '.join(sizes)}]")
-        lines.append(f"coordinate-subgroup adjoint entropy: {adj}")
+
+    def lines():
+        yield f"{label}: {value}"
+        if args.oracle:
+            yield f"oracle subgroup sizes: [{', '.join(sizes)}]"
+            yield f"coordinate-subgroup adjoint entropy: {adj}"
     return payload, lines
 
 
@@ -192,7 +196,7 @@ def _cmd_adjoint(args):
         "certificate": report.certificate,
         "value": report.value.to_json(),
     }
-    return payload, [
+    return payload, lambda: [
         f"cotrajectory indices: {list(report.indices)}",
         f"stationary at step {report.stationary_at} "
         f"(containment certificate: {report.certificate})",
@@ -208,7 +212,7 @@ def _cmd_adjoint_probe(args):
         "lattices_probed": probe.lattices_probed,
         "max_stabilization": probe.max_stabilization,
     }
-    return payload, [
+    return payload, lambda: [
         f"probed {probe.lattices_probed} lattices of index <= {args.max_index}: "
         f"{probe.outcome} (worst stabilization step {probe.max_stabilization})",
     ]
@@ -220,19 +224,23 @@ def _cmd_growth(args):
     family = family_from_spec(args.family, budget=args.budget)
     table = growth_table(family, args.horizon, budget=args.budget)
     payload = {"family": family.describe(), "gamma": list(table.gamma)}
-    lines = [f"family: {family.describe()}",
-             f"ball sizes gamma(0..{args.horizon}): {list(table.gamma)}"]
     if args.horizon >= 4:
         rate = growth_rate(table)
         payload["rate_estimate"] = rate.estimate
         payload["rate_fekete_min"] = rate.fekete_min
-        lines.append(f"growth rate estimate: {rate.estimate:.6f} "
-                     f"(Fekete upper bound {rate.fekete_min:.6f})")
     if args.horizon >= 8:
         exponent = growth_exponent(table)
         payload["exponent_estimate"] = \
             "infinity" if exponent == math.inf else exponent
-        lines.append(f"growth exponent estimate: {exponent}")
+
+    def lines():
+        yield f"family: {family.describe()}"
+        yield f"ball sizes gamma(0..{args.horizon}): {list(table.gamma)}"
+        if args.horizon >= 4:
+            yield f"growth rate estimate: {rate.estimate:.6f} " \
+                  f"(Fekete upper bound {rate.fekete_min:.6f})"
+        if args.horizon >= 8:
+            yield f"growth exponent estimate: {exponent}"
     return payload, lines
 
 
@@ -249,11 +257,13 @@ def _cmd_lehmer(args):
             {"measure": e.measure, "error": e.error, "coeffs": list(e.coeffs),
              "value": e.value.to_json()} for e in result.leaderboard],
     }
-    lines = [f"scanned {result.scanned_count} symmetry classes, "
-             f"{result.zero_count} with exactly zero measure"]
-    for rank, e in enumerate(result.leaderboard, 1):
-        lines.append(f"  #{rank}: m = {e.measure:.9f} (+/- {e.error:.2g})  "
-                     f"coeffs {list(e.coeffs)}")
+
+    def lines():
+        yield f"scanned {result.scanned_count} symmetry classes, " \
+              f"{result.zero_count} with exactly zero measure"
+        for rank, e in enumerate(result.leaderboard, 1):
+            yield f"  #{rank}: m = {e.measure:.9f} (+/- {e.error:.2g})  " \
+                  f"coeffs {list(e.coeffs)}"
     return payload, lines
 
 
@@ -268,10 +278,11 @@ def _cmd_espectrum(args):
         "distinct_values": sorted({round(v, 12) for (v, _), _ in groupby(report.values)}),
         "minimal_positive": minimal.to_json() if minimal else None,
     }
-    lines = [f"scanned {report.scanned} matrices",
-             f"distinct entropy values: {payload['distinct_values']}",
-             f"minimal positive value: {minimal if minimal else 'none'}"]
-    return payload, lines
+    return payload, lambda: [
+        f"scanned {report.scanned} matrices",
+        f"distinct entropy values: {payload['distinct_values']}",
+        f"minimal positive value: {minimal if minimal else 'none'}",
+    ]
 
 
 def _cmd_oracle(args):
@@ -283,7 +294,7 @@ def _cmd_oracle(args):
         "estimate": profile.estimate,
         "fekete_upper_bound": profile.fekete_upper,
     }
-    return payload, [
+    return payload, lambda: [
         f"sumset sizes: {list(profile.sizes)}",
         f"entropy estimate (last-step quotient): {profile.estimate:.6f}",
         f"Fekete upper bound: {profile.fekete_upper:.6f}",
@@ -453,7 +464,7 @@ def dispatch(argv) -> int:
         if args.json:
             print(json.dumps(report, sort_keys=True))
         else:
-            for line in lines:
+            for line in lines():
                 print(line)
     return 0
 

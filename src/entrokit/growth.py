@@ -4,12 +4,14 @@ Supported families: free groups (reduced words packed into ints), the
 discrete Heisenberg group (upper unitriangular 3x3 integer matrices, also
 packed into ints), free abelian groups, and finite direct products of
 these.  The first two carry a multiplication and a bulk ``step``, and their
-balls come from exact breadth-first closure over normal forms.  Word length
-adds across the factors of a product, so its spheres are the convolution of
-its factors' sphere sizes, and Z^D is the D-fold product of Z; neither
-builds an element, so they carry only their rank or factors.  Arbitrary
-finite presentations are rejected because the word problem would make the
-counts unreliable.
+balls come from exact breadth-first closure over normal forms; the search
+never steps an element made by a generator g by a generator h with gh a
+generator or the identity, since that product is already in the ball.
+Word length adds across the factors of a product, so its spheres are the
+convolution of its factors' sphere sizes, and Z^D is the D-fold product of
+Z; neither builds an element, so they carry only their rank or factors.
+Arbitrary finite presentations are rejected because the word problem would
+make the counts unreliable.
 
 The ball sequence gamma(n) is submultiplicative, so log gamma(n)/n
 converges (Fekete); the headline rate estimate is the last one-step
@@ -244,10 +246,12 @@ def _spheres(family, budget: int):
     word length adds across factors and the product's spheres are the
     convolution of the factors' spheres; its ball is never built.  Z^D is
     the D-fold product of Z, whose spheres are 1, 2, 2, ...  Any other
-    family is enumerated by breadth-first closure: for each generator, the
-    frontier is stepped in bulk slice by slice, and the products not yet in
-    the ball join it and the next frontier (right multiplication by a
-    generator is injective, so a slice repeats no element).  A slice is
+    family is enumerated by breadth-first closure.  For each generator g_j,
+    the frontier is stepped in bulk, slice by slice, and the products not
+    yet in the ball join it and the next frontier (right multiplication by
+    a generator is injective, so a slice repeats no element).  The next
+    frontier thus comes in parts, one per generator, and the part made by
+    g_i is not stepped by the g_j that ``_short_products`` marks.  A slice is
     never longer than the budget leaves room for, so at most budget + 1
     elements are made (a factor's ball is no larger than the product's at
     the same radius, so this raises only when the product's would too).
@@ -260,27 +264,43 @@ def _spheres(family, budget: int):
                               for _ in range(family.rank)])
         return
     step = family.step
-    generators = range(len(family.generators()))
+    skip = _short_products(family)
     ball = {family.identity()}
     frontier = list(ball)
+    # (skip row of the generator that made them, start, stop) per part of
+    # the frontier; the identity was made by none
+    parts = [([False] * len(skip), 0, 1)]
     for radius in itertools.count(1):
         yield len(frontier)
         if radius > family.MAX_RADIUS:      # the elements would not fit
             raise BudgetExceeded(budget, f"ball enumeration past radius "
                                          f"{family.MAX_RADIUS}")
-        new_frontier = []
-        for i in generators:
-            start = 0
-            while start < len(frontier):
-                stop = start + min(_SLICE, budget - len(ball) + 1)
-                fresh = list(itertools.filterfalse(
-                    ball.__contains__, step(frontier[start:stop], i)))
-                ball.update(fresh)
-                if len(ball) > budget:
-                    raise BudgetExceeded(budget, "ball enumeration")
-                new_frontier += fresh
-                start = stop
-        frontier = new_frontier
+        new_frontier, new_parts = [], []
+        for j, row in enumerate(skip):
+            first = len(new_frontier)
+            for skipped, start, end in parts:
+                if skipped[j]:
+                    continue
+                while start < end:
+                    stop = min(end, start + min(_SLICE, budget - len(ball) + 1))
+                    fresh = list(itertools.filterfalse(
+                        ball.__contains__, step(frontier[start:stop], j)))
+                    ball.update(fresh)
+                    if len(ball) > budget:
+                        raise BudgetExceeded(budget, "ball enumeration")
+                    new_frontier += fresh
+                    start = stop
+            new_parts.append((row, first, len(new_frontier)))
+        frontier, parts = new_frontier, new_parts
+
+
+def _short_products(family):
+    """skip[i][j]: whether g_i g_j is a generator or the identity.  An
+    element x = y g_i new at radius r then gives x g_j = y (g_i g_j), of
+    length at most r, so that product is already in the ball."""
+    gens = family.generators()
+    short = {family.identity(), *gens}
+    return [[family.multiply(g, h) in short for h in gens] for g in gens]
 
 
 def _convolve(seqs):

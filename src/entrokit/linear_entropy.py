@@ -15,10 +15,10 @@ decided by the closed form; the empirical profile is advisory.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .errors import BudgetExceeded, InputError, WrongDomain
 from .linalg import RatMatrix, char_poly, kernel_subspace, solve_columns
@@ -102,7 +102,8 @@ def algebraic_entropy(flow: LinearFlow, tol: float = 1e-12) -> EntropyValue:
     if flow.domain == "rn":
         return _eigenvalue_sum_outside(flow.matrix, tol)
     if flow.domain == "qp_scalar":
-        k = max(0, -padic_valuation(flow.scalar, flow.prime))
+        # log max(1, |xi|_p): 0 for xi = 0, whose valuation is infinite
+        k = max(0, -padic_valuation(flow.scalar, flow.prime)) if flow.scalar else 0
         return EntropyValue.log_of(flow.prime, k) if k else EntropyValue.zero()
     raise WrongDomain("algebraic entropy lives on zn, qn, rn, or qp_scalar")
 
@@ -159,8 +160,17 @@ def trajectory_oracle(a: RatMatrix, points, horizon: int,
     """Exact sizes of the sumsets F + A F + ... + A^(n-1) F over Z^n.
 
     F is normalized to contain 0 (harmless for the entropy, and it makes the
-    size sequence non-decreasing).  Raises BudgetExceeded as soon as the
-    sumset being built holds more points than the budget.
+    size sequence non-decreasing).  T_(k+1) = T_k + A^k F is built one
+    point g of A^k F at a time, adding g to slices of T_k; a slice is never
+    longer than the budget leaves room for, so BudgetExceeded is raised as
+    soon as the sumset holds budget + 1 points.
+
+    A point of Z^n is packed into the int sum c_i * 2^(w*i) of signed w-bit
+    fields.  Every coordinate of T_k is at most the reach, the sum over
+    j < k of the largest |coordinate| of A^j F, so fields of
+    w = reach.bit_length() + 1 bits hold them: the packing is injective and
+    adds coordinatewise.  The images A^j F and the reach are made 64 steps
+    ahead, and T_k is repacked when the fields widen.
 
     The reported estimate is the smallest one-step quotient
     log|T_(n+1)| - log|T_n|, which converges far faster than log|T_n|/n (the
@@ -177,24 +187,66 @@ def trajectory_oracle(a: RatMatrix, points, horizon: int,
     if any(len(v) != n for v in base):
         raise InputError("point dimension disagrees with the matrix")
     base.add((0,) * n)
-    current = set(base)            # T_n
-    image = set(base)              # A^(n-1) F as it evolves
-    sizes = [len(current)]
-    for _ in range(horizon - 1):
-        image = {tuple(sum(rows[i][j] * v[j] for j in range(n)) for i in range(n))
-                 for v in image}
-        # checked after each row t + image, so it passes the budget by at
-        # most |image| before it stops
-        sumset = set()
-        for t in current:
-            sumset.update(tuple(map(add, t, g)) for g in image)
-            if len(sumset) > budget:
-                raise BudgetExceeded(budget, "sumset enumeration")
-        current = sumset
+    orbit = _orbit(rows, base)
+    reach, width = 0, 1
+    current = [0]                  # T_0 = {0}, packed
+    sizes = []
+    for k in range(horizon):
+        if k % _AHEAD == 0:
+            images = list(itertools.islice(orbit, min(_AHEAD, horizon - k)))
+            reach += sum(max(abs(c) for v in image for c in v) for image in images)
+            wider = reach.bit_length() + 1
+            if wider > width:
+                current = [_pack(_unpack(t, width, n), wider) for t in current]
+                width = wider
+        image = [_pack(v, width) for v in images[k % _AHEAD]]
+        current = _sumset(current, image, budget)
         sizes.append(len(current))
     slopes = [math.log(s) / (i + 1) for i, s in enumerate(sizes)]
     diffs = [math.log(b) - math.log(a) for a, b in zip(sizes, sizes[1:])]
     return TrajectoryProfile(tuple(sizes), min(diffs), min(slopes))
+
+
+_AHEAD = 64                   # steps whose images are made before their sumsets
+_SLICE = 4096                 # points of T_k shifted per bulk update
+
+
+def _orbit(rows, points):
+    """A^0 F, A^1 F, ...: the images of the points, as sets of tuples."""
+    while True:
+        yield points
+        points = {tuple(sum(r * x for r, x in zip(row, v)) for row in rows)
+                  for v in points}
+
+
+def _pack(v, width: int) -> int:
+    return sum(c << width * i for i, c in enumerate(v))
+
+
+def _unpack(t: int, width: int, n: int) -> list:
+    """The n signed width-bit fields of a packed point, lowest first."""
+    half, mask = 1 << width - 1, (1 << width) - 1
+    v = []
+    for _ in range(n):
+        c = (t + half & mask) - half
+        v.append(c)
+        t = t - c >> width
+    return v
+
+
+def _sumset(current: list, shifts: list, budget: int) -> list:
+    """current + shifts over packed points, checked against the budget
+    after each slice."""
+    sumset = set()
+    for g in shifts:
+        start = 0
+        while start < len(current):
+            stop = start + min(_SLICE, budget - len(sumset) + 1)
+            sumset.update(map(g.__add__, current[start:stop]))
+            if len(sumset) > budget:
+                raise BudgetExceeded(budget, "sumset enumeration")
+            start = stop
+    return list(sumset)
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +254,10 @@ def trajectory_oracle(a: RatMatrix, points, horizon: int,
 
 def invariant_span(a: RatMatrix, points):
     """Basis (list of Fraction tuples) of the smallest A-invariant subspace
-    of Q^n containing the given points: the Krylov span."""
+    of Q^n containing the given points: the Krylov span.
+
+    Kept as library API, with ``restrict_to_subspace``: no subcommand calls
+    them, and ``classify_growth`` restricts A to this span."""
     n = a.n
     basis = []
 
@@ -227,7 +282,8 @@ def invariant_span(a: RatMatrix, points):
 
 
 def restrict_to_subspace(a: RatMatrix, basis) -> RatMatrix:
-    """Matrix of A on an invariant subspace, in the given basis coordinates."""
+    """Matrix of A on an invariant subspace, in the given basis coordinates.
+    Kept as library API (see ``invariant_span``)."""
     cols = []
     for v in basis:
         img = a.matvec(v)
@@ -243,7 +299,8 @@ def pinsker_subspace(a: RatMatrix):
     """Basis of the largest A-invariant subspace of Q^n on which every
     eigenvalue is a root of unity (zero-entropy part); computed exactly as
     the kernel of q(A), q = the cyclotomic part of the characteristic
-    polynomial taken with multiplicities."""
+    polynomial taken with multiplicities.  Kept as library API: no
+    subcommand calls it."""
     factors, _ = strip_cyclotomic_factors(char_poly(a))
     if not factors:
         return []
@@ -283,6 +340,9 @@ def classify_growth(a: RatMatrix, points, horizon: int = 12,
     Exact zero detection makes the dichotomy a real decision; intermediate
     horizons could not separate slow exponential from fast polynomial, so
     the empirical profile is attached as evidence only.
+
+    Kept as library API: no subcommand calls it (``oracle`` reports the
+    profile alone).
     """
     profile = trajectory_oracle(a, points, horizon, budget)
     span = invariant_span(a, points)

@@ -12,6 +12,7 @@ kernels once per matrix or class.
 """
 import math
 from fractions import Fraction
+from operator import add
 
 import mpmath
 
@@ -406,3 +407,25 @@ def growth_reference(specs, horizon: int):
         frontier = new_frontier
         gamma.append(len(ball))
     return tuple(gamma)
+
+
+def trajectory_reference(rows, points, horizon: int):
+    """The sizes |T_1| .. |T_horizon| of the sumsets T_n = F + A F + ... +
+    A^(n-1) F over Z^n, F normalized to contain 0, for the integer matrix
+    given by its rows, by adding every point of A^(n-1) F to every point
+    of T_(n-1) as tuples."""
+    n = len(rows)
+    base = {tuple(int(x) for x in v) for v in points}
+    base.add((0,) * n)
+    current = set(base)            # T_n
+    image = set(base)              # A^(n-1) F as it evolves
+    sizes = [len(current)]
+    for _ in range(horizon - 1):
+        image = {tuple(sum(rows[i][j] * v[j] for j in range(n)) for i in range(n))
+                 for v in image}
+        sumset = set()
+        for t in current:
+            sumset.update(tuple(map(add, t, g)) for g in image)
+        current = sumset
+        sizes.append(len(current))
+    return tuple(sizes)

@@ -119,6 +119,44 @@ def test_human_and_json_share_payload(capsys):
     assert "2*log 3" in human
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_lines_are_formatted_only_when_printed(capsys, monkeypatch, name):
+    parser = cli.build_parser()
+    parse_args = parser.parse_args
+    built = []
+
+    def recording_parse_args(argv):
+        args = parse_args(argv)
+        handler = args.handler
+
+        def recording_handler(args):
+            payload, lines = handler(args)
+
+            def recording_lines():
+                built.append(list(lines()))
+                return built[-1]
+            return payload, recording_lines
+        args.handler = recording_handler
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", recording_parse_args)
+    assert dispatch(GOLDEN_CASES[name] + ["--json"]) == 0
+    assert built == []
+    capsys.readouterr()
+    assert dispatch(GOLDEN_CASES[name]) == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out == "".join(line + "\n" for line in built[0])
+
+
+def test_padic_zero_scalar(capsys):
+    # the zero map has entropy log max(1, |0|_p) = 0
+    code, report = run_json(capsys, ["padic", "--p", "5", "--xi", "0"])
+    assert code == 0
+    assert report["result"]["value"] == {"kind": "exact_zero"}
+    assert dispatch(["padic", "--p", "5", "--xi", "0"]) == 0
+    assert capsys.readouterr().out == "algebraic entropy of x -> (0)*x on Q_5: 0 (exact)\n"
+
+
 def test_exit_code_invalid_input(capsys):
     assert dispatch(["mahler", "--poly", "0"]) == 2
     assert dispatch(["set-entropy", "--map", str(DATA / "fib.json")]) == 2

@@ -160,8 +160,41 @@ def test_step_is_bulk_right_multiplication(spec):
         assert fam.step(xs, i) == [fam.multiply(x, g) for x in xs]
 
 
-def test_heisenberg_ball_matches_reference():
-    assert growth_table(Heisenberg3(), 8).gamma == growth_reference(["heisenberg"], 8)
+@pytest.mark.parametrize("spec, horizon", [
+    ("free:2", 7), ("free:3", 5), ("free:2:standard+ab", 6),
+    ("free:3:standard+ab", 5), ("heisenberg", 10)])
+def test_spheres_match_reference(spec, horizon):
+    gamma = growth_table(family_from_spec(spec), horizon).gamma
+    assert gamma == growth_reference([spec], horizon)
+
+
+@pytest.mark.parametrize("spec, skipped", [
+    ("free:2", 4), ("free:2:standard+ab", 12), ("heisenberg", 4)])
+def test_steps_skip_generators_whose_product_is_short(spec, skipped):
+    # g_i g_j in the generating set or the identity: an element made by
+    # g_i is never stepped by g_j
+    fam = family_from_spec(spec)
+    gens = fam.generators()
+    short = set(gens) | {fam.identity()}
+    skip = {(i, j) for i, g in enumerate(gens) for j, h in enumerate(gens)
+            if fam.multiply(g, h) in short}
+    assert len(skip) == skipped
+    assert sum(map(sum, growth._short_products(fam))) == skipped
+    made_by = {}                  # element -> the generator of its first making
+    real_step = fam.step
+
+    def step(xs, j):
+        assert not any((made_by.get(x), j) in skip for x in xs)
+        out = real_step(xs, j)
+        for y in out:
+            made_by.setdefault(y, j)
+        return out
+
+    fam.step = step
+    gamma = growth_reference([spec], 6)
+    assert growth_table(fam, 6).gamma == gamma
+    # everything made lies in the ball, and the identity is never made
+    assert len(made_by) == gamma[-1] - 1 and fam.identity() not in made_by
 
 
 def test_heisenberg_radius_guard(monkeypatch):

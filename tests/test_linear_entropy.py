@@ -13,6 +13,7 @@ from entrokit.linear_entropy import (
     classify_growth,
     eigenvalue_lower_bound,
     invariant_span,
+    padic_valuation,
     pinsker_subspace,
     restrict_to_subspace,
     topological_entropy,
@@ -22,7 +23,7 @@ from entrokit.mahler import mahler_measure
 from entrokit.roots import classify_unit_circle
 import entrokit.linear_entropy
 
-from oracles import interval_contains, mahler_reference
+from oracles import interval_contains, mahler_reference, trajectory_reference
 
 FIB = RatMatrix([[0, 1], [1, 1]])
 GOLDEN = math.log((1 + 5 ** 0.5) / 2)
@@ -55,6 +56,13 @@ def test_padic_scalars():
     assert v.is_zero()
     with pytest.raises(InputError):
         LinearFlow.padic_scalar(6, 1)
+
+
+def test_padic_zero_scalar_has_zero_entropy():
+    # log max(1, |0|_p) = 0, though the valuation of 0 is infinite
+    assert algebraic_entropy(LinearFlow.padic_scalar(5, 0)).kind == "exact_zero"
+    with pytest.raises(InputError):
+        padic_valuation(Fraction(0), 5)
 
 
 def test_zn_requires_integer_entries():
@@ -195,6 +203,23 @@ def test_trajectory_oracle_budget_bounds_the_points_it_holds(monkeypatch):
     assert max(held[:-1]) <= 20
 
 
+def test_trajectory_oracle_widens_its_fields():
+    # coordinates past 2**64, of both signs: fields of 72 bits and more
+    big = [(2 ** 70, -3), (-5, 2 ** 66 + 1), (-(2 ** 65), 2 ** 64)]
+    rows = [[0, 1], [1, 1]]
+    assert trajectory_oracle(FIB, big, 6).sizes == trajectory_reference(rows, big, 6)
+    # T_5 holds (5, 0) and (-3, 1), which 3-bit fields would pack alike:
+    # a coordinate at the reach needs the sign bit
+    rows, cross = [[1, 0], [0, 1]], [(1, 0), (-1, 0), (0, 1)]
+    assert trajectory_oracle(RatMatrix(rows), cross, 5).sizes \
+        == trajectory_reference(rows, cross, 5)
+    # a rotation of order 4: the reach grows by one a step, so the 8-bit
+    # fields sized for the first 64 steps widen to 9 bits at step 64
+    rows = [[0, -1], [1, 0]]
+    assert trajectory_oracle(RatMatrix(rows), [(1, 0)], 130).sizes \
+        == trajectory_reference(rows, [(1, 0)], 130)
+
+
 def test_invariant_span_and_restriction():
     span = invariant_span(FIB, [(1, 0)])
     assert len(span) == 2
@@ -290,3 +315,33 @@ def test_padic_prime_check_matches_sympy():
         else:
             with pytest.raises(InputError):
                 LinearFlow.padic_scalar(n, 1)
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property tests below need hypothesis
+    given = None
+
+if given is not None:
+    @st.composite
+    def _sumset_cases(draw):
+        n = draw(st.integers(1, 3))
+        entry = st.integers(-3, 3)
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        points = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=3))
+        return rows, points, draw(st.integers(2, 6))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_sumset_cases(), st.integers(-3, 3))
+    def test_trajectory_oracle_matches_reference(case, offset):
+        rows, points, horizon = case
+        sizes = trajectory_reference(rows, points, horizon)
+        # the sizes never fall, so the budget trips iff the last one passes it
+        budget = max(1, sizes[-1] + offset)
+        if sizes[-1] > budget:
+            with pytest.raises(BudgetExceeded):
+                trajectory_oracle(RatMatrix(rows), points, horizon, budget)
+        else:
+            assert trajectory_oracle(RatMatrix(rows), points, horizon,
+                                     budget).sizes == sizes
