@@ -12,9 +12,8 @@ from .linear_entropy import LinearFlow, algebraic_entropy, classify_growth, \
     eigenvalue_lower_bound, pinsker_subspace, topological_entropy, \
     trajectory_oracle
 from .set_maps import InString, InTree, SymbolicSelfMap, covariant_entropy, \
-    contravariant_entropy, cotrajectory_profile, covariant_trajectory_profile, \
-    left_shift, power_map, qper_wan_partition, right_shift, surjective_core, \
-    validate
+    contravariant_entropy, cotrajectory_profile, left_shift, power_map, \
+    right_shift, surjective_core, validate
 from .shifts import GeneralizedShiftSpec, adjoint_entropy_of_shift, \
     shift_algebraic_entropy, shift_bruteforce_oracle, shift_topological_entropy
 from .adjoint import CotrajectoryReport, adjoint_entropy_at, dichotomy_probe

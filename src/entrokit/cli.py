@@ -14,6 +14,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 import time
 from itertools import groupby
@@ -175,7 +176,7 @@ def _cmd_shift(args):
         sizes = [str(size) for size in report.sizes]
         payload["oracle_sizes"] = sizes
         payload["oracle_ranks"] = list(report.ranks)
-        adj = adjoint_entropy_of_shift(spec, points, budget=args.budget)
+        adj = adjoint_entropy_of_shift(spec, points)
         payload["coordinate_adjoint"] = adj.to_json()
 
     def lines():
@@ -461,11 +462,17 @@ def dispatch(argv) -> int:
             "result": payload,
             "timing_ms": round(1000 * (time.perf_counter() - started), 3),
         }
-        if args.json:
-            print(json.dumps(report, sort_keys=True))
-        else:
-            for line in lines():
-                print(line)
+        try:
+            if args.json:
+                print(json.dumps(report, sort_keys=True))
+            else:
+                for line in lines():
+                    print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early; the result was computed, so exit 0,
+            # and point stdout at devnull to keep the flush at exit quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

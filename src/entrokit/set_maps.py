@@ -25,11 +25,12 @@ Every core node has exactly one image, so a weakly connected component is
 the basin of one terminal, a core cycle or a ray, and ``components`` finds
 it by a forward walk from each core node.  The covariant entropy counts
 pairwise disjoint infinite forward orbits: one per component whose terminal
-is a ray, so one per ray.  The contravariant entropy lives on the
+is a ray, so one per ray; the local covariant entropy of a finite set counts
+the rays its forward orbits reach.  The contravariant entropy lives on the
 surjective core: infinite when a tree survives there (unbounded antichains
 of ramification points), otherwise the number of pairwise disjoint
 backward-infinite strings; the surjective core keeps every string and tree,
-so both entropies are read off the presentation.
+so all three are read off the presentation.
 """
 from __future__ import annotations
 
@@ -65,14 +66,6 @@ def _parse_target(text: str):
 
 def _target_text(target) -> str:
     return target if isinstance(target, str) else RAY_PREFIX + target[0]
-
-
-def _tree_depth(k: int, branching: int) -> int:
-    depth = 0
-    while k:
-        k = (k - 1) // branching
-        depth += 1
-    return depth
 
 
 @dataclass(frozen=True)
@@ -273,7 +266,7 @@ def validate(m: SymbolicSelfMap) -> list:
 
 
 # ----------------------------------------------------------------------
-# components and the quasi-periodic / wandering partition
+# components and the covariant entropies
 
 @dataclass(frozen=True)
 class Component:
@@ -323,15 +316,6 @@ def components(m: SymbolicSelfMap) -> list:
     return out
 
 
-def qper_wan_partition(m: SymbolicSelfMap):
-    """Components split by terminal structure: cycle terminals carry only
-    quasi-periodic points, ray terminals only wandering points."""
-    qper, wan = [], []
-    for comp in components(m):
-        (wan if comp.terminal[0] == "ray" else qper).append(comp)
-    return qper, wan
-
-
 def covariant_entropy(m: SymbolicSelfMap) -> int:
     """The number of pairwise disjoint infinite forward orbits: one per
     wandering component.  Every part of the presentation but a ray has
@@ -340,79 +324,35 @@ def covariant_entropy(m: SymbolicSelfMap) -> int:
     return len(m.out_rays)
 
 
-# ----------------------------------------------------------------------
-# forward trajectory profiles
+def covariant_local_entropy(m: SymbolicSelfMap, points) -> int:
+    """h(f, D): the per-step growth of D u f(D) u ... u f^(n-1)(D) for
+    large n, read off the presentation as the number of distinct rays the
+    forward orbits of D reach.
 
-def _stabilization_bound(m: SymbolicSelfMap, points) -> int:
-    """Steps after which the forward increments of the points are final:
-    the longest drain through a string or tree into the core, plus the
-    furthest ray offset, plus the core size and 2."""
-    depth = offset = 0
-    for p in points:
-        if isinstance(p, str):
-            continue
-        tail = m.tails[p[0]]
-        if tail is None:
-            offset = max(offset, p[1])
-        elif isinstance(tail, InString):
-            depth = max(depth, p[1] + 1)
-        else:
-            depth = max(depth, _tree_depth(p[1], tail.branching))
-    return depth + offset + len(m.core_map) + 2
-
-
-@dataclass(frozen=True)
-class ForwardProfile:
-    sizes: tuple
-    local_entropy: int       # the stabilized per-step increment
-
-
-def covariant_trajectory_profile(m: SymbolicSelfMap, points, horizon: int,
-                                 budget: int = 1_000_000) -> ForwardProfile:
-    """Sizes of D u f(D) u ... u f^(n-1)(D) for n up to the horizon.
-
-    The per-step increment becomes constant once every orbit stream has
-    drained through the finite core and colliding ray fronts have merged;
-    both events happen within a bound computed from the presentation, so the
-    stabilized increment (the local entropy, an integer <= |D|) is exact.
-    Raises HorizonTooShort when the horizon does not cover the bound plus a
-    confirmation window of |D| + 1 steps, and BudgetExceeded when the
-    trajectory passes the budget.
+    Every forward orbit ends in a core cycle or climbs one ray forever, and
+    once the finitely many other points are passed, each ray reached adds
+    one point per step.  A ray point climbs its own ray; a string or tree
+    point drains into its attach node; from a core node the walk follows
+    the core, memoized across the points, to a ray head or to a node some
+    walk already visited (a cycle, or a node whose ray is already counted).
     """
-    return _forward_profile(m, [m.resolve(p) for p in points], horizon, budget)
-
-
-def _forward_profile(m: SymbolicSelfMap, d: list, horizon: int,
-                     budget: int) -> ForwardProfile:
+    d = [m.resolve(p) for p in points]
     if not d:
         raise InputError("the trajectory of an empty set is empty")
-    bound = _stabilization_bound(m, d)
-    window = len(d) + 1
-    if horizon < bound + window:
-        raise HorizonTooShort(
-            f"need a horizon of at least {bound + window} to certify stabilization")
-    current = set(d)
-    frontier = set(d)
-    sizes = [len(current)]
-    for _ in range(horizon - 1):
-        frontier = {m.apply(p) for p in frontier}
-        current |= frontier
-        if len(current) > budget:
-            raise BudgetExceeded(budget, "forward trajectory")
-        sizes.append(len(current))
-    increments = [b - a for a, b in zip(sizes, sizes[1:])]
-    tail = increments[bound - 1:]
-    if any(x != tail[-1] for x in tail):
-        raise HorizonTooShort("increments still moving past the stabilization bound")
-    return ForwardProfile(tuple(sizes), tail[-1])
-
-
-def covariant_local_entropy(m: SymbolicSelfMap, points,
-                            budget: int = 1_000_000) -> int:
-    """h(f, D): the stabilized increment, with an automatically chosen horizon."""
-    d = [m.resolve(p) for p in points]
-    horizon = _stabilization_bound(m, d) + len(d) + 1
-    return _forward_profile(m, d, horizon, budget).local_entropy
+    rays, seen = set(), set()
+    for p in d:
+        if not isinstance(p, str):
+            tail = m.tails[p[0]]
+            if tail is None:
+                rays.add(p[0])
+                continue
+            p = tail.attach
+        while isinstance(p, str) and p not in seen:
+            seen.add(p)
+            p = m.core[p]
+        if not isinstance(p, str):
+            rays.add(p[0])
+    return len(rays)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,9 @@ the rank counted by one backward sweep from F, no elimination needed.  For
 the adjoint side, the coordinate subgroup N_F (all functions vanishing on F)
 pulls back along the shift to N over the forward trajectory of F, so the
 index sequence is q**|T_n(f, F)| and the adjoint entropy with respect to N_F
-is the local covariant entropy times log q.
+is the local covariant entropy times log q.  That entropy counts the rays the
+forward orbits of F reach, so the adjoint value is read off the presentation
+and never holds a trajectory.
 """
 from __future__ import annotations
 
@@ -120,25 +122,18 @@ def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
     return ShiftOracleReport(tuple(p ** r for r in ranks), tuple(ranks))
 
 
-def adjoint_entropy_of_shift(spec: GeneralizedShiftSpec, points,
-                             budget: int = 1_000_000) -> EntropyValue:
+def adjoint_entropy_of_shift(spec: GeneralizedShiftSpec, points) -> EntropyValue:
     """Adjoint entropy of the direct-sum shift with respect to the coordinate
     subgroup N_F of functions vanishing on F.
 
     The shift pulls N_F back to the coordinate subgroup over the forward
     image of F, so the n-th cotrajectory is the coordinate subgroup over
     T_n(f, F) with index q**|T_n|, and the limit is the local covariant
-    entropy of F times log q.  The supremum over F is the covariant entropy
-    of the map times log q.  The budget bounds the forward trajectory held.
+    entropy of F times log q: log q per ray the forward orbits of F reach,
+    read off the presentation (``set_maps.covariant_local_entropy``), so no
+    trajectory is built.  The supremum over F is the covariant entropy of
+    the map times log q.
     """
     if spec.variant != "direct_sum":
         raise InputError("coordinate subgroups of the direct sum are finite-index")
-    local = covariant_local_entropy(spec.map, points, budget)
-    return _as_value(local, spec.group_order)
-
-
-def shift_adjoint_supremum(spec: GeneralizedShiftSpec) -> EntropyValue:
-    """sup over finite F of the coordinate-subgroup adjoint entropy."""
-    if spec.variant != "direct_sum":
-        raise InputError("coordinate subgroups of the direct sum are finite-index")
-    return _as_value(covariant_entropy(spec.map), spec.group_order)
+    return _as_value(covariant_local_entropy(spec.map, points), spec.group_order)

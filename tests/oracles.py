@@ -312,6 +312,38 @@ def cotrajectory_reference(obj: dict, names, horizon: int):
     return tuple(reduced[:horizon]), tuple(naive[:horizon]), limit
 
 
+def forward_profile_reference(obj: dict, names, horizon: int):
+    """Sizes of D u f(D) u ... u f^(n-1)(D) for n = 1 .. horizon, on a
+    self-map given in its JSON form and the point names D, by iterating the
+    map point by point on names: a ray point climbs, a string point moves
+    down, a tree point drops its last digit, and a string or tree head maps
+    to its attach node."""
+    core = obj.get("core", {})
+    rays = set(obj.get("out_rays", ()))
+    strings = {s["id"]: s["attach"] for s in obj.get("in_strings", ())}
+    trees = {t["id"]: t["attach"] for t in obj.get("in_trees", ())}
+
+    def image(p):
+        if ":" not in p:
+            target = core[p]
+            return target[len("ray:"):] + ":0" if target.startswith("ray:") else target
+        tail, _, suffix = p.partition(":")
+        if tail in rays:
+            return f"{tail}:{int(suffix) + 1}"
+        if tail in strings:
+            return f"{tail}:{int(suffix) - 1}" if suffix != "0" else strings[tail]
+        return f"{tail}:{suffix[:-1]}" if len(suffix) > 1 else trees[tail]
+
+    union = set(names)
+    frontier = set(names)
+    sizes = [len(union)]
+    for _ in range(horizon - 1):
+        frontier = {image(p) for p in frontier}
+        union |= frontier
+        sizes.append(len(union))
+    return tuple(sizes)
+
+
 def components_reference(obj: dict):
     """The weakly connected components of a self-map given in its JSON form,
     as (core nodes, rays, strings, trees, terminal) tuples sorted by (core

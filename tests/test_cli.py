@@ -326,15 +326,22 @@ sys.exit(code)
 """
 
 
+_CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
+def _peak_rss_child(argv):
+    """Runs dispatch(argv) in a child process, which prints its VmHWM in kB
+    on stderr."""
+    return subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+                          capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
+
+
 @pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
                     reason="reads the peak resident set from /proc")
 def test_shift_oracle_long_horizon_is_fast_and_small(tmp_path):
     # the level of a is two ranges a step, however many points they hold
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    argv = [sys.executable, "-c", _PEAK_RSS_CHILD,
-            *_tree3_argv(tmp_path, "shift", 1000), "--json"]
-    child = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    child = _peak_rss_child(_tree3_argv(tmp_path, "shift", 1000) + ["--json"])
     assert child.returncode == 0
     report = json.loads(child.stdout)
     assert report["result"]["oracle_ranks"] == list(range(1, 1001))
@@ -371,17 +378,38 @@ def test_shift_echoes_horizon_and_budget_only_with_the_oracle(capsys):
     assert (report["inputs"]["horizon"], report["inputs"]["budget"]) == (5, 5_000_000)
 
 
-def test_forward_profile_budget(capsys, tmp_path):
-    # the ray offset sets the forward horizon: the profile holds ~10**5 points
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
+                    reason="reads the peak resident set from /proc")
+def test_coordinate_adjoint_of_a_far_ray_point_is_fast_and_small(tmp_path):
+    # the adjoint value counts the rays the orbits of F reach, so a ray
+    # offset of 10**8 costs what offset 0 costs, and no budget is needed
     path = tmp_path / "fed_ray.json"
     path.write_text(json.dumps({"core": {"a": "ray:R", "b": "a"}, "out_rays": ["R"],
                                 "in_strings": [{"id": "S", "attach": "b"}]}))
-    argv = ["shift", "--map", str(path), "--order", "2", "--variant", "sum",
-            "--oracle", "R:100000"]
-    assert dispatch(argv + ["--budget", "1000"]) == 3
-    assert "forward trajectory exceeded budget of 1000" in capsys.readouterr().err
-    assert dispatch(argv + ["--budget", "200000"]) == 0
-    capsys.readouterr()
+    child = _peak_rss_child(["shift", "--map", str(path), "--order", "2",
+                             "--variant", "sum", "--oracle", "R:100000000",
+                             "--budget", "1000000", "--json"])
+    assert child.returncode == 0
+    report = json.loads(child.stdout)
+    assert report["result"]["coordinate_adjoint"] == \
+        {"kind": "exact_log", "base": 2, "multiplier": "1/1"}
+    assert report["timing_ms"] < 1000
+    assert int(child.stderr) < 100 * 1024
+
+
+@pytest.mark.parametrize("form", [["--json"], []])
+def test_a_closed_pipe_exits_0_without_a_traceback(tmp_path, form):
+    # the report runs to about 2 MB, past any pipe buffer, so the child is
+    # still writing when the reader takes a few bytes and closes the pipe
+    argv = _tree3_argv(tmp_path, "cotrajectory", 2000) + ["--budget", "100000000"]
+    child = subprocess.Popen([sys.executable, "-m", "entrokit.cli", *argv, *form],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=_CHILD_ENV)
+    assert child.stdout.read(10)
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 0
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
 @pytest.mark.parametrize("argv", [

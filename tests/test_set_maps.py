@@ -1,8 +1,9 @@
 import math
+import time
 
 import pytest
 
-from entrokit.errors import BudgetExceeded, HorizonTooShort, InputError, InvalidMap
+from entrokit.errors import BudgetExceeded, InputError, InvalidMap
 from entrokit.set_maps import (
     SymbolicSelfMap,
     components,
@@ -10,20 +11,27 @@ from entrokit.set_maps import (
     cotrajectory_profile,
     covariant_entropy,
     covariant_local_entropy,
-    covariant_trajectory_profile,
     disjoint_union,
     left_shift,
     power_map,
-    qper_wan_partition,
     right_shift,
     surjective_core,
     validate,
 )
 
-from oracles import components_reference, cotrajectory_reference
+from oracles import components_reference, cotrajectory_reference, \
+    forward_profile_reference
 
 RHO = right_shift()
 SIG = left_shift()
+
+
+def reference_local_entropy(obj, names, horizon=32):
+    """The last increment of the point-by-point forward profile: h(f, D)
+    once the horizon is past every drain into the core and every meeting of
+    orbits on a ray, as 32 is for the small maps of these tests."""
+    sizes = forward_profile_reference(obj, names, horizon)
+    return sizes[-1] - sizes[-2]
 
 
 def tree_on_fixed_point(branching=2):
@@ -72,12 +80,15 @@ def test_shift_normalizations():
 
 
 def test_qper_wan_partition():
-    qper, wan = qper_wan_partition(RHO)
-    assert not qper and len(wan) == 1
-    qper, wan = qper_wan_partition(SIG)
-    assert len(qper) == 1 and not wan
-    qper, wan = qper_wan_partition(disjoint_union(RHO, SIG))
-    assert len(qper) == 1 and len(wan) == 1
+    # a cycle terminal carries only quasi-periodic points, a ray terminal
+    # only wandering ones: (quasi-periodic, wandering) component counts
+    def split(m):
+        kinds = [c.terminal[0] for c in components(m)]
+        return kinds.count("cycle"), kinds.count("ray")
+
+    assert split(RHO) == (0, 1)
+    assert split(SIG) == (1, 0)
+    assert split(disjoint_union(RHO, SIG)) == (1, 1)
 
 
 def test_addition_over_disjoint_union():
@@ -89,17 +100,16 @@ def test_addition_over_disjoint_union():
 
 
 def test_forward_profile_examples():
-    p = covariant_trajectory_profile(RHO, ["R:0"], 8)
-    assert p.sizes == tuple(range(1, 9)) and p.local_entropy == 1
-    p = covariant_trajectory_profile(RHO, ["R:0", "R:1"], 10)
-    assert p.local_entropy == 1
-    p = covariant_trajectory_profile(SIG, ["S:3"], 12)
-    assert p.sizes[:6] == (1, 2, 3, 4, 5, 5) and p.local_entropy == 0
+    assert forward_profile_reference(RHO.to_json(), ["R:0"], 8) == tuple(range(1, 9))
+    assert covariant_local_entropy(RHO, ["R:0", "R:1"]) == 1 \
+        == reference_local_entropy(RHO.to_json(), ["R:0", "R:1"])
+    assert forward_profile_reference(SIG.to_json(), ["S:3"], 12)[:6] == (1, 2, 3, 4, 5, 5)
+    assert covariant_local_entropy(SIG, ["S:3"]) == 0 \
+        == reference_local_entropy(SIG.to_json(), ["S:3"])
 
 
 def test_forward_profile_of_a_tree_point():
-    # T:012 drains through T:01 and T:0 into the fixed point z, so the
-    # stabilization bound counts its tree depth 3
+    # T:012 drains through T:01 and T:0 into the fixed point z
     core, trees = {"z": "z"}, {"T": "z"}
     m = SymbolicSelfMap.build(core, [], [], [("T", "z", 3)])
 
@@ -114,36 +124,35 @@ def test_forward_profile_of_a_tree_point():
         p = image(p)
         union.add(p)
         sizes.append(len(union))
-    profile = covariant_trajectory_profile(m, ["T:012"], 9)
-    assert profile.sizes == tuple(sizes) == (1, 2, 3, 4, 4, 4, 4, 4, 4)
-    assert profile.local_entropy == 0
-    with pytest.raises(HorizonTooShort):  # bound 3 + 1 + 2, window 2
-        covariant_trajectory_profile(m, ["T:012"], 7)
+    assert forward_profile_reference(m.to_json(), ["T:012"], 9) == tuple(sizes) \
+        == (1, 2, 3, 4, 4, 4, 4, 4, 4)
+    assert covariant_local_entropy(m, ["T:012"]) == 0
 
 
 def test_forward_profile_bounded_by_set_size():
     maps = [RHO, SIG, disjoint_union(RHO, RHO), fan_example(3)]
     sets = [["R:0"], ["S:2", "z"], ["R_l:0", "R_r:3"], ["z", "c1", "x2_1"]]
     for m, d in zip(maps, sets):
-        try:
-            p = covariant_trajectory_profile(m, d, 40)
-        except InputError:
-            continue
-        assert 0 <= p.local_entropy <= len(d)
+        h = covariant_local_entropy(m, d)
+        assert 0 <= h <= len(d) and h == reference_local_entropy(m.to_json(), d)
 
 
-def test_forward_profile_horizon_guard():
-    with pytest.raises(HorizonTooShort):
-        covariant_trajectory_profile(RHO, ["R:9"], 5)
-
-
-def test_forward_profile_budget():
-    # the trajectory of R:0 holds n points after n steps
-    assert covariant_trajectory_profile(RHO, ["R:0"], 8, budget=8).sizes[-1] == 8
-    with pytest.raises(BudgetExceeded):
-        covariant_trajectory_profile(RHO, ["R:0"], 8, budget=7)
-    with pytest.raises(BudgetExceeded):
-        covariant_local_entropy(RHO, ["R:1000"], budget=100)
+def test_local_entropy_of_far_offsets():
+    # an orbit through S:0 or R:0 grows as the orbit of that point does, so
+    # offsets of 10**9 take the reference's value at offset 0; and none of
+    # them walks its string or ray
+    obj = {"core": {"a": "ray:R", "b": "a", "z": "z"}, "out_rays": ["R"],
+           "in_strings": [{"id": "S", "attach": "b"}, {"id": "U", "attach": "z"}],
+           "in_trees": [{"id": "T", "attach": "b", "branching": 3}]}
+    m = SymbolicSelfMap.from_json(obj)
+    far = 10 ** 9
+    for names, near in [([f"R:{far}"], ["R:0"]), ([f"S:{far}"], ["S:0"]),
+                        ([f"U:{far}"], ["U:0"]), (["T:0120"], ["T:0120"]),
+                        ([f"R:{far}", f"S:{far}", f"U:{far}"], ["R:0", "S:0", "U:0"])]:
+        started = time.perf_counter()
+        h = covariant_local_entropy(m, names)
+        assert time.perf_counter() - started < 0.05
+        assert h == reference_local_entropy(obj, near)
 
 
 def test_surjective_core():
@@ -259,6 +268,8 @@ def test_profile_limit_is_independent_oracle_for_closed_form():
 
 
 def test_local_entropy_helper():
+    with pytest.raises(InputError):
+        covariant_local_entropy(RHO, [])
     assert covariant_local_entropy(RHO, ["R:0"]) == 1
     assert covariant_local_entropy(SIG, ["S:5"]) == 0
     two = disjoint_union(RHO, RHO)
@@ -445,11 +456,18 @@ if given is not None:
         # h counts the wandering components, h* is the string number of the
         # surjective core; both are read off the presentation directly
         m = SymbolicSelfMap.from_json(case[0])
-        assert covariant_entropy(m) == len(qper_wan_partition(m)[1])
+        assert covariant_entropy(m) == sum(c.terminal[0] == "ray" for c in components(m))
         sc = surjective_core(m)
         string_number = 0 if sc.is_empty() else \
             math.inf if sc.in_trees else len(sc.in_strings)
         assert contravariant_entropy(m) == string_number
+
+    @settings(max_examples=150)
+    @given(_small_maps())
+    def test_local_entropy_matches_the_forward_reference(case):
+        obj, names = case
+        assert covariant_local_entropy(SymbolicSelfMap.from_json(obj), names) \
+            == reference_local_entropy(obj, names)
 
     @settings(max_examples=150)
     @given(_small_maps())

@@ -4,18 +4,18 @@ from fractions import Fraction
 import pytest
 
 from entrokit.errors import BudgetExceeded, InputError
-from entrokit.set_maps import SymbolicSelfMap, disjoint_union, left_shift, right_shift
+from entrokit.set_maps import SymbolicSelfMap, covariant_entropy, disjoint_union, \
+    left_shift, right_shift
 from entrokit.shifts import (
     GeneralizedShiftSpec,
     adjoint_entropy_of_shift,
-    shift_adjoint_supremum,
     shift_algebraic_entropy,
     shift_bruteforce_oracle,
     shift_topological_entropy,
 )
 from entrokit.values import EntropyValue
 
-from oracles import shift_rank_reference
+from oracles import forward_profile_reference, shift_rank_reference
 
 RHO = right_shift()
 SIG = left_shift()
@@ -195,23 +195,23 @@ def test_coordinate_subgroup_adjoint_values():
 
 
 def test_adjoint_supremum_is_covariant_entropy():
-    for m, h, _ in catalog():
-        v = shift_adjoint_supremum(GeneralizedShiftSpec(m, 3, "direct_sum"))
-        assert v.same_value(EntropyValue.log_of(3, h))
+    # F reaching every ray attains the supremum over finite F
+    for m, _, _ in catalog():
+        points = [f"{r}:0" for r in m.out_rays] or _default_points(m)
+        v = adjoint_entropy_of_shift(GeneralizedShiftSpec(m, 3, "direct_sum"), points)
+        assert v.same_value(EntropyValue.log_of(3, covariant_entropy(m)))
 
 
 def test_adjoint_matches_forward_index_oracle():
     # the pulled-back coordinate subgroup has index q**|T_n(f, F)|: recompute
-    # the forward unions directly and compare the growth of the exponents
-    from entrokit.set_maps import covariant_trajectory_profile
-
+    # the forward unions point by point and compare the growth of the exponents
     for m, _, _ in catalog():
         points = _string_heads(m) or _default_points(m)
         spec = GeneralizedShiftSpec(m, 2, "direct_sum")
         value = adjoint_entropy_of_shift(spec, points)
-        profile = covariant_trajectory_profile(
-            m, points, 40 + 2 * len(dict(m.core_map)))
-        assert value.same_value(EntropyValue.log_of(2, profile.local_entropy))
+        sizes = forward_profile_reference(m.to_json(), points,
+                                          40 + 2 * len(dict(m.core_map)))
+        assert value.same_value(EntropyValue.log_of(2, sizes[-1] - sizes[-2]))
 
 
 try:
