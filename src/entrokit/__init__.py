@@ -1,16 +1,14 @@
 """entrokit: exact and certified computation of dynamical entropies."""
 
 from .values import EntropyValue
-from .polynomials import IntPolynomial, cyclotomic, delta_sequence_exact, \
-    is_zero_mahler, reciprocal
+from .polynomials import IntPolynomial, cyclotomic
 from .roots import CertifiedRoot, CircleClassification, classify_unit_circle, \
     find_roots
 from .mahler import mahler_measure
 from .linalg import Lattice, RatMatrix, char_poly, hnf, int_char_poly, \
     kernel_subspace, lattice_intersect, lattice_preimage
 from .linear_entropy import LinearFlow, algebraic_entropy, classify_growth, \
-    eigenvalue_lower_bound, pinsker_subspace, topological_entropy, \
-    trajectory_oracle
+    pinsker_subspace, topological_entropy, trajectory_oracle
 from .set_maps import InString, InTree, SymbolicSelfMap, covariant_entropy, \
     contravariant_entropy, cotrajectory_profile, left_shift, power_map, \
     right_shift, surjective_core, validate

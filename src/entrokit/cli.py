@@ -38,7 +38,8 @@ from .shifts import GeneralizedShiftSpec, adjoint_entropy_of_shift, \
 def _load_json_or_inline(arg: str):
     path = Path(arg)
     try:
-        is_file = path.exists()
+        # Path("") is the current directory, so an empty argument is inline
+        is_file = bool(arg) and path.exists()
     except OSError:
         # e.g. a name longer than NAME_MAX: it cannot be a file, so it is inline
         is_file = False
@@ -84,7 +85,10 @@ def parse_map(arg: str) -> SymbolicSelfMap:
 
 
 def parse_nodes(arg: str):
-    return _read_list(arg, "nodes")
+    nodes = _read_list(arg, "nodes")
+    if not all(isinstance(node, str) for node in nodes):
+        raise InputError("every entry of 'nodes' must be a string")
+    return nodes
 
 
 def parse_vectors(arg: str):
@@ -169,7 +173,7 @@ def _cmd_shift(args):
         value = shift_algebraic_entropy(spec)
         label = "algebraic entropy of the direct-sum shift"
     payload = {"variant": args.variant, "order": args.order, "value": value.to_json()}
-    if args.oracle:
+    if args.oracle is not None:
         points = parse_nodes(args.oracle)
         report = shift_bruteforce_oracle(spec, points, args.horizon,
                                         budget=args.budget)
@@ -181,7 +185,7 @@ def _cmd_shift(args):
 
     def lines():
         yield f"{label}: {value}"
-        if args.oracle:
+        if args.oracle is not None:
             yield f"oracle subgroup sizes: [{', '.join(sizes)}]"
             yield f"coordinate-subgroup adjoint entropy: {adj}"
     return payload, lines

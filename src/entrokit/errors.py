@@ -27,10 +27,6 @@ class NotPrimitive(InputError):
     pass
 
 
-class ZeroConstantTerm(InputError):
-    pass
-
-
 class NoConvergence(CertificationError):
     def __init__(self, max_iterations):
         super().__init__(f"root refinement did not certify within {max_iterations} iterations")
@@ -47,10 +43,6 @@ class SingularMap(InputError):
 
 class WrongDomain(InputError):
     pass
-
-
-class Incomparable(EntrokitError):
-    """Two approximate values whose certified intervals overlap."""
 
 
 class InvalidMap(InputError):

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, InputError, WrongDomain
 from .linalg import RatMatrix, char_poly, kernel_subspace, solve_columns
-from .mahler import log_value, mahler_measure, outside_sum, sum_logs
+from .mahler import log_value, mahler_measure, outside_sum
 from .polynomials import IntPolynomial, cyclotomic, is_prime, strip_cyclotomic_factors
 from .roots import classify_unit_circle
 from .values import EntropyValue
@@ -116,30 +116,6 @@ def topological_entropy(flow: LinearFlow, tol: float = 1e-12) -> EntropyValue:
     if flow.domain == "tn_dual":
         return mahler_measure(char_poly(flow.matrix), tol)
     raise WrongDomain("topological entropy lives on rn or tn_dual")
-
-
-def eigenvalue_lower_bound(flow: LinearFlow, tol: float = 1e-12) -> EntropyValue:
-    """max(0, max log|eigenvalue|): a certified lower bound for h_alg."""
-    if flow.domain not in ("zn", "qn"):
-        raise WrongDomain("the eigenvalue bound applies on zn or qn")
-    classification = classify_unit_circle(char_poly(flow.matrix), tol)
-    best = max([abs(r) for r, _ in classification.rational if abs(r) > 1],
-               default=Fraction(1))
-    if classification.is_exact():
-        return log_value(best)
-    value, error = math.log(best), 0.0
-    for root in classification.outside:
-        mod = abs(root.approx)
-        if math.log(mod) > value:
-            value = math.log(mod)
-            error = root.radius / (mod - root.radius)
-    if value == 0.0 and not classification.on_circle_caveat:
-        return EntropyValue.zero()
-    # a boundary root has 0 <= log|z| <= log(|z| + r): it can only raise the top
-    for root in classification.on_circle_caveat:
-        hi, slack = sum_logs([(1, math.log(abs(root.approx) + root.radius))])
-        error = max(error, hi + slack - value)
-    return EntropyValue.approximate(value, error + sum_logs([(1, value)])[1])
 
 
 # ----------------------------------------------------------------------

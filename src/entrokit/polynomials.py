@@ -9,10 +9,10 @@ polynomial scaled that way has the same roots.
 
 The module supplies the exact machinery the rest of the toolkit leans on:
 content/primitive part, exact division over Z, cyclotomic generation (Phi_m
-built from smaller cyclotomic polynomials), purely exact detection of
-polynomials whose roots are all roots of unity, the reciprocal transform,
-and the classical root-growth sequence D_n = prod_i |1 - lambda_i**n|,
-exactly over Z.
+built from smaller cyclotomic polynomials), the exact division of the
+cyclotomic factors out of a polynomial, and the classical root-growth
+sequence D_n = prod_i |1 - lambda_i**n| of a monic polynomial, one n at a
+time, exactly over Z.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError, ZeroConstantTerm, ZeroPolynomial
+from .errors import InputError, ZeroPolynomial
 
 
 def _trim(coeffs):
@@ -242,41 +242,6 @@ def strip_cyclotomic_factors(f: IntPolynomial):
         if g.degree == 0:
             break
     return sorted(factors.items()), g
-
-
-def is_zero_mahler(f: IntPolynomial) -> bool:
-    """True iff every root of f is a root of unity and the lead is +-1.
-
-    Decided exactly by writing f (up to sign) as a product of cyclotomic
-    polynomials; no floating point is involved.
-    """
-    from .errors import NotPrimitive
-
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial")
-    if f.degree < 1:
-        raise InputError("constant polynomials carry no roots")
-    if abs(f.content()) != 1:
-        raise NotPrimitive(f"content {f.content()} != 1")
-    if abs(f.lead) != 1:
-        return False
-    g = f if f.lead > 0 else -f
-    _, cofactor = strip_cyclotomic_factors(g)
-    return cofactor.degree == 0 and cofactor.coeffs == (1,)
-
-
-# ----------------------------------------------------------------------
-# reciprocal transform
-
-def reciprocal(f: IntPolynomial) -> IntPolynomial:
-    """t**deg * f(1/t): the reversed coefficient vector, lead made positive."""
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial")
-    if f.constant_term() == 0:
-        raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
-    rev = tuple(reversed(f.coeffs))
-    out = IntPolynomial(rev)
-    return out if out.lead > 0 else -out
 
 
 # ----------------------------------------------------------------------
@@ -510,10 +475,6 @@ def delta_exact(f: IntPolynomial, n: int) -> int:
         column = _times_t(column, low)
     # det M = det M^T, so the columns serve as rows
     return abs(int_char_poly(columns)[0])
-
-
-def delta_sequence_exact(f: IntPolynomial, horizon: int):
-    return [delta_exact(f, n) for n in range(1, horizon + 1)]
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ import mpmath
 from .errors import InputError, NoConvergence, NotPrimitive
 from .polynomials import (
     IntPolynomial,
-    cyclotomic,
     rational_roots,
     squarefree_decomposition,
     strip_cyclotomic_factors,
@@ -74,11 +73,6 @@ class CircleClassification:
         """True when every root is rational or a root of unity (Kronecker),
         so that nothing here came from floating point."""
         return not (self.inside or self.outside or self.on_circle_caveat)
-
-    def total_multiplicity(self) -> int:
-        on = sum(cyclotomic(m).degree * k for m, k in self.on_circle_exact)
-        return on + sum(k for _, k in self.rational) + sum(
-            r.multiplicity for r in self.inside + self.outside + self.on_circle_caveat)
 
 
 def find_roots(f: IntPolynomial, tol: float = 1e-12) -> list:

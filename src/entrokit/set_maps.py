@@ -122,9 +122,6 @@ class SymbolicSelfMap:
             out[t.attach][1].append((t.id, 1, t.branching))
         return out
 
-    def is_empty(self) -> bool:
-        return not (self.core_map or self.out_rays or self.in_strings or self.in_trees)
-
     # -- the map on points ---------------------------------------------
 
     def apply(self, point):
@@ -216,12 +213,18 @@ class SymbolicSelfMap:
             if any(not isinstance(e, dict) or not {"id", "attach"} <= set(e)
                    for e in obj.get(key, [])):
                 raise InputError(f"every {key} entry needs the keys id and attach")
-        return SymbolicSelfMap.build(
-            obj.get("core", {}),
-            obj.get("out_rays", ()),
-            [(s["id"], s["attach"]) for s in obj.get("in_strings", ())],
-            [(t["id"], t["attach"], t.get("branching", 2)) for t in obj.get("in_trees", ())],
-        )
+        # build() coerces with str() and int(); input from outside must
+        # already have the right types
+        core, rays = obj.get("core", {}), obj.get("out_rays", [])
+        strings = [(s["id"], s["attach"]) for s in obj.get("in_strings", [])]
+        trees = [(t["id"], t["attach"], t.get("branching", 2))
+                 for t in obj.get("in_trees", [])]
+        names = [*core, *core.values(), *rays, *(x for e in strings + trees for x in e[:2])]
+        if not all(isinstance(name, str) for name in names):
+            raise InputError("node names, targets, ids and attaches must be strings")
+        if any(isinstance(t[2], bool) or not isinstance(t[2], int) for t in trees):
+            raise InputError("a tree's branching must be an integer")
+        return SymbolicSelfMap.build(core, rays, strings, trees)
 
 
 # ----------------------------------------------------------------------
@@ -418,10 +421,6 @@ class BackwardProfile:
     reduced_sizes: tuple     # |union of reduced preimages| per step
     naive_sizes: tuple       # same with full preimages (not restricted)
     limit: object            # exact value of h*(f, E): int or math.inf
-
-    @property
-    def reduced_increments(self):
-        return tuple(b - a for a, b in zip(self.reduced_sizes, self.reduced_sizes[1:]))
 
 
 def cotrajectory_profile(m: SymbolicSelfMap, points, horizon: int,

@@ -123,6 +123,16 @@ def resultant(f, g) -> int:
     return bareiss_determinant(rows)
 
 
+def classified_root_count(cl) -> int:
+    """The roots a unit-circle classification accounts for, with
+    multiplicity, over its five buckets; Phi_m contributes its degree, the
+    number of residues mod m prime to m."""
+    on = sum(k * sum(math.gcd(j, m) == 1 for j in range(1, m + 1))
+             for m, k in cl.on_circle_exact)
+    return on + sum(k for _, k in cl.rational) + sum(
+        r.multiplicity for r in cl.inside + cl.outside + cl.on_circle_caveat)
+
+
 def delta_reference(f, n: int) -> int:
     """D_n = |Res(f, t**n - 1)| of a monic f given by ascending coefficients."""
     return abs(resultant(tuple(f), (-1,) + (0,) * (n - 1) + (1,)))

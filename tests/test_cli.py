@@ -204,6 +204,9 @@ def test_coefficient_beyond_double_range(capsys):
     {"core": {"z": "z"}, "in_trees": [{"id": "x"}]},
     {"core": {"z": "z"}, "in_strings": 5},
     {"core": 5},
+    {"core": {"z": "z"}, "in_trees": [{"id": "T", "attach": "z", "branching": None}]},
+    {"core": {"z": "z"}, "in_trees": [{"id": "T", "attach": "z", "branching": 2.5}]},
+    {"core": {"z": "z"}, "out_rays": [["R"]]},
 ])
 def test_exit_code_malformed_self_map(capsys, tmp_path, argv, bad_map):
     path = tmp_path / "bad_map.json"
@@ -365,6 +368,48 @@ def test_cotrajectory_prints_sizes_past_the_int_digit_cap(capsys, tmp_path):
     assert result["naive_sizes"][-1] == result["reduced_sizes"][-1] == expected
     assert len(result["naive_sizes"]) == n
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+
+@pytest.mark.parametrize("argv", [
+    ["cotrajectory", "--map", str(DATA / "left_shift.json"), "--horizon", "3", "--set"],
+    ["shift", "--map", str(DATA / "left_shift.json"), "--order", "2", "--variant", "sum",
+     "--oracle"],
+])
+@pytest.mark.parametrize("nodes", [[1], [None]])
+def test_exit_code_non_string_node(capsys, tmp_path, argv, nodes):
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps({"nodes": nodes}))
+    assert dispatch(argv + [str(path)]) == 2
+    assert "must be a string" in capsys.readouterr().err
+
+
+def test_shift_empty_oracle_is_an_input_error(capsys):
+    # an empty --oracle names no node; it neither skips the oracle nor
+    # reads the current directory
+    argv = ["shift", "--map", str(DATA / "left_shift.json"), "--order", "2",
+            "--variant", "sum", "--oracle", "", "--json"]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Is a directory" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mahler", "--poly", ""],
+    ["cotrajectory", "--map", str(DATA / "left_shift.json"), "--set", ""],
+])
+def test_empty_argument_is_inline_text(capsys, argv):
+    assert dispatch(argv) == 2
+    assert "Is a directory" not in capsys.readouterr().err
+
+
+def test_cotrajectory_of_an_empty_node_list(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"nodes": []}))
+    code, report = run_json(capsys, ["cotrajectory", "--map", str(DATA / "left_shift.json"),
+                                     "--set", str(path), "--horizon", "3"])
+    assert code == 0
+    assert report["result"] == {"reduced_sizes": [0, 0, 0], "naive_sizes": [0, 0, 0],
+                                "limit": 0}
 
 
 def test_shift_echoes_horizon_and_budget_only_with_the_oracle(capsys):

@@ -6,24 +6,22 @@ from itertools import repeat
 import pytest
 
 from entrokit import polynomials
-from entrokit.errors import InputError, NotPrimitive, ZeroConstantTerm, \
-    ZeroPolynomial
+from entrokit.errors import InputError, NotPrimitive, ZeroPolynomial
+from entrokit.mahler import mahler_measure
 from entrokit.polynomials import (
     IntPolynomial,
     clear_denominators,
     cyclotomic,
     cyclotomic_candidates,
     delta_exact,
-    delta_sequence_exact,
     is_prime,
-    is_zero_mahler,
     poly_from_json,
     rational_roots,
-    reciprocal,
     squarefree_decomposition,
     strip_cyclotomic_factors,
     try_exact_divide,
 )
+from entrokit.roots import classify_unit_circle
 
 from oracles import delta_reference, resultant
 
@@ -120,22 +118,25 @@ def test_rational_roots_rebuild_the_input():
 
 
 def test_is_zero_mahler():
-    assert is_zero_mahler(IntPolynomial((1, 1, 1)))
-    assert not is_zero_mahler(IntPolynomial((-1, -1, 0, 1)))
-    assert not is_zero_mahler(IntPolynomial((-1, 2)))
-    assert is_zero_mahler(cyclotomic(7) * cyclotomic(12))
-    assert is_zero_mahler(-cyclotomic(5))
+    assert mahler_measure(IntPolynomial((1, 1, 1))).is_zero()
+    assert not mahler_measure(IntPolynomial((-1, -1, 0, 1))).is_zero()
+    assert not mahler_measure(IntPolynomial((-1, 2))).is_zero()
+    assert mahler_measure(cyclotomic(7) * cyclotomic(12)).is_zero()
+    assert mahler_measure(-cyclotomic(5)).is_zero()
 
 
 def test_is_zero_mahler_products_up_to_20():
     for m1 in range(1, 21):
         for m2 in range(m1, 21):
-            assert is_zero_mahler(cyclotomic(m1) * cyclotomic(m2))
+            assert mahler_measure(cyclotomic(m1) * cyclotomic(m2)).is_zero()
 
 
 def test_is_zero_mahler_requires_primitive():
+    # the measure is that of the primitive part; the exact peel itself
+    # takes primitive input only
+    assert mahler_measure(IntPolynomial((2, 2))).is_zero()
     with pytest.raises(NotPrimitive):
-        is_zero_mahler(IntPolynomial((2, 2)))
+        classify_unit_circle(IntPolynomial((2, 2)))
 
 
 def test_cyclotomic_candidates_match_brute_force_totients(monkeypatch):
@@ -159,17 +160,10 @@ def test_strip_cyclotomic_factors():
     assert cofactor.coeffs == (-2, 1)
 
 
-def test_reciprocal():
-    assert reciprocal(IntPolynomial((-1, -1, 1))).coeffs == (-1, 1, 1)
-    assert reciprocal(LEHMER).coeffs == LEHMER.coeffs
-    assert reciprocal(IntPolynomial((-1, 2))).coeffs == (-2, 1)
-    with pytest.raises(ZeroConstantTerm):
-        reciprocal(IntPolynomial((0, 1)))
-
-
 def test_delta_exact_examples():
-    assert delta_sequence_exact(IntPolynomial((-2, 1)), 3) == [1, 3, 7]
-    assert delta_sequence_exact(IntPolynomial((-1, -1, 1)), 5) == [1, 1, 4, 5, 11]
+    assert [delta_exact(IntPolynomial((-2, 1)), n) for n in range(1, 4)] == [1, 3, 7]
+    assert [delta_exact(IntPolynomial((-1, -1, 1)), n) for n in range(1, 6)] \
+        == [1, 1, 4, 5, 11]
 
 
 def test_delta_matches_sylvester_oracle():
@@ -182,10 +176,10 @@ def test_delta_matches_sylvester_oracle():
 
 def test_delta_degenerate():
     # D_n = 0 is an exact answer: some root is an n-th root of unity
-    assert delta_sequence_exact(IntPolynomial((-1, 1)), 2) == [0, 0]
+    assert [delta_exact(IntPolynomial((-1, 1)), n) for n in (1, 2)] == [0, 0]
     f = cyclotomic(12) * IntPolynomial((-2, 1))
-    for n, value in enumerate(delta_sequence_exact(f, 36), start=1):
-        assert (value == 0) == (n % 12 == 0)
+    for n in range(1, 37):
+        assert (delta_exact(f, n) == 0) == (n % 12 == 0)
 
 
 def test_delta_slope_converges_to_measure():

@@ -156,7 +156,7 @@ def test_local_entropy_of_far_offsets():
 
 
 def test_surjective_core():
-    assert surjective_core(RHO).is_empty()
+    assert surjective_core(RHO) == SymbolicSelfMap.build()
     sc = surjective_core(SIG)
     assert sorted(sc.core) == ["z"] and len(sc.in_strings) == 1
     sc = surjective_core(fan_example(5))
@@ -263,7 +263,8 @@ def test_profile_limit_is_independent_oracle_for_closed_form():
         profile = cotrajectory_profile(m, witness, 14)
         assert profile.limit == closed
         if closed != math.inf:
-            tail = profile.reduced_increments[-3:]
+            sizes = profile.reduced_sizes
+            tail = [b - a for a, b in zip(sizes[-4:], sizes[-3:])]
             assert all(x == closed for x in tail)
 
 
@@ -283,6 +284,26 @@ def test_json_round_trip():
     assert again == m
     with pytest.raises(InputError):
         SymbolicSelfMap.from_json({"rows": [["1"]]})
+
+
+@pytest.mark.parametrize("obj", [
+    {"core": {"z": "z"}, "in_trees": [{"id": "T", "attach": "z", "branching": None}]},
+    {"core": {"z": "z"}, "in_trees": [{"id": "T", "attach": "z", "branching": 2.5}]},
+    {"core": {"z": "z"}, "in_trees": [{"id": "T", "attach": "z", "branching": True}]},
+    {"core": {"z": "z"}, "in_trees": [{"id": "T", "attach": "z", "branching": "2"}]},
+    {"core": {"z": "z"}, "out_rays": [["R"]]},
+    {"core": {"z": 1}},
+    {"core": {"z": "z"}, "in_strings": [{"id": 5, "attach": "z"}]},
+    {"core": {"z": "z"}, "in_strings": [{"id": "S", "attach": ["z"]}]},
+])
+def test_from_json_takes_strings_and_integer_branching(obj):
+    with pytest.raises(InputError):
+        SymbolicSelfMap.from_json(obj)
+
+
+def test_build_coerces_for_library_callers():
+    m = SymbolicSelfMap.build({"z": "z"}, [], [], [("T", "z", 2.0)])
+    assert m.in_trees[0].branching == 2
 
 
 def test_power_map_point_names():
@@ -458,7 +479,7 @@ if given is not None:
         m = SymbolicSelfMap.from_json(case[0])
         assert covariant_entropy(m) == sum(c.terminal[0] == "ray" for c in components(m))
         sc = surjective_core(m)
-        string_number = 0 if sc.is_empty() else \
+        string_number = 0 if sc == SymbolicSelfMap.build() else \
             math.inf if sc.in_trees else len(sc.in_strings)
         assert contravariant_entropy(m) == string_number
 

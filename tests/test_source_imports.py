@@ -3,16 +3,20 @@
 mpmath is the only runtime dependency, so a module may import only the
 standard library, mpmath and entrokit itself; and a name imported at module
 level must be used by that module (the package's ``__init__`` re-exports
-are exempt); and a name ``__init__`` re-exports must be used by some other
-module of the package, or be listed in ``LIBRARY_API``.
+are exempt); and a name ``__init__`` re-exports, or a public method of a
+class it re-exports, must be used by some other module of the package (or,
+for a method, by the benchmark tracer), or be listed in ``LIBRARY_API``.
 """
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "entrokit").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "entrokit").glob("*.py"))
+TRACER = ROOT / "perfbench" / "tracer.py"
 ALLOWED = set(sys.stdlib_module_names) | {"mpmath", "entrokit"}
 
 
@@ -47,29 +51,66 @@ def test_module_level_imports_are_used(path):
     assert not imported - used, f"{path.name} never uses {sorted(imported - used)}"
 
 
-# Names the package re-exports that no module of src/entrokit calls: each is
-# either declared library API (README and ROADMAP item 7) or still awaits a
-# decision there, so a new name that only the tests call needs one too.
+# Names the package re-exports, and public methods ("Class.method") of the
+# classes it re-exports, that nothing in src/entrokit calls: each is declared
+# library API in README or kept for the benchmark tracer, as marked, so a new
+# name or method that only the tests call needs a decision too.
 LIBRARY_API = (
     "bass_guivarch", "classify_growth", "hnf", "left_shift", "pinsker_subspace",
     "power_map", "right_shift",
-    # undecided (ROADMAP item 7): give a CLI route, document or delete
-    "delta_sequence_exact", "eigenvalue_lower_bound", "is_zero_mahler",
-    "lattice_intersect", "lattice_preimage", "reciprocal",
+    "Heisenberg3.pack", "LinearFlow.on_integer_lattice", "LinearFlow.on_rationals",
+    "LinearFlow.on_reals", "LinearFlow.on_torus_dual", "RatMatrix.inverse",
+    "RatMatrix.power",
+    # kept for perfbench/tracer.py, which wraps them as layers
+    "lattice_intersect", "lattice_preimage",
 )
 
 
-def test_public_names_have_a_caller_or_are_library_api():
+def _exported():
     init = next(p for p in SOURCES if p.name == "__init__.py")
-    exported = {name for module, name in _imports(ast.parse(init.read_text()).body)}
+    return {name for module, name in _imports(ast.parse(init.read_text()).body)}
+
+
+def test_public_names_have_a_caller_or_are_library_api():
+    exported = _exported()
     referenced = set()
     for path in SOURCES:
-        if path != init:
+        if path.name != "__init__.py":
             for statement in ast.parse(path.read_text()).body:
                 names = {node.id if isinstance(node, ast.Name) else node.attr
                          for node in ast.walk(statement)
                          if isinstance(node, (ast.Name, ast.Attribute))}
                 # a definition's references to itself are not callers
                 referenced |= names - {getattr(statement, "name", None)}
-    assert sorted(exported - referenced - set(LIBRARY_API)) == []
-    assert sorted(set(LIBRARY_API) - exported) == []
+    names = {name for name in LIBRARY_API if "." not in name}
+    assert sorted(exported - referenced - names) == []
+    assert sorted(names - exported) == []
+
+
+def _attributes(tree) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def test_public_methods_have_a_caller_or_are_library_api():
+    """A public method or property of an exported class must be read as an
+    attribute somewhere in src/entrokit or perfbench/tracer.py, outside its
+    own definition.  The check matches attribute names only, not the class
+    they are read on, so a method passes when another class's attribute of
+    the same name is read (``Lattice.scaled`` would cover an
+    ``EntropyValue.scaled``)."""
+    exported = _exported()
+    reads = _attributes(ast.parse(TRACER.read_text()))
+    methods = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        reads += _attributes(tree)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name in exported:
+                methods.update((f"{cls.name}.{fn.name}", fn) for fn in cls.body
+                               if isinstance(fn, ast.FunctionDef)
+                               and not fn.name.startswith("_"))
+    uncalled = {name for name, fn in methods.items()
+                if reads[fn.name] == _attributes(fn)[fn.name]}
+    declared = {name for name in LIBRARY_API if "." in name}
+    assert sorted(uncalled - declared) == []
+    assert sorted(declared - set(methods)) == []

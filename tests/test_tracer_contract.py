@@ -9,8 +9,13 @@ import importlib
 import importlib.util
 import pathlib
 
+from entrokit.growth import GrowthTable
+from entrokit.linear_entropy import TrajectoryProfile
 from entrokit.polynomials import cyclotomic
 from entrokit.roots import CircleClassification
+from entrokit.search import SearchResult
+from entrokit.set_maps import BackwardProfile
+from entrokit.values import EntropyValue
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -27,7 +32,16 @@ def test_every_traced_layer_resolves():
         assert callable(getattr(importlib.import_module(f"entrokit.{module}"), name))
 
 
+def _fields(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def test_fields_the_tracer_reads():
-    names = {f.name for f in dataclasses.fields(CircleClassification)}
-    assert "on_circle_caveat" in names
+    # the attributes _OBSERVERS and metrics() read off the traced results
+    assert "on_circle_caveat" in _fields(CircleClassification)
+    assert "scanned_count" in _fields(SearchResult)
+    assert "sizes" in _fields(TrajectoryProfile)
+    assert "gamma" in _fields(GrowthTable)
+    assert "naive_sizes" in _fields(BackwardProfile)
+    assert callable(EntropyValue.zero().is_exact)
     assert callable(cyclotomic.cache_info)
