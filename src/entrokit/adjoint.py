@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InputError, SingularMap
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError, SingularMap
 from .linalg import Lattice, RatMatrix, _meet_preimage
 from .values import EntropyValue
 
@@ -129,7 +129,7 @@ class DichotomyProbe:
     max_stabilization: int
 
 
-def dichotomy_probe(a: RatMatrix, max_index: int, budget: int = 100_000) -> DichotomyProbe:
+def dichotomy_probe(a: RatMatrix, max_index: int, budget: int = DEFAULT_BUDGET) -> DichotomyProbe:
     """Probe every lattice of index <= max_index.
 
     Over Z^n every probe lands on the zero side of the dichotomy, and the

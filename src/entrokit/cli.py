@@ -21,7 +21,7 @@ from itertools import groupby
 from pathlib import Path
 
 from .adjoint import COTRAJECTORY_HORIZON, adjoint_entropy_at, dichotomy_probe
-from .errors import CertificationError, BudgetExceeded, EntrokitError, InputError
+from .errors import DEFAULT_BUDGET, CertificationError, BudgetExceeded, EntrokitError, InputError
 from .growth import family_from_spec, growth_exponent, growth_rate, growth_table
 from .linalg import Lattice, RatMatrix, matrix_from_json
 from .linear_entropy import LinearFlow, algebraic_entropy, topological_entropy, \
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=_positive_float, default=1e-12,
                            help="root certification tolerance")
         if budget:
-            p.add_argument("--budget", type=_positive_int, default=5_000_000,
+            p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                            help="element budget for enumerations")
         return p
 

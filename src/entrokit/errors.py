@@ -55,6 +55,9 @@ class HorizonTooShort(InputError):
     pass
 
 
+DEFAULT_BUDGET = 5_000_000  # default cap of every enumeration
+
+
 class BudgetExceeded(EntrokitError):
     def __init__(self, budget, what="enumeration"):
         super().__init__(f"{what} exceeded budget of {budget}")

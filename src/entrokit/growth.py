@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InputError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError
 
 
 class FreeAbelian:
@@ -222,7 +222,7 @@ class GrowthTable:
 
 
 def growth_table(family, horizon: int,
-                 budget: int = 5_000_000) -> GrowthTable:
+                 budget: int = DEFAULT_BUDGET) -> GrowthTable:
     """Exact word-metric ball sizes; raises BudgetExceeded when
     gamma(horizon) > budget."""
     if horizon < 1:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, InputError, WrongDomain
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError, WrongDomain
 from .linalg import RatMatrix, char_poly, kernel_subspace, solve_columns
 from .mahler import log_value, mahler_measure, outside_sum
 from .polynomials import IntPolynomial, cyclotomic, is_prime, strip_cyclotomic_factors
@@ -120,9 +120,6 @@ def topological_entropy(flow: LinearFlow, tol: float = 1e-12) -> EntropyValue:
 
 # ----------------------------------------------------------------------
 # sumset trajectory oracle
-
-DEFAULT_BUDGET = 5_000_000
-
 
 @dataclass(frozen=True)
 class TrajectoryProfile:

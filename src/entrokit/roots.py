@@ -6,11 +6,14 @@ the rational roots), then run a simultaneous Aberth-Ehrlich iteration from
 deterministic initial guesses.  Each approximation carries an inclusion
 radius from the classical bound  min_i |z - lambda_i| <= deg * |f(z)/f'(z)|,
 padded by a small slack factor for evaluation error and by the rounding of
-the approximation to a complex double.
+the approximation to a complex double.  The disks of one squarefree factor
+must be pairwise disjoint: each holds at least one root, so deg disjoint
+disks hold exactly one root each.
 
 One Aberth loop serves both precisions: it runs in ``mpmath.fp`` first and,
-when the requested tolerance cannot be certified there, in ``mpmath.mp`` at
->= 30 significant digits (more for tighter tolerances), then at twice that.
+when the requested tolerance cannot be certified there or two disks
+overlap, in ``mpmath.mp`` at >= 30 significant digits (more for tighter
+tolerances), then at twice that.
 Initial guesses are roots of unity scaled by the Cauchy bound with a fixed
 angular offset, so runs are reproducible bit-for-bit at a fixed precision.
 
@@ -39,7 +42,6 @@ from .polynomials import (
 
 _SLACK = 1.125          # multiplicative pad on inclusion radii
 _MAX_ITER = 400
-_CLUSTER_FACTOR = 4.0   # roots within 4*radius of each other merge
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,11 @@ def find_roots(f: IntPolynomial, tol: float = 1e-12) -> list:
     2**-50 (|z| + 1), which is more than tol when tol is below about 1e-15.
 
     Multiple roots are recovered exactly through the squarefree
-    decomposition, so the iteration itself only ever sees simple roots;
-    residual clusters (from nearly-coincident roots of distinct factors) are
-    merged by the 4*radius heuristic.
+    decomposition, so the iteration itself only ever sees simple roots.
+    Each squarefree factor of degree n, multiplicity k, gives n disks of
+    multiplicity k, pairwise disjoint and holding one root each; the
+    precision is raised until they are.  Roots of distinct factors are
+    distinct, so their disks may overlap but are never merged.
     """
     if not 0 < tol < math.inf:
         raise InputError(f"tolerance must be positive and finite, got {tol!r}")
@@ -99,7 +103,6 @@ def find_roots(f: IntPolynomial, tol: float = 1e-12) -> list:
     for factor, mult in squarefree_decomposition(f):
         for approx, radius in _roots_squarefree(factor, tol):
             roots.append(CertifiedRoot(approx, radius, mult))
-    roots = _merge_clusters(roots)
     roots.sort(key=lambda r: (round(r.approx.real, 9), round(r.approx.imag, 9)))
     return roots
 
@@ -129,7 +132,7 @@ def _horner(coeffs, x):
 def _aberth(ctx, f: IntPolynomial, tol: float, dps: int):
     """(z, radius) for every root of the squarefree f, from an Aberth-Ehrlich
     iteration in ``mpmath.fp`` or in ``mpmath.mp`` at dps digits; None when
-    some radius does not certify.
+    some radius does not certify or two of the disks overlap.
 
     Each z is returned as a complex double.  Its radius covers the rounding
     of z to that double: in ``mpmath.fp`` the allowance counts against tol,
@@ -185,31 +188,13 @@ def _aberth(ctx, f: IntPolynomial, tol: float, dps: int):
         if not certified:
             return None
         pairs.append((complex(z), radius))
-    return pairs
+    return pairs if _disjoint(pairs) else None
 
 
-def _merge_clusters(roots):
-    roots = list(roots)
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                a, b = roots[i], roots[j]
-                gap = abs(a.approx - b.approx)
-                if gap <= _CLUSTER_FACTOR * max(a.radius, b.radius):
-                    center = (a.approx * a.multiplicity + b.approx * b.multiplicity) \
-                        / (a.multiplicity + b.multiplicity)
-                    radius = max(abs(center - a.approx) + a.radius,
-                                 abs(center - b.approx) + b.radius)
-                    roots[i] = CertifiedRoot(center, radius,
-                                             a.multiplicity + b.multiplicity)
-                    del roots[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return roots
+def _disjoint(pairs) -> bool:
+    """True when the disks (z, r) are pairwise disjoint."""
+    return all(abs(z - w) > r + s
+               for i, (z, r) in enumerate(pairs) for w, s in pairs[i + 1:])
 
 
 # ----------------------------------------------------------------------

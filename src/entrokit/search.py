@@ -59,7 +59,7 @@ from functools import lru_cache
 from itertools import chain, islice, product, repeat
 from operator import add
 
-from .errors import BudgetExceeded, InputError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError
 from .linalg import int_char_poly
 from .mahler import mahler_measure, sum_logs
 from .polynomials import IntPolynomial
@@ -72,7 +72,7 @@ class SearchSpec:
     max_height: int = 1
     monic_only: bool = True
     top: int = 5
-    budget: int = 5_000_000
+    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if min(self.max_degree, self.max_height, self.top) < 1:
@@ -279,7 +279,7 @@ class SpectrumReport:
 
 
 def espectrum_sample(dimension: int, entry_bound: int,
-                     budget: int = 2_000_000, tol: float = 1e-12) -> SpectrumReport:
+                     budget: int = DEFAULT_BUDGET, tol: float = 1e-12) -> SpectrumReport:
     """Algebraic entropies of every integer matrix in the box, as a sorted
     multiset; the smallest positive value is highlighted.  Each measure is
     certified at ``tol``.

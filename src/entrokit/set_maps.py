@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .errors import BudgetExceeded, HorizonTooShort, InputError, InvalidMap
+from .errors import DEFAULT_BUDGET, BudgetExceeded, HorizonTooShort, InputError, InvalidMap
 
 RAY_PREFIX = "ray:"
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -424,7 +424,7 @@ class BackwardProfile:
 
 
 def cotrajectory_profile(m: SymbolicSelfMap, points, horizon: int,
-                         budget: int = 1_000_000) -> BackwardProfile:
+                         budget: int = DEFAULT_BUDGET) -> BackwardProfile:
     """Sizes of E u f^-1(E) u ... u f^-(n-1)(E), reduced to the surjective
     core and naive, together with the exact limit of reduced-size/n.
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import BudgetExceeded, InputError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError
 from .polynomials import is_prime
 from .set_maps import (
     SymbolicSelfMap,
@@ -84,7 +84,7 @@ class ShiftOracleReport:
 
 
 def shift_bruteforce_oracle(spec: GeneralizedShiftSpec, points, horizon: int,
-                            budget: int = 200_000) -> ShiftOracleReport:
+                            budget: int = DEFAULT_BUDGET) -> ShiftOracleReport:
     """Exact sizes of G_F + s(G_F) + ... + s^(n-1)(G_F) over K = Z/p.
 
     s^j(G_F) is spanned by the indicator vectors of the iterated preimages

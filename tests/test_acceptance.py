@@ -8,9 +8,7 @@ import os
 import random
 import time
 
-import pytest
-
-from entrokit.linalg import RatMatrix, char_poly
+from entrokit.linalg import RatMatrix
 from entrokit.linear_entropy import LinearFlow, algebraic_entropy, trajectory_oracle
 from entrokit.mahler import mahler_measure
 from entrokit.polynomials import IntPolynomial, cyclotomic

@@ -6,13 +6,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from entrokit.errors import NoConvergence
 from entrokit.polynomials import IntPolynomial, cyclotomic
 import entrokit.polynomials
 import entrokit.roots
 from entrokit.mahler import mahler_measure
 from entrokit.roots import classify_unit_circle, find_roots
 
-from oracles import bisect_real_root, classified_root_count, mahler_reference
+from oracles import bisect_real_root, classified_root_count, mahler_reference, resultant
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 
@@ -37,6 +38,65 @@ def test_repeated_root_cluster():
     assert len(roots) == 1
     assert roots[0].multiplicity == 2
     assert abs(roots[0].approx - 1.0) < 1e-9
+
+
+def _contains(disk, root) -> bool:
+    """Whether the disk of a CertifiedRoot holds the mpmath root, decided
+    at 60 digits."""
+    with mpmath.workdps(60):
+        return abs(mpmath.mpc(root) - mpmath.mpc(disk.approx)) <= disk.radius
+
+
+def _reference_roots(coeffs):
+    """The roots of a squarefree integer polynomial from mpmath polyroots
+    at 60 digits."""
+    with mpmath.workdps(60):
+        return mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)],
+                                maxsteps=500, extraprec=240)
+
+
+def _pairwise_disjoint(disks) -> bool:
+    return all(abs(a.approx - b.approx) > a.radius + b.radius
+               for i, a in enumerate(disks) for b in disks[i + 1:])
+
+
+def test_close_roots_of_distinct_factors_keep_their_multiplicities():
+    # the roots +-sqrt(2 + 1e-15) of h lie within 4e-16 of the double
+    # roots +-sqrt(2) of g: each factor keeps its own disks, which are not
+    # merged into two disks of multiplicity 3
+    g = IntPolynomial((-2, 0, 1))
+    h = IntPolynomial((-2 * 10 ** 15 - 1, 0, 10 ** 15))
+    roots = find_roots(g * g * h)
+    assert sorted(r.multiplicity for r in roots) == [1, 1, 2, 2]
+    with mpmath.workdps(60):
+        for mult, root in ((2, mpmath.sqrt(2)),
+                           (1, mpmath.sqrt(2 + mpmath.mpf(10) ** -15))):
+            for sign in (1, -1):
+                assert sum(_contains(r, sign * root) for r in roots
+                           if r.multiplicity == mult) == 1
+
+
+def test_overlapping_disks_raise_the_precision(monkeypatch):
+    # an overlap found in double precision sends the factor to mpmath;
+    # one found at every precision is a certification failure
+    contexts = []
+    aberth, disjoint = entrokit.roots._aberth, entrokit.roots._disjoint
+
+    def spy(ctx, *args):
+        contexts.append(ctx)
+        return aberth(ctx, *args)
+
+    monkeypatch.setattr(entrokit.roots, "_aberth", spy)
+    monkeypatch.setattr(entrokit.roots, "_disjoint",
+                        lambda pairs: contexts[-1] is not mpmath.fp and disjoint(pairs))
+    roots = find_roots(LEHMER)
+    assert contexts == [mpmath.fp, mpmath.mp]
+    assert _pairwise_disjoint(roots) and len(roots) == LEHMER.degree
+    for root in _reference_roots(LEHMER.coeffs):
+        assert sum(_contains(r, root) for r in roots) == 1
+    monkeypatch.setattr(entrokit.roots, "_disjoint", lambda pairs: False)
+    with pytest.raises(NoConvergence):
+        find_roots(LEHMER)
 
 
 def test_root_count_with_multiplicity():
@@ -162,7 +222,7 @@ def test_circle_roots_are_never_filed_inside(coeffs, counts, tol):
 # Salem x cyclotomic x random reciprocal products
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import assume, given, settings, strategies as st
 except ImportError:  # the property test below needs hypothesis
     given = None
 
@@ -215,3 +275,27 @@ def test_classification_counts_rational_roots_and_powers_of_t():
         assert classified_root_count(classify_unit_circle(f)) == f.degree
     cl = classify_unit_circle(t * t * t * IntPolynomial((-2, 3)))
     assert cl.rational == ((Fraction(0), 3), (Fraction(2, 3), 1)) and cl.is_exact()
+
+
+# ----------------------------------------------------------------------
+# products of powers of two coprime squarefree factors
+
+if given is not None:
+    _small = st.lists(st.integers(-3, 3), min_size=2, max_size=4).filter(lambda c: c[-1])
+
+    def _squarefree(c) -> bool:
+        return resultant(c, [i * a for i, a in enumerate(c)][1:]) != 0
+
+    @settings(max_examples=100)
+    @given(_small, _small, st.integers(1, 3), st.integers(1, 3))
+    def test_powers_of_coprime_factors_keep_their_multiplicities(g, h, a, b):
+        assume(a != b and _squarefree(g) and _squarefree(h) and resultant(g, h) != 0)
+        f = math.prod([IntPolynomial(g)] * a + [IntPolynomial(h)] * b,
+                      start=IntPolynomial((1,)))
+        roots = find_roots(f)
+        assert sum(r.multiplicity for r in roots) == f.degree
+        for coeffs, mult in ((g, a), (h, b)):
+            disks = [r for r in roots if r.multiplicity == mult]
+            assert len(disks) == len(coeffs) - 1 and _pairwise_disjoint(disks)
+            for root in _reference_roots(coeffs):
+                assert any(_contains(r, root) for r in disks)

@@ -2,10 +2,12 @@
 
 mpmath is the only runtime dependency, so a module may import only the
 standard library, mpmath and entrokit itself; and a name imported at module
-level must be used by that module (the package's ``__init__`` re-exports
-are exempt); and a name ``__init__`` re-exports, or a public method of a
-class it re-exports, must be used by some other module of the package (or,
-for a method, by the benchmark tracer), or be listed in ``LIBRARY_API``.
+level must be used by that module, in the package and in the tests (the
+package's ``__init__`` re-exports are exempt); and a public top-level
+function or class of the package, or a public method of a class
+``__init__`` re-exports, must be used by some other module of the package
+(or, for a method, by the benchmark tracer), or be listed in
+``LIBRARY_API``.
 """
 import ast
 import sys
@@ -16,6 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "entrokit").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 TRACER = ROOT / "perfbench" / "tracer.py"
 ALLOWED = set(sys.stdlib_module_names) | {"mpmath", "entrokit"}
 
@@ -42,7 +45,7 @@ def test_imports_are_stdlib_mpmath_or_entrokit(path):
     assert not outside, f"{path.name} imports {outside}"
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"] + TESTS,
                          ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -51,13 +54,15 @@ def test_module_level_imports_are_used(path):
     assert not imported - used, f"{path.name} never uses {sorted(imported - used)}"
 
 
-# Names the package re-exports, and public methods ("Class.method") of the
-# classes it re-exports, that nothing in src/entrokit calls: each is declared
-# library API in README or kept for the benchmark tracer, as marked, so a new
-# name or method that only the tests call needs a decision too.
+# Public top-level functions and classes of the package, and public methods
+# ("Class.method") of the classes it re-exports, that nothing in src/entrokit
+# calls: each is declared library API in README or kept for the benchmark
+# tracer, as marked, so a new name or method that only the tests call needs a
+# decision too.
 LIBRARY_API = (
-    "bass_guivarch", "classify_growth", "hnf", "left_shift", "pinsker_subspace",
-    "power_map", "right_shift",
+    "bass_guivarch", "canonical_form", "classify_growth", "delta_exact",
+    "disjoint_union", "hnf", "left_shift", "pinsker_subspace", "power_map",
+    "right_shift",
     "Heisenberg3.pack", "LinearFlow.on_integer_lattice", "LinearFlow.on_rationals",
     "LinearFlow.on_reals", "LinearFlow.on_torus_dual", "RatMatrix.inverse",
     "RatMatrix.power",
@@ -72,19 +77,21 @@ def _exported():
 
 
 def test_public_names_have_a_caller_or_are_library_api():
-    exported = _exported()
-    referenced = set()
+    defined, referenced = set(), set()
     for path in SOURCES:
         if path.name != "__init__.py":
             for statement in ast.parse(path.read_text()).body:
+                if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) \
+                        and not statement.name.startswith("_"):
+                    defined.add(statement.name)
                 names = {node.id if isinstance(node, ast.Name) else node.attr
                          for node in ast.walk(statement)
                          if isinstance(node, (ast.Name, ast.Attribute))}
                 # a definition's references to itself are not callers
                 referenced |= names - {getattr(statement, "name", None)}
     names = {name for name in LIBRARY_API if "." not in name}
-    assert sorted(exported - referenced - names) == []
-    assert sorted(names - exported) == []
+    assert sorted(defined - referenced - names) == []
+    assert sorted(names - defined) == []
 
 
 def _attributes(tree) -> Counter:
