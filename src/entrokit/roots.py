@@ -14,8 +14,10 @@ One Aberth loop serves both precisions: it runs in ``mpmath.fp`` first and,
 when the requested tolerance cannot be certified there or two disks
 overlap, in ``mpmath.mp`` at >= 30 significant digits (more for tighter
 tolerances), then at twice that.
-Initial guesses are roots of unity scaled by the Cauchy bound with a fixed
-angular offset, so runs are reproducible bit-for-bit at a fixed precision.
+Initial guesses are Bini's: each edge of the upper convex hull of the
+points (k, log|a_k|) puts as many guesses on one circle as it spans, at
+fixed angles, so the loop starts near the moduli of the roots and runs are
+reproducible bit-for-bit at a fixed precision.
 
 ``classify_unit_circle`` is the one exact peel of the toolkit: it divides
 out the cyclotomic factors, then the rational roots (0 included), and
@@ -129,6 +131,42 @@ def _horner(coeffs, x):
     return acc
 
 
+def _upper_hull(coeffs):
+    """The vertices (k, log|a_k|) of the upper convex hull of the points of
+    the nonzero coefficients, from left to right; points on an edge are not
+    vertices.  The logs are taken of the ints, so any size is fine."""
+    hull = []
+    for k, c in enumerate(coeffs):
+        if c:
+            y = math.log(abs(c))
+            while len(hull) > 1:
+                (i, yi), (j, yj) = hull[-2:]
+                if (j - i) * (y - yi) < (yj - yi) * (k - i):  # (j, yj) is above the chord
+                    break
+                hull.pop()
+            hull.append((k, y))
+    return hull
+
+
+def _starts(ctx, coeffs):
+    """Bini's initial guesses for the roots of sum a_k t**k (Numer.
+    Algorithms 13, 1996), one per root, in ctx.
+
+    Each edge (i, j) of the upper hull of the points (k, log|a_k|) gets
+    j - i starts spread over the circle of radius (|a_i|/|a_j|)**(1/(j-i)),
+    turned by 2 pi i/n; the root 0, of the multiplicity of the lowest
+    nonzero index, gets starts at 0.
+    """
+    n = len(coeffs) - 1
+    hull = _upper_hull(coeffs)
+    zs = [ctx.mpc(0)] * hull[0][0]
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        m = j - i
+        zs += [ctx.exp((yi - yj) / m + 2j * math.pi * (k / m + i / n) + 0.4j)
+               for k in range(m)]
+    return zs
+
+
 def _aberth(ctx, f: IntPolynomial, tol: float, dps: int):
     """(z, radius) for every root of the squarefree f, from an Aberth-Ehrlich
     iteration in ``mpmath.fp`` or in ``mpmath.mp`` at dps digits; None when
@@ -142,11 +180,10 @@ def _aberth(ctx, f: IntPolynomial, tol: float, dps: int):
     n = f.degree
     try:
         coeffs = [ctx.mpf(c) for c in f.coeffs]
+        zs = _starts(ctx, f.coeffs)
     except OverflowError:  # beyond double range: leave it to mpmath
         return None
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    bound = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
-    zs = [bound * ctx.exp(2j * ctx.pi * (k / n) + 0.4j) for k in range(n)]
     if ctx is mpmath.fp:
         stop, nudge = 1e-15, 1e-6 + 1e-6j
     else:

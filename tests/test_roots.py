@@ -99,6 +99,94 @@ def test_overlapping_disks_raise_the_precision(monkeypatch):
         find_roots(LEHMER)
 
 
+def _coefficient_lists():
+    """Seeded coefficient lists for the start routine: zero entries, a_0 = 0
+    and entries of 10**400 among random ones of up to six digits."""
+    rng = random.Random(26)
+    pool = (0, 0, 1, -1, 10 ** 400, -10 ** 400)
+    lists = [[0, 1, 0, 1], [0, -2, 0, 0, 1], [10 ** 400, 0, 1], [1, 10 ** 400, 1],
+             [3, 0, 0, 0, 0, 0, 0, 0, 10 ** 12], [1, 10 ** 20, 1]]
+    for _ in range(40):
+        coeffs = [rng.choice(pool) if rng.random() < 0.4 else rng.randint(-10 ** 6, 10 ** 6)
+                  for _ in range(rng.randint(3, 16))]
+        if rng.random() < 0.3:
+            coeffs[0] = 0
+        coeffs[-1] = coeffs[-1] or rng.choice(pool[2:])
+        lists.append(coeffs)
+    return lists
+
+
+def _brute_force_hull(coeffs):
+    """Indices of the upper hull vertices of the points (k, log|a_k|),
+    decided exactly: k is not a vertex when some chord (i, j) over it has
+    |a_k|**(j-i) <= |a_i|**(j-k) * |a_j|**(k-i)."""
+    ks = [k for k, c in enumerate(coeffs) if c]
+    a = [abs(c) for c in coeffs]
+    return [k for k in ks
+            if not any(a[k] ** (j - i) <= a[i] ** (j - k) * a[j] ** (k - i)
+                       for i in ks if i < k for j in ks if j > k)]
+
+
+@pytest.mark.parametrize("coeffs", _coefficient_lists())
+def test_starts_lie_on_the_newton_polygon_circles(coeffs):
+    hull = entrokit.roots._upper_hull(coeffs)
+    assert [k for k, _ in hull] == _brute_force_hull(coeffs)
+    ctx = mpmath.fp if max(map(abs, coeffs)) < 2 ** 1000 else mpmath.mp
+    zs = entrokit.roots._starts(ctx, coeffs)
+    assert len(zs) == len(coeffs) - 1
+    zero, rest = zs[:hull[0][0]], zs[hull[0][0]:]
+    assert all(z == 0 for z in zero)
+    with mpmath.workdps(30):
+        for (i, _), (j, _) in zip(hull, hull[1:]):
+            radius = (mpmath.mpf(abs(coeffs[i])) / abs(coeffs[j])) ** (mpmath.mpf(1) / (j - i))
+            edge, rest = rest[:j - i], rest[j - i:]
+            for z in edge:
+                assert mpmath.isfinite(z) and z != 0
+                assert abs(abs(z) / radius - 1) < 1e-12
+    assert not rest
+
+
+def _plus_minus_one(degree, seed):
+    rng = random.Random(seed)
+    return IntPolynomial([rng.choice((-1, 1)) for _ in range(degree + 1)])
+
+
+@pytest.mark.parametrize("f", [
+    _plus_minus_one(40, seed=40),
+    _plus_minus_one(64, seed=64),
+    IntPolynomial((0, 1, 0, 1)),
+    IntPolynomial((0, -2, 0, 0, 1)),
+    IntPolynomial((10 ** 30, 0, 1)),
+    IntPolynomial((1, 10 ** 20, 1)),
+    IntPolynomial((3, 0, 0, 0, 0, 0, 0, 0, 10 ** 12)),
+], ids=["pm1-deg40", "pm1-deg64", "t3+t", "t4-2t", "t2+1e30", "t2+1e20t+1", "1e12t8+3"])
+def test_every_root_in_exactly_one_disk(f):
+    roots = find_roots(f)
+    assert len(roots) == f.degree and all(r.multiplicity == 1 for r in roots)
+    assert _pairwise_disjoint(roots)
+    for root in _reference_roots(f.coeffs):
+        assert sum(_contains(r, root) for r in roots) == 1
+
+
+# _horner calls of find_roots on the degree-100 polynomial below when every
+# Aberth start sat on the Cauchy circle of radius 1 + max|a_i|/|a_n| = 2
+CAUCHY_START_HORNER_CALLS = 7200
+
+
+def test_newton_polygon_starts_halve_the_work(monkeypatch):
+    calls = []
+    horner = entrokit.roots._horner
+
+    def spy(coeffs, x):
+        calls.append(x)
+        return horner(coeffs, x)
+
+    monkeypatch.setattr(entrokit.roots, "_horner", spy)
+    roots = find_roots(_plus_minus_one(100, seed=100))
+    assert sum(r.multiplicity for r in roots) == 100
+    assert len(calls) <= CAUCHY_START_HORNER_CALLS // 2
+
+
 def test_root_count_with_multiplicity():
     f = IntPolynomial((-1, 1)) * IntPolynomial((2, 0, 1)) * IntPolynomial((-3, 1))
     total = sum(r.multiplicity for r in find_roots(f))
