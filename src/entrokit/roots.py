@@ -13,7 +13,12 @@ disks hold exactly one root each.
 One Aberth loop serves both precisions: it runs in ``mpmath.fp`` first and,
 when the requested tolerance cannot be certified there or two disks
 overlap, in ``mpmath.mp`` at >= 30 significant digits (more for tighter
-tolerances), then at twice that.
+tolerances), then at twice that.  Each mp pass starts from the final
+iterates of the pass before it, unless one of them is not finite.  A root
+whose step falls below the stopping threshold is frozen and no longer
+updated, though the Aberth sums of the others still run over it; the loop
+ends when every root is frozen, and the radii are then computed for every
+root at its final position.
 Initial guesses are Bini's: each edge of the upper convex hull of the
 points (k, log|a_k|) puts as many guesses on one circle as it spans, at
 fixed angles, so the loop starts near the moduli of the roots and runs are
@@ -116,9 +121,10 @@ def _roots_squarefree(f: IntPolynomial, tol: float):
         radius = abs(approx - complex(root)) + 2.0 ** -48 * (abs(approx) + 1.0)
         return [(approx, radius)]
     digits = max(30, int(-math.log10(tol)) + 15)
+    zs = None
     for ctx, dps in ((mpmath.fp, 15), (mpmath.mp, digits), (mpmath.mp, 2 * digits)):
         with mpmath.workdps(dps):
-            pairs = _aberth(ctx, f, tol, dps)
+            zs, pairs = _aberth(ctx, f, tol, dps, zs)
         if pairs is not None:
             return pairs
     raise NoConvergence(_MAX_ITER)
@@ -167,10 +173,19 @@ def _starts(ctx, coeffs):
     return zs
 
 
-def _aberth(ctx, f: IntPolynomial, tol: float, dps: int):
-    """(z, radius) for every root of the squarefree f, from an Aberth-Ehrlich
-    iteration in ``mpmath.fp`` or in ``mpmath.mp`` at dps digits; None when
-    some radius does not certify or two of the disks overlap.
+def _aberth(ctx, f: IntPolynomial, tol: float, dps: int, zs):
+    """(iterates, pairs) of an Aberth-Ehrlich iteration for the roots of the
+    squarefree f in ``mpmath.fp`` or in ``mpmath.mp`` at dps digits.  pairs
+    holds (z, radius) for every root, or is None when some radius does not
+    certify or two of the disks overlap; iterates are the final
+    approximations in ctx, None when f is beyond the range of ctx.
+
+    The iteration starts from zs, the iterates of a previous pass, when
+    they are all finite, and from ``_starts`` otherwise.  A root whose step
+    falls below stop * max(1, max|z|), taken once per sweep, is frozen: it
+    is no longer updated, though the Aberth sums of the others still run
+    over it.  The loop ends when every root is frozen, or after _MAX_ITER
+    sweeps; every radius is then computed at the final position.
 
     Each z is returned as a complex double.  Its radius covers the rounding
     of z to that double: in ``mpmath.fp`` the allowance counts against tol,
@@ -180,21 +195,28 @@ def _aberth(ctx, f: IntPolynomial, tol: float, dps: int):
     n = f.degree
     try:
         coeffs = [ctx.mpf(c) for c in f.coeffs]
-        zs = _starts(ctx, f.coeffs)
+        if zs and all(map(mpmath.isfinite, zs)):
+            zs = [ctx.mpc(z) for z in zs]
+        else:
+            zs = _starts(ctx, f.coeffs)
     except OverflowError:  # beyond double range: leave it to mpmath
-        return None
+        return None, None
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     if ctx is mpmath.fp:
         stop, nudge = 1e-15, 1e-6 + 1e-6j
     else:
         stop, nudge = ctx.mpf(10) ** (5 - dps), ctx.mpf(10) ** (-dps // 2)
+    active = range(n)
     for _ in range(_MAX_ITER):
-        moved = 0
-        for k in range(n):
+        if not active:
+            break
+        threshold = stop * max(1, max(abs(z) for z in zs))
+        moving = []
+        for k in active:
             dv = _horner(dcoeffs, zs[k])
             if dv == 0:
                 zs[k] += nudge
-                moved = ctx.inf
+                moving.append(k)
                 continue
             w = _horner(coeffs, zs[k]) / dv
             s = 0
@@ -205,14 +227,14 @@ def _aberth(ctx, f: IntPolynomial, tol: float, dps: int):
             denom = 1 - w * s
             step = w / denom if denom != 0 else w
             zs[k] -= step
-            moved = max(moved, abs(step))
-        if moved < stop * max(1, max(abs(z) for z in zs)):
-            break
+            if abs(step) >= threshold:
+                moving.append(k)
+        active = moving
     pairs = []
     for z in zs:
         dv = _horner(dcoeffs, z)
         if dv == 0:
-            return None
+            return zs, None
         radius = float(_SLACK * n * abs(_horner(coeffs, z) / dv))
         allowance = 2.0 ** -50 * (abs(complex(z)) + 1.0)
         if ctx is mpmath.fp:
@@ -223,9 +245,9 @@ def _aberth(ctx, f: IntPolynomial, tol: float, dps: int):
             certified = radius < tol * max(1, abs(z))
             radius += allowance
         if not certified:
-            return None
+            return zs, None
         pairs.append((complex(z), radius))
-    return pairs if _disjoint(pairs) else None
+    return zs, (pairs if _disjoint(pairs) else None)
 
 
 def _disjoint(pairs) -> bool:

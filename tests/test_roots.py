@@ -151,29 +151,31 @@ def _plus_minus_one(degree, seed):
     return IntPolynomial([rng.choice((-1, 1)) for _ in range(degree + 1)])
 
 
-@pytest.mark.parametrize("f", [
-    _plus_minus_one(40, seed=40),
-    _plus_minus_one(64, seed=64),
-    IntPolynomial((0, 1, 0, 1)),
-    IntPolynomial((0, -2, 0, 0, 1)),
-    IntPolynomial((10 ** 30, 0, 1)),
-    IntPolynomial((1, 10 ** 20, 1)),
-    IntPolynomial((3, 0, 0, 0, 0, 0, 0, 0, 10 ** 12)),
-], ids=["pm1-deg40", "pm1-deg64", "t3+t", "t4-2t", "t2+1e30", "t2+1e20t+1", "1e12t8+3"])
-def test_every_root_in_exactly_one_disk(f):
-    roots = find_roots(f)
+@pytest.mark.parametrize("f, tol", [
+    (_plus_minus_one(40, seed=40), 1e-12),
+    (_plus_minus_one(64, seed=64), 1e-12),
+    (IntPolynomial((0, 1, 0, 1)), 1e-12),
+    (IntPolynomial((0, -2, 0, 0, 1)), 1e-12),
+    (IntPolynomial((10 ** 30, 0, 1)), 1e-12),
+    (IntPolynomial((1, 10 ** 20, 1)), 1e-12),
+    (IntPolynomial((3, 0, 0, 0, 0, 0, 0, 0, 10 ** 12)), 1e-12),
+    (_plus_minus_one(24, seed=24), 1e-30),
+    (_plus_minus_one(30, seed=30), 1e-30),
+    (LEHMER, 1e-30),
+    (IntPolynomial((-5, 1, -3, 1, 2)), 1e-30),
+], ids=["pm1-deg40", "pm1-deg64", "t3+t", "t4-2t", "t2+1e30", "t2+1e20t+1", "1e12t8+3",
+        "pm1-deg24-mp", "pm1-deg30-mp", "lehmer-mp", "2t4+t3-3t2+t-5-mp"])
+def test_every_root_in_exactly_one_disk(f, tol):
+    roots = find_roots(f, tol)
     assert len(roots) == f.degree and all(r.multiplicity == 1 for r in roots)
     assert _pairwise_disjoint(roots)
     for root in _reference_roots(f.coeffs):
         assert sum(_contains(r, root) for r in roots) == 1
 
 
-# _horner calls of find_roots on the degree-100 polynomial below when every
-# Aberth start sat on the Cauchy circle of radius 1 + max|a_i|/|a_n| = 2
-CAUCHY_START_HORNER_CALLS = 7200
-
-
-def test_newton_polygon_starts_halve_the_work(monkeypatch):
+def _horner_arguments(monkeypatch, f, tol=1e-12):
+    """The arguments of every ``roots._horner`` call made by find_roots(f,
+    tol), after checking the root count."""
     calls = []
     horner = entrokit.roots._horner
 
@@ -182,9 +184,59 @@ def test_newton_polygon_starts_halve_the_work(monkeypatch):
         return horner(coeffs, x)
 
     monkeypatch.setattr(entrokit.roots, "_horner", spy)
-    roots = find_roots(_plus_minus_one(100, seed=100))
-    assert sum(r.multiplicity for r in roots) == 100
+    roots = find_roots(f, tol)
+    assert sum(r.multiplicity for r in roots) == f.degree
+    return calls
+
+
+# _horner calls of find_roots on the degree-100 polynomial below when every
+# Aberth start sat on the Cauchy circle of radius 1 + max|a_i|/|a_n| = 2
+CAUCHY_START_HORNER_CALLS = 7200
+
+
+def test_newton_polygon_starts_halve_the_work(monkeypatch):
+    calls = _horner_arguments(monkeypatch, _plus_minus_one(100, seed=100))
     assert len(calls) <= CAUCHY_START_HORNER_CALLS // 2
+
+
+def test_frozen_roots_are_not_swept_again(monkeypatch):
+    # 9 sweeps over all 100 roots and the radius pass took 2,000 calls;
+    # most roots converge several sweeps before the last one
+    calls = _horner_arguments(monkeypatch, _plus_minus_one(100, seed=100))
+    assert len(calls) <= 1500
+
+
+def test_the_mp_pass_starts_from_the_double_iterates(monkeypatch):
+    # tol = 1e-30 fails in doubles; restarted from _starts, the mp pass made
+    # 660 calls, and from the double iterates it needs two sweeps and the
+    # radius pass, 180 calls
+    calls = _horner_arguments(monkeypatch, _plus_minus_one(30, seed=30), 1e-30)
+    assert sum(not isinstance(x, complex) for x in calls) <= 240
+
+
+def test_non_finite_iterates_restart_from_the_starts(monkeypatch):
+    # no input is known to leave a non-finite double iterate, so one is
+    # planted; the mp pass must then start from _starts and still certify
+    aberth, starts = entrokit.roots._aberth, entrokit.roots._starts
+    start_contexts = []
+
+    def planted(ctx, *args):
+        zs, pairs = aberth(ctx, *args)
+        if ctx is mpmath.fp:
+            zs[0], pairs = complex(math.nan, 0.0), None
+        return zs, pairs
+
+    def spy(ctx, coeffs):
+        start_contexts.append(ctx)
+        return starts(ctx, coeffs)
+
+    monkeypatch.setattr(entrokit.roots, "_aberth", planted)
+    monkeypatch.setattr(entrokit.roots, "_starts", spy)
+    roots = find_roots(LEHMER)
+    assert start_contexts == [mpmath.fp, mpmath.mp]
+    assert len(roots) == LEHMER.degree and _pairwise_disjoint(roots)
+    for root in _reference_roots(LEHMER.coeffs):
+        assert sum(_contains(r, root) for r in roots) == 1
 
 
 def test_root_count_with_multiplicity():
