@@ -5,13 +5,12 @@ from .polynomials import IntPolynomial, cyclotomic
 from .roots import CertifiedRoot, CircleClassification, classify_unit_circle, \
     find_roots
 from .mahler import mahler_measure
-from .linalg import Lattice, RatMatrix, char_poly, hnf, int_char_poly, \
-    kernel_subspace, lattice_intersect, lattice_preimage
+from .linalg import Lattice, RatMatrix, char_poly, int_char_poly, \
+    lattice_intersect, lattice_preimage
 from .linear_entropy import LinearFlow, algebraic_entropy, classify_growth, \
-    pinsker_subspace, topological_entropy, trajectory_oracle
+    topological_entropy, trajectory_oracle
 from .set_maps import InString, InTree, SymbolicSelfMap, covariant_entropy, \
-    contravariant_entropy, cotrajectory_profile, left_shift, power_map, \
-    right_shift, surjective_core, validate
+    contravariant_entropy, cotrajectory_profile, surjective_core, validate
 from .shifts import GeneralizedShiftSpec, adjoint_entropy_of_shift, \
     shift_algebraic_entropy, shift_bruteforce_oracle, shift_topological_entropy
 from .adjoint import CotrajectoryReport, adjoint_entropy_at, dichotomy_probe

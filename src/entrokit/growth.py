@@ -129,16 +129,11 @@ class Heisenberg3:
     """Upper unitriangular 3x3 integer matrices (x, y above the diagonal, z
     in the corner), packed into the int x * 2**40 + y * 2**20 + z of signed
     20-bit fields, so (x, y, z)(x', y', z') = (x + x', y + y', z + z' + x y')
-    is a + b + x y'.  ``pack`` and ``unpack`` convert at the edges.  At word
-    length r, |x|, |y| <= r and |z| <= r^2 / 4: up to MAX_RADIUS, all fit.
+    is a + b + x y'; ``unpack`` reads the fields back.  At word length r,
+    |x|, |y| <= r and |z| <= r^2 / 4: up to MAX_RADIUS, all fit.
     """
 
     MAX_RADIUS = 1448             # floor(1448^2 / 4) < 2**19
-
-    def pack(self, x: int, y: int, z: int) -> int:
-        if max(abs(x), abs(y), abs(z)) >= 1 << 19:
-            raise InputError(f"({x}, {y}, {z}) does not fit 20-bit fields")
-        return (x << 40) + (y << 20) + z
 
     def unpack(self, e: int) -> tuple:
         z = (e + (1 << 19) & 0xFFFFF) - (1 << 19)

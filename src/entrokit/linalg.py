@@ -8,12 +8,12 @@ modulo its row's diagonal, so equal lattices have equal bases.
 Rational entries are scaled to integers by the lcm of their denominators
 (``clear_denominators``), and every job then runs on one of two kernels.
 Division-free Berkowitz (``int_char_poly``) gives the characteristic
-polynomial, the determinant and, by Cayley-Hamilton, the inverse.  An
-integer column echelon (``_Echelon``), whose vectors carry a companion
-recording the inputs they were built from, gives the Hermite normal form,
-lattice meets and preimages, and rational kernels and column solves from
-the companions of the vectors that reduce to zero.  No stage here is
-numerical: root finding is the only numerical stage of the pipeline.
+polynomial and the determinant.  An integer column echelon (``_Echelon``),
+whose vectors carry a companion recording the inputs they were built from,
+gives the Hermite normal form, lattice meets and preimages, and exact
+column solves from the companions of the vectors that reduce to zero.  No
+stage here is numerical: root finding is the only numerical stage of the
+pipeline.
 """
 from __future__ import annotations
 
@@ -48,55 +48,12 @@ class RatMatrix:
             raise InputError("matrix has non-integer entries")
         return [[int(x) for x in row] for row in self.entries]
 
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.n != other.n:
-            raise InputError("dimension mismatch")
-        return RatMatrix([[sum(x * y for x, y in zip(row, col)) for col in zip(*other.entries)]
-                          for row in self.entries])
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)])
-
-    def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
-        return RatMatrix([[c * x for x in row] for row in self.entries])
-
     def matvec(self, v):
         return tuple(sum(x * y for x, y in zip(row, v)) for row in self.entries)
-
-    def power(self, k: int) -> "RatMatrix":
-        if k < 0:
-            raise InputError("negative matrix powers are not supported")
-        result = RatMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def determinant(self) -> Fraction:
         d, b = _clear_denominators(self)
         return (-1) ** self.n * Fraction(int_char_poly(b)[0], d ** self.n)
-
-    def inverse(self) -> "RatMatrix":
-        """A^-1 by Cayley-Hamilton on B = d*A: with c = int_char_poly(B),
-        B^-1 = -(c_1 + c_2 B + ... + c_n B^(n-1)) / c_0 and A^-1 = d B^-1."""
-        d, b = _clear_denominators(self)
-        c = int_char_poly(b)
-        if c[0] == 0:
-            raise SingularMap("matrix is singular")
-        m = [[int(i == j) for j in range(self.n)] for i in range(self.n)]  # c_n = 1
-        for ck in reversed(c[1:-1]):  # Horner in B, down to c_1
-            m = [[sum(x * y for x, y in zip(row, col)) + ck * (i == j)
-                  for j, col in enumerate(zip(*b))] for i, row in enumerate(m)]
-        return RatMatrix([[Fraction(-d * x, c[0]) for x in row] for row in m])
 
 
 def _clear_denominators(a: RatMatrix):
@@ -137,14 +94,6 @@ def char_poly(a: RatMatrix) -> IntPolynomial:
     d, b = _clear_denominators(a)
     scaled = [c * d ** k for k, c in enumerate(int_char_poly(b))]
     return IntPolynomial(scaled).primitive()
-
-
-def kernel_subspace(a: RatMatrix):
-    """Exact basis of ker(A) over Q, as a list of Fraction tuples: per free
-    column, the vector that is 1 there and 0 at the other free columns (the
-    basis read off the reduced row echelon form)."""
-    _, b = _clear_denominators(a)
-    return [tuple(v) for _, v in _relations(list(zip(*b)), a.n)]
 
 
 def solve_columns(columns, target):
@@ -315,11 +264,6 @@ class Lattice:
                 w = [scale * x - q * c for x, c in zip(w[:j], col)]
             out = math.lcm(out, order)
         return out
-
-
-def hnf(columns) -> Lattice:
-    """Canonical HNF lattice from integer generators (RankDeficient if not full rank)."""
-    return Lattice.from_columns(columns)
 
 
 def _meet_preimage(rows, n_lattice: Lattice, lat: Lattice) -> Lattice:

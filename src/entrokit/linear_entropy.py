@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError, WrongDomain
-from .linalg import RatMatrix, char_poly, kernel_subspace, solve_columns
+from .linalg import RatMatrix, char_poly, solve_columns
 from .mahler import log_value, mahler_measure, outside_sum
-from .polynomials import IntPolynomial, cyclotomic, is_prime, strip_cyclotomic_factors
+from .polynomials import is_prime
 from .roots import classify_unit_circle
 from .values import EntropyValue
 
@@ -47,22 +47,6 @@ class LinearFlow:
             raise InputError("matrix domains need a matrix")
         elif self.domain in ("zn", "tn_dual") and not self.matrix.is_integer():
             raise InputError("an endomorphism of Z^n or T^n needs integer entries")
-
-    @staticmethod
-    def on_integer_lattice(matrix: RatMatrix) -> "LinearFlow":
-        return LinearFlow("zn", matrix)
-
-    @staticmethod
-    def on_rationals(matrix: RatMatrix) -> "LinearFlow":
-        return LinearFlow("qn", matrix)
-
-    @staticmethod
-    def on_reals(matrix: RatMatrix) -> "LinearFlow":
-        return LinearFlow("rn", matrix)
-
-    @staticmethod
-    def on_torus_dual(matrix: RatMatrix) -> "LinearFlow":
-        return LinearFlow("tn_dual", matrix)
 
     @staticmethod
     def padic_scalar(prime: int, scalar) -> "LinearFlow":
@@ -223,7 +207,7 @@ def _sumset(current: list, shifts: list, budget: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# invariant subspaces, Pinsker subspace, growth dichotomy
+# invariant subspaces and the growth dichotomy
 
 def invariant_span(a: RatMatrix, points):
     """Basis (list of Fraction tuples) of the smallest A-invariant subspace
@@ -266,34 +250,6 @@ def restrict_to_subspace(a: RatMatrix, basis) -> RatMatrix:
         cols.append(coeffs)
     m = len(basis)
     return RatMatrix([[cols[j][i] for j in range(m)] for i in range(m)])
-
-
-def pinsker_subspace(a: RatMatrix):
-    """Basis of the largest A-invariant subspace of Q^n on which every
-    eigenvalue is a root of unity (zero-entropy part); computed exactly as
-    the kernel of q(A), q = the cyclotomic part of the characteristic
-    polynomial taken with multiplicities.  Kept as library API: no
-    subcommand calls it."""
-    factors, _ = strip_cyclotomic_factors(char_poly(a))
-    if not factors:
-        return []
-    q = IntPolynomial((1,))
-    for m, mult in factors:
-        for _ in range(mult):
-            q = q * cyclotomic(m)
-    qa = _poly_at_matrix(q, a)
-    return kernel_subspace(qa)
-
-
-def _poly_at_matrix(p: IntPolynomial, a: RatMatrix) -> RatMatrix:
-    n = a.n
-    acc = RatMatrix([[Fraction(0)] * n for _ in range(n)])
-    power = RatMatrix.identity(n)
-    for c in p.coeffs:
-        if c:
-            acc = acc + power.scale(c)
-        power = power * a
-    return acc
 
 
 @dataclass(frozen=True)

@@ -124,17 +124,6 @@ class SymbolicSelfMap:
 
     # -- the map on points ---------------------------------------------
 
-    def apply(self, point):
-        if isinstance(point, str):
-            return self.core[point]
-        tail_id, k = point
-        tail = self.tails[tail_id]
-        if tail is None:
-            return (tail_id, k + 1)
-        if isinstance(tail, InString):
-            return (tail_id, k - 1) if k else tail.attach
-        return (tail_id, (k - 1) // tail.branching) if k > tail.branching else tail.attach
-
     def preimages(self, point) -> list:
         """Full preimage set (finite by construction)."""
         listed = self._listed_preimages.get(point)
@@ -568,105 +557,3 @@ def _backward_limit(sc: SymbolicSelfMap, start: list):
                 continue
         frontier += sc.preimages(p)
     return len(strings_hit)
-
-
-# ----------------------------------------------------------------------
-# powers of the map
-
-def power_map(m: SymbolicSelfMap, k: int) -> SymbolicSelfMap:
-    """The symbolic presentation of the k-th iterate.
-
-    Each ray splits into k rays (residue classes of position mod k) with the
-    first k positions materialized as core nodes; each string splits into k
-    strings; a b-ary tree contributes, for each depth j <= k, its depth-j
-    points as core nodes each carrying a fresh b**k-ary tree.  Entropies
-    scale by k on both sides, which the tests exercise.  A materialized
-    point R:i becomes the core node R@i.
-    """
-    if k < 1:
-        raise InputError("the exponent must be a positive integer")
-    if k == 1:
-        return m
-
-    def iterate(point, steps):
-        for _ in range(steps):
-            point = m.apply(point)
-        return point
-
-    def rename(point):
-        """Old point -> new core-node name (materialized) or core name."""
-        return m.point_name(point).replace(":", "@")
-
-    # a core orbit reaches at most position k - 1 of a ray in k steps, so
-    # every tail point it lands on is materialized
-    new_core = {node: rename(iterate(node, k)) for node in m.core}
-    new_rays = []
-    new_strings = []
-    new_trees = []
-
-    for ray in m.out_rays:
-        for j in range(k):
-            new_rays.append(f"{ray}^{j}")
-        for i in range(k):
-            # materialized prefix point; its k-step image is position i + k,
-            # the head of the residue-i ray
-            new_core[f"{ray}@{i}"] = (f"{ray}^{i}", 0)
-
-    for s in m.in_strings:
-        for j in range(k):
-            # new string j holds old positions j, j + k, ...; its head maps
-            # under f^k to the (k - 1 - j)-step image of the attach node
-            attach = iterate(s.attach, k - 1 - j)
-            new_strings.append(InString(f"{s.id}^{j}", rename(attach)))
-
-    for t in m.in_trees:
-        if t.branching ** k > MAX_BRANCHING:
-            raise InputError(
-                f"branching {t.branching}**{k} exceeds the supported maximum")
-        first = 0
-        for j in range(1, k + 1):
-            first = t.branching * first + 1   # heap index of the first depth-j point
-            attach = rename(iterate(t.attach, k - j))
-            for index in range(first, first + t.branching ** j):
-                # each depth-j point becomes a core node carrying a fresh
-                # b**k-ary tree that holds its depth j + k, j + 2k, ...
-                # descendants
-                name = m.point_name((t.id, index))
-                node = name.replace(":", "@")
-                new_core[node] = attach
-                new_trees.append(InTree(name.replace(":", "^"), node, t.branching ** k))
-
-    return SymbolicSelfMap.build(new_core, new_rays, new_strings, new_trees)
-
-
-# ----------------------------------------------------------------------
-# canonical presentations
-
-def right_shift() -> SymbolicSelfMap:
-    """One forward-infinite orbit: n -> n + 1 on the naturals."""
-    return SymbolicSelfMap.build({}, ["R"])
-
-
-def left_shift() -> SymbolicSelfMap:
-    """n -> n - 1 with 0 fixed: a fixed point fed by one backward string."""
-    return SymbolicSelfMap.build({"z": "z"}, [], [("S", "z")])
-
-
-_UNION_SUFFIXES = ("_l", "_r")
-
-
-def disjoint_union(a: SymbolicSelfMap, b: SymbolicSelfMap) -> SymbolicSelfMap:
-    def tag(m, suffix):
-        def rn(name):
-            return f"{name}{suffix}"
-
-        core = {rn(n): rn(t) if isinstance(t, str) else (rn(t[0]), 0)
-                for n, t in m.core_map}
-        return (core, [rn(r) for r in m.out_rays],
-                [(rn(s.id), rn(s.attach)) for s in m.in_strings],
-                [(rn(t.id), rn(t.attach), t.branching) for t in m.in_trees])
-
-    ca, ra, sa, ta = tag(a, _UNION_SUFFIXES[0])
-    cb, rb, sb, tb = tag(b, _UNION_SUFFIXES[1])
-    ca.update(cb)
-    return SymbolicSelfMap.build(ca, ra + rb, sa + sb, ta + tb)

@@ -8,13 +8,19 @@ from mpmath ``polyroots`` at 100 digits, resultants from fraction-free
 Bareiss elimination on the Sylvester matrix.  The two exceptions are
 ``espectrum_reference`` and ``lehmer_reference``, which check an
 enumeration, not a kernel: they call the library's Berkowitz and Mahler
-kernels once per matrix or class.
+kernels once per matrix or class.  Exact matrix products, powers and
+conjugations are built here on plain rows, and ``power_map`` and
+``disjoint_union`` build new self-map presentations from old ones for the
+entropy laws the tests check.
 """
 import math
 from fractions import Fraction
 from operator import add
 
 import mpmath
+
+from entrokit.errors import InputError
+from entrokit.set_maps import MAX_BRANCHING, InString, InTree, SymbolicSelfMap
 
 
 def bisect_real_root(coeffs, lo, hi, steps=220):
@@ -471,3 +477,137 @@ def trajectory_reference(rows, points, horizon: int):
         current = sumset
         sizes.append(len(current))
     return tuple(sizes)
+
+
+# ----------------------------------------------------------------------
+# exact matrix arithmetic on rows
+
+def mat_mul(a, b):
+    """The product of two square matrices given as rows of exact numbers."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def mat_pow(a, k: int):
+    """A^k for k >= 1, by repeated multiplication."""
+    out = a
+    for _ in range(k - 1):
+        out = mat_mul(out, a)
+    return out
+
+
+def unimodular_pair(rng, n: int, steps: int = 6):
+    """(P, P^-1) as Fraction rows for a random unimodular P.  Each step
+    draws rows i and j and, when they differ, c in [-2, 2]; it adds c times
+    row j to row i of P, and subtracts c times column i from column j of
+    P^-1, which multiplies it on the right by the inverse row operation."""
+    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in p]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.randint(-2, 2)
+        for k in range(n):
+            p[i][k] += c * p[j][k]
+            q[k][j] -= c * q[k][i]
+    return p, q
+
+
+# ----------------------------------------------------------------------
+# self-maps: the forward map, powers and disjoint unions
+
+def apply(m: SymbolicSelfMap, point):
+    """The image of a point of the map, in the point form of ``resolve``."""
+    if isinstance(point, str):
+        return m.core[point]
+    tail_id, k = point
+    tail = m.tails[tail_id]
+    if tail is None:
+        return (tail_id, k + 1)
+    if isinstance(tail, InString):
+        return (tail_id, k - 1) if k else tail.attach
+    return (tail_id, (k - 1) // tail.branching) if k > tail.branching else tail.attach
+
+
+def power_map(m: SymbolicSelfMap, k: int) -> SymbolicSelfMap:
+    """The symbolic presentation of the k-th iterate.
+
+    Each ray splits into k rays (residue classes of position mod k) with the
+    first k positions materialized as core nodes; each string splits into k
+    strings; a b-ary tree contributes, for each depth j <= k, its depth-j
+    points as core nodes each carrying a fresh b**k-ary tree.  Entropies
+    scale by k on both sides.  A materialized point R:i becomes the core
+    node R@i.
+    """
+    if k < 1:
+        raise InputError("the exponent must be a positive integer")
+    if k == 1:
+        return m
+
+    def iterate(point, steps):
+        for _ in range(steps):
+            point = apply(m, point)
+        return point
+
+    def rename(point):
+        """Old point -> new core-node name (materialized) or core name."""
+        return m.point_name(point).replace(":", "@")
+
+    # a core orbit reaches at most position k - 1 of a ray in k steps, so
+    # every tail point it lands on is materialized
+    new_core = {node: rename(iterate(node, k)) for node in m.core}
+    new_rays = []
+    new_strings = []
+    new_trees = []
+
+    for ray in m.out_rays:
+        for j in range(k):
+            new_rays.append(f"{ray}^{j}")
+        for i in range(k):
+            # materialized prefix point; its k-step image is position i + k,
+            # the head of the residue-i ray
+            new_core[f"{ray}@{i}"] = (f"{ray}^{i}", 0)
+
+    for s in m.in_strings:
+        for j in range(k):
+            # new string j holds old positions j, j + k, ...; its head maps
+            # under f^k to the (k - 1 - j)-step image of the attach node
+            attach = iterate(s.attach, k - 1 - j)
+            new_strings.append(InString(f"{s.id}^{j}", rename(attach)))
+
+    for t in m.in_trees:
+        if t.branching ** k > MAX_BRANCHING:
+            raise InputError(
+                f"branching {t.branching}**{k} exceeds the supported maximum")
+        first = 0
+        for j in range(1, k + 1):
+            first = t.branching * first + 1   # heap index of the first depth-j point
+            attach = rename(iterate(t.attach, k - j))
+            for index in range(first, first + t.branching ** j):
+                # each depth-j point becomes a core node carrying a fresh
+                # b**k-ary tree that holds its depth j + k, j + 2k, ...
+                # descendants
+                name = m.point_name((t.id, index))
+                node = name.replace(":", "@")
+                new_core[node] = attach
+                new_trees.append(InTree(name.replace(":", "^"), node, t.branching ** k))
+
+    return SymbolicSelfMap.build(new_core, new_rays, new_strings, new_trees)
+
+
+def disjoint_union(a: SymbolicSelfMap, b: SymbolicSelfMap) -> SymbolicSelfMap:
+    """The two maps side by side, every name of a suffixed _l and of b _r."""
+    def tag(m, suffix):
+        def rn(name):
+            return f"{name}{suffix}"
+
+        core = {rn(n): rn(t) if isinstance(t, str) else (rn(t[0]), 0)
+                for n, t in m.core_map}
+        return (core, [rn(r) for r in m.out_rays],
+                [(rn(s.id), rn(s.attach)) for s in m.in_strings],
+                [(rn(t.id), rn(t.attach), t.branching) for t in m.in_trees])
+
+    ca, ra, sa, ta = tag(a, "_l")
+    cb, rb, sb, tb = tag(b, "_r")
+    ca.update(cb)
+    return SymbolicSelfMap.build(ca, ra + rb, sa + sb, ta + tb)

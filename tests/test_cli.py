@@ -109,6 +109,18 @@ def test_readme_command_lines_parse():
         cli.build_parser().parse_args(argv[1:])
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```")[1]
+    assert block.startswith("python\n")
+    exec(compile(block[len("python\n"):], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("0.162357612008 (+/- ")   # approx: log of Lehmer's number
+    assert lines[1].startswith("0.48121182506 (+/- ")    # approx: log of the golden ratio
+    assert lines[2] == "1"
+
+
 def test_human_and_json_share_payload(capsys):
     code = dispatch(["padic", "--p", "3", "--xi", "1/9"])
     human = capsys.readouterr().out

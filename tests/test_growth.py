@@ -19,6 +19,11 @@ from entrokit.growth import (
 from oracles import _growth_factor, growth_reference, reduce_word
 
 
+def heisenberg_element(x, y, z):
+    """The Heisenberg3 element (x, y, z): its three signed 20-bit fields."""
+    return (x << 40) + (y << 20) + z
+
+
 def test_free_group_closed_form():
     table = growth_table(Free(2), 8)
     assert table.gamma == tuple(1 + 2 * (3 ** n - 1) for n in range(9))
@@ -199,13 +204,11 @@ def test_steps_skip_generators_whose_product_is_short(spec, skipped):
 
 def test_heisenberg_radius_guard(monkeypatch):
     # the largest corner entry at MAX_RADIUS, x^a y^b with a + b = r, fits
-    # its 20-bit field; the next radius's does not
-    heis = Heisenberg3()
+    # its signed 20-bit field; the next radius's does not
     a = Heisenberg3.MAX_RADIUS // 2
     b = Heisenberg3.MAX_RADIUS - a
-    assert heis.unpack(heis.pack(a, b, a * b)) == (a, b, a * b)
-    with pytest.raises(InputError):
-        heis.pack(a, b + 1, a * (b + 1))
+    assert a * b < 1 << 19 <= a * (b + 1)
+    assert Heisenberg3().unpack(heisenberg_element(a, b, a * b)) == (a, b, a * b)
     # the search checks each radius before it builds that sphere
     monkeypatch.setattr(Heisenberg3, "MAX_RADIUS", 5)
     assert growth_table(Heisenberg3(), 5).gamma == growth_reference(["heisenberg"], 5)
@@ -306,10 +309,10 @@ if given is not None:
     def test_heisenberg_packing_matches_the_tuple_law(e, a, b):
         heis = Heisenberg3()
         identity, gens, multiply = _growth_factor("heisenberg")
-        assert heis.unpack(heis.pack(*e)) == e
+        assert heis.unpack(heisenberg_element(*e)) == e
         assert heis.unpack(heis.identity()) == identity
         assert [heis.unpack(g) for g in heis.generators()] == gens
-        assert heis.unpack(heis.multiply(heis.pack(*a), heis.pack(*b))) \
+        assert heis.unpack(heis.multiply(heisenberg_element(*a), heisenberg_element(*b))) \
             == multiply(a, b)
 
     # elements one radius short of MAX_RADIUS: one step stays inside the fields
@@ -322,7 +325,7 @@ if given is not None:
     def test_heisenberg_step_across_the_fields(elements, i):
         heis = Heisenberg3()
         _, gens, multiply = _growth_factor("heisenberg")
-        xs = [heis.pack(*e) for e in elements]
+        xs = [heisenberg_element(*e) for e in elements]
         assert [heis.unpack(y) for y in heis.step(xs, i)] \
             == [multiply(e, gens[i]) for e in elements]
 

@@ -4,33 +4,20 @@ from itertools import product
 
 import pytest
 
+from entrokit import linalg
 from entrokit.errors import RankDeficient, SingularMap
 from entrokit.linalg import (
     Lattice,
     RatMatrix,
     char_poly,
-    hnf,
     int_char_poly,
-    kernel_subspace,
     lattice_intersect,
     lattice_preimage,
     matrix_from_json,
     solve_columns,
 )
 
-from oracles import charpoly_2x2, lattice_members_box
-
-
-def random_unimodular(rng, n, steps=6):
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randint(-2, 2)
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return RatMatrix(m)
+from oracles import charpoly_2x2, lattice_members_box, mat_mul, unimodular_pair
 
 
 def test_char_poly_cofactor_oracle():
@@ -42,7 +29,7 @@ def test_char_poly_cofactor_oracle():
 
 
 def test_char_poly_identity_and_scalar():
-    assert char_poly(RatMatrix.identity(3)).coeffs == (-1, 3, -3, 1)
+    assert char_poly(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).coeffs == (-1, 3, -3, 1)
     # t - 1/2 has the primitive part 2t - 1
     assert char_poly(RatMatrix([[Fraction(1, 2)]])).coeffs == (-1, 2)
 
@@ -51,10 +38,11 @@ def test_char_poly_conjugation_invariance():
     rng = random.Random(17)
     for _ in range(20):
         n = rng.randint(2, 3)
-        a = RatMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        p = random_unimodular(rng, n)
-        conj = p * a * p.inverse()
-        assert char_poly(conj).coeffs == char_poly(a).coeffs
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        p, p_inv = unimodular_pair(rng, n)
+        assert mat_mul(p, p_inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+        conj = RatMatrix(mat_mul(mat_mul(p, rows), p_inv))
+        assert char_poly(conj).coeffs == char_poly(RatMatrix(rows)).coeffs
 
 
 def block_diag(a, b):
@@ -167,17 +155,21 @@ def test_gauss_jordan_sympy_oracle():
     for trial in range(120):
         n = 1 + trial % 5
         rows = _random_rational_rows(rng, n, rng.randint(0, n))
-        a, oracle = RatMatrix(rows), to_sympy(rows)
-        rank = oracle.rank()
-        if rank == n:
-            want = [[to_fraction(x) for x in oracle.inv().row(i)] for i in range(n)]
-            assert [list(row) for row in a.inverse().entries] == want
+        columns, oracle = [tuple(row[j] for row in rows) for j in range(n)], to_sympy(rows)
+        # the inverse column by column, from A x = e_i; None when singular
+        inverse = [solve_columns(columns, [Fraction(int(k == i)) for k in range(n)])
+                   for i in range(n)]
+        if oracle.rank() == n:
+            assert inverse == [[to_fraction(x) for x in oracle.inv().col(i)]
+                               for i in range(n)]
         else:
-            with pytest.raises(SingularMap):
-                a.inverse()
-        want = [tuple(to_fraction(x) for x in v) for v in oracle.nullspace()]
-        assert kernel_subspace(a) == want
-        check_solve([tuple(row[j] for row in rows) for j in range(n)], n)
+            assert None in inverse
+        # the reduced relations that solve_columns reads are sympy's kernel basis
+        _, scaled = linalg._clear_denominators(RatMatrix(rows))
+        relations = linalg._relations(list(zip(*scaled)), n)
+        assert [v for _, v in relations] \
+            == [[to_fraction(x) for x in v] for v in oracle.nullspace()]
+        check_solve(columns, n)
     # rectangular column sets: m != n columns in Q^n, of every rank
     for n, m in product(range(1, 6), range(1, 8)):
         if m != n:
@@ -186,26 +178,17 @@ def test_gauss_jordan_sympy_oracle():
                 check_solve([tuple(row[j] for row in rows) for j in range(m)], n)
 
 
-def test_kernel_subspace():
-    assert kernel_subspace(RatMatrix.identity(2)) == []
-    assert len(kernel_subspace(RatMatrix([[0, 0], [0, 0]]))) == 2
-    basis = kernel_subspace(RatMatrix([[1, 1], [1, 1]]))
-    assert len(basis) == 1
-    x, y = basis[0]
-    assert x + y == 0 and (x, y) != (0, 0)
-
-
 def test_hnf_examples():
-    assert hnf([[2, 0], [0, 2]]).basis == ((2, 0), (0, 2))
-    lat = hnf([[1, 0], [0, 2]])
+    assert Lattice.from_columns([[2, 0], [0, 2]]).basis == ((2, 0), (0, 2))
+    lat = Lattice.from_columns([[1, 0], [0, 2]])
     assert lat.basis == ((1, 0), (0, 2)) and lat.index == 2
     # gcd elimination oracle: columns (2,0), (1,1), (0,3) generate Z^2
-    assert hnf([[2, 0], [1, 1], [0, 3]]).index == 1
+    assert Lattice.from_columns([[2, 0], [1, 1], [0, 3]]).index == 1
 
 
 def test_hnf_rank_deficient():
     with pytest.raises(RankDeficient):
-        hnf([[1, 2], [2, 4]])
+        Lattice.from_columns([[1, 2], [2, 4]])
 
 
 def test_hnf_idempotent_and_basis_independent():
@@ -216,16 +199,16 @@ def test_hnf_idempotent_and_basis_independent():
         det = RatMatrix(cols).determinant() if n > 1 else Fraction(cols[0][0])
         if det == 0:
             continue
-        lat = hnf(cols)
-        assert hnf(list(lat.basis)).basis == lat.basis
+        lat = Lattice.from_columns(cols)
+        assert Lattice.from_columns(list(lat.basis)).basis == lat.basis
         # integer column operations leave the generated lattice unchanged
         combo = [tuple(a + b for a, b in zip(cols[i], cols[(i + 1) % n]))
                  for i in range(n)] + cols
-        assert hnf(combo).basis == lat.basis
+        assert Lattice.from_columns(combo).basis == lat.basis
 
 
 def test_lattice_membership_and_exponent():
-    lat = hnf([[2, 0], [1, 1]])  # x == y mod 2
+    lat = Lattice.from_columns([[2, 0], [1, 1]])  # x == y mod 2
     assert lat.contains((2, 0)) and lat.contains((3, 1)) and not lat.contains((1, 0))
     assert lat.exponent() == 2
     assert Lattice.scaled(2, 6).exponent() == 6
@@ -233,11 +216,11 @@ def test_lattice_membership_and_exponent():
 
 def test_intersect_examples():
     assert lattice_intersect(Lattice.scaled(1, 2), Lattice.scaled(1, 3)).basis == ((6,),)
-    lat = lattice_intersect(Lattice.standard(2), hnf([[5, 0], [2, 1]]))
-    assert lat.basis == hnf([[5, 0], [2, 1]]).basis
+    lat = Lattice.from_columns([[5, 0], [2, 1]])
+    assert lattice_intersect(Lattice.standard(2), lat).basis == lat.basis
     # (Z + 2Z) meet {x == y mod 2} = 2Z^2, by residue enumeration oracle
-    a = hnf([[1, 0], [0, 2]])
-    b = hnf([[2, 0], [1, 1]])
+    a = Lattice.from_columns([[1, 0], [0, 2]])
+    b = Lattice.from_columns([[2, 0], [1, 1]])
     meet = lattice_intersect(a, b)
     box = lattice_members_box(meet, 4)
     expected = lattice_members_box(a, 4) & lattice_members_box(b, 4)
@@ -254,7 +237,7 @@ def test_intersect_containment_and_index():
             while True:
                 cols = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
                 try:
-                    return hnf(cols)
+                    return Lattice.from_columns(cols)
                 except RankDeficient:
                     continue
 
@@ -268,8 +251,9 @@ def test_intersect_containment_and_index():
 def test_preimage_examples():
     assert lattice_preimage(RatMatrix([[2]]), Lattice.scaled(1, 3)).basis == ((3,),)
     lat = Lattice.standard(2)
-    assert lattice_preimage(RatMatrix.identity(2), lat).basis == lat.basis
-    pre = lattice_preimage(RatMatrix([[0, 1], [1, 1]]), hnf([[1, 0], [0, 2]]))
+    assert lattice_preimage(RatMatrix([[1, 0], [0, 1]]), lat).basis == lat.basis
+    pre = lattice_preimage(RatMatrix([[0, 1], [1, 1]]),
+                           Lattice.from_columns([[1, 0], [0, 2]]))
     assert pre.index == 2
     # enumeration oracle mod 2: A v in L iff x + y even
     members = lattice_members_box(pre, 3)
@@ -292,8 +276,8 @@ def test_preimage_induced_map_injective():
             a = RatMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             if a.determinant() != 0:
                 break
-        lat = hnf([[rng.choice([1, 2, 3]) if i == j else 0 for i in range(n)]
-                   for j in range(n)])
+        lat = Lattice.from_columns([[rng.choice([1, 2, 3]) if i == j else 0
+                                     for i in range(n)] for j in range(n)])
         pre = lattice_preimage(a, lat)
         assert lat.index % pre.index == 0
         images = {}

@@ -140,7 +140,7 @@ def test_one_cyclotomic_strip_per_value(monkeypatch):
         assert len(calls) == 1
     for rows in ([[0, 1], [1, 1]], [[2, 1, 0], [0, 3, 1], [1, 0, 1]], [[2, 0], [0, 3]]):
         calls.clear()
-        topological_entropy(LinearFlow.on_reals(RatMatrix(rows)))
+        topological_entropy(LinearFlow("rn", RatMatrix(rows)))
         assert len(calls) == 1
 
 

@@ -11,19 +11,15 @@ from entrokit.set_maps import (
     cotrajectory_profile,
     covariant_entropy,
     covariant_local_entropy,
-    disjoint_union,
-    left_shift,
-    power_map,
-    right_shift,
     surjective_core,
     validate,
 )
 
-from oracles import components_reference, cotrajectory_reference, \
-    forward_profile_reference
+from oracles import apply, components_reference, cotrajectory_reference, \
+    disjoint_union, forward_profile_reference, power_map
 
-RHO = right_shift()
-SIG = left_shift()
+RHO = SymbolicSelfMap.build({}, ["R"])                    # n -> n + 1
+SIG = SymbolicSelfMap.build({"z": "z"}, [], [("S", "z")])  # n -> n - 1, 0 fixed
 
 
 def reference_local_entropy(obj, names, horizon=32):
@@ -337,7 +333,7 @@ def test_tree_points_are_heap_indices():
         ["z", ("T", 1), ("T", 3), ("T", 7)]
     assert tree.preimages(("T", 2)) == [("T", 7), ("T", 8), ("T", 9)]
     assert tree.preimages("z") == ["z", ("T", 1), ("T", 2), ("T", 3)]
-    assert tree.apply(("T", 9)) == ("T", 2) and tree.apply(("T", 3)) == "z"
+    assert apply(tree, ("T", 9)) == ("T", 2) and apply(tree, ("T", 3)) == "z"
     assert [tree.point_name(p) for p in tree.preimages(("T", 2))] == ["T:10", "T:11", "T:12"]
 
 
@@ -505,4 +501,4 @@ if given is not None:
         tree = tree_on_fixed_point(branching)
         name = tree.point_name(("T", k))
         assert tree.resolve(name) == ("T", k)
-        assert all(tree.apply(q) == ("T", k) for q in tree.preimages(("T", k)))
+        assert all(apply(tree, q) == ("T", k) for q in tree.preimages(("T", k)))

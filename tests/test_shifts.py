@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from entrokit.errors import BudgetExceeded, InputError
-from entrokit.set_maps import SymbolicSelfMap, covariant_entropy, disjoint_union, \
-    left_shift, right_shift
+from entrokit.set_maps import SymbolicSelfMap, covariant_entropy
 from entrokit.shifts import (
     GeneralizedShiftSpec,
     adjoint_entropy_of_shift,
@@ -15,10 +14,10 @@ from entrokit.shifts import (
 )
 from entrokit.values import EntropyValue
 
-from oracles import forward_profile_reference, shift_rank_reference
+from oracles import disjoint_union, forward_profile_reference, shift_rank_reference
 
-RHO = right_shift()
-SIG = left_shift()
+RHO = SymbolicSelfMap.build({}, ["R"])                    # n -> n + 1
+SIG = SymbolicSelfMap.build({"z": "z"}, [], [("S", "z")])  # n -> n - 1, 0 fixed
 
 
 def catalog():

@@ -7,9 +7,10 @@ package's ``__init__`` re-exports are exempt); and a public top-level
 function or class of the package, or a public method of a class
 ``__init__`` re-exports, must be used by some other module of the package
 (or, for a method, by the benchmark tracer), or be listed in
-``LIBRARY_API``.
+``LIBRARY_API`` and named in README's library paragraph.
 """
 import ast
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -20,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "entrokit").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 ALLOWED = set(sys.stdlib_module_names) | {"mpmath", "entrokit"}
 
 
@@ -56,19 +58,26 @@ def test_module_level_imports_are_used(path):
 
 # Public top-level functions and classes of the package, and public methods
 # ("Class.method") of the classes it re-exports, that nothing in src/entrokit
-# calls: each is declared library API in README or kept for the benchmark
-# tracer, as marked, so a new name or method that only the tests call needs a
-# decision too.
+# calls: each is kept for the ROADMAP item that routes it or for the benchmark
+# tracer, as marked, and README's library paragraph names it, so a new name or
+# method that only the tests call needs a decision too.
 LIBRARY_API = (
-    "bass_guivarch", "canonical_form", "classify_growth", "delta_exact",
-    "disjoint_union", "hnf", "left_shift", "pinsker_subspace", "power_map",
-    "right_shift",
-    "Heisenberg3.pack", "LinearFlow.on_integer_lattice", "LinearFlow.on_rationals",
-    "LinearFlow.on_reals", "LinearFlow.on_torus_dual", "RatMatrix.inverse",
-    "RatMatrix.power",
-    # kept for perfbench/tracer.py, which wraps them as layers
-    "lattice_intersect", "lattice_preimage",
+    "bass_guivarch",       # ROADMAP item 10 (growth that states what it knows)
+    "canonical_form",      # ROADMAP item 15 (one measure key)
+    "classify_growth",     # ROADMAP item 10
+    "delta_exact",         # ROADMAP item 16 (certified Perron roots, periodic points)
+    "lattice_intersect",   # perfbench tracer: perfbench/tracer.py wraps it as a layer
+    "lattice_preimage",    # perfbench tracer
 )
+
+
+def test_library_api_is_named_in_readme():
+    """Every LIBRARY_API name is documented in README's paragraph that
+    starts "Library API: these have no subcommand"."""
+    paragraph = next(p for p in README.read_text().split("\n\n")
+                     if p.startswith("Library API: these have no subcommand"))
+    assert [name for name in LIBRARY_API
+            if not re.search(rf"\b{re.escape(name)}\b", paragraph)] == []
 
 
 def _exported():
