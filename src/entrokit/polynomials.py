@@ -326,8 +326,10 @@ def rational_roots(f: IntPolynomial):
     cofactor has no rational roots, and f is the cofactor times the
     primitive linear factors (b t - a) of the roots a/b.  A linear cofactor
     is peeled directly.  Otherwise polynomials whose extreme coefficients
-    exceed _FACTOR_CAP are left unfactored (the numeric stage handles them;
-    only exactness of the reporting degrades).
+    exceed _FACTOR_CAP skip the divisor search and give up only the linear
+    factors of their squarefree decomposition; their other rational roots
+    stay in the cofactor (the numeric stage handles them; only exactness of
+    the reporting degrades).
     """
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
@@ -348,6 +350,12 @@ def rational_roots(f: IntPolynomial):
                 g = quot
             if g.degree <= 1:
                 break
+    elif g.degree > 1:
+        for factor, k in squarefree_decomposition(g):
+            if factor.degree == 1:
+                roots.append((Fraction(-factor.coeffs[0], factor.coeffs[1]), k))
+                for _ in range(k):
+                    g = try_exact_divide(g, factor)
     if g.degree == 1:
         root = Fraction(-g.coeffs[0], g.coeffs[1])
         roots.append((root, 1))

@@ -10,11 +10,14 @@ the approximation to a complex double.  The disks of one squarefree factor
 must be pairwise disjoint: each holds at least one root, so deg disjoint
 disks hold exactly one root each.
 
-One Aberth loop serves both precisions: it runs in ``mpmath.fp`` first and,
-when the requested tolerance cannot be certified there or two disks
-overlap, in ``mpmath.mp`` at >= 30 significant digits (more for tighter
-tolerances), then at twice that.  Each mp pass starts from the final
-iterates of the pass before it, unless one of them is not finite.  A root
+One Aberth loop serves both precisions: it runs in double precision first
+(``_DOUBLE``, the builtin float, complex and cmath functions that
+``mpmath.fp`` binds too) and, when the requested tolerance cannot be
+certified there or two disks overlap, in ``mpmath.mp`` at >= 30
+significant digits (more for tighter tolerances), then at twice that.
+mpmath is imported on the first mp pass, so a run that certifies in
+doubles never loads it.  Each mp pass starts from the final iterates of
+the pass before it, unless one of them is not finite.  A root
 whose step falls below the stopping threshold is frozen and no longer
 updated, though the Aberth sums of the others still run over it; the loop
 ends when every root is frozen, and the radii are then computed for every
@@ -33,13 +36,13 @@ in [0, log(|z| + r)].
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
-import mpmath
-
-from .errors import InputError, NoConvergence, NotPrimitive
+from .errors import CertificationError, InputError, NoConvergence, NotPrimitive
 from .polynomials import (
     IntPolynomial,
     rational_roots,
@@ -49,6 +52,8 @@ from .polynomials import (
 
 _SLACK = 1.125          # multiplicative pad on inclusion radii
 _MAX_ITER = 400
+# the double-precision context of the first Aberth pass
+_DOUBLE = SimpleNamespace(mpf=float, mpc=complex, exp=cmath.exp, isfinite=cmath.isfinite)
 
 
 @dataclass(frozen=True)
@@ -117,14 +122,20 @@ def find_roots(f: IntPolynomial, tol: float = 1e-12) -> list:
 def _roots_squarefree(f: IntPolynomial, tol: float):
     if f.degree == 1:
         root = Fraction(-f.coeffs[0], f.coeffs[1])
-        approx = complex(float(root), 0.0)
+        try:
+            approx = complex(float(root), 0.0)
+        except OverflowError:
+            raise CertificationError(f"the root {root} is beyond the double range") from None
         radius = abs(approx - complex(root)) + 2.0 ** -48 * (abs(approx) + 1.0)
         return [(approx, radius)]
+    zs, pairs = _aberth(_DOUBLE, f, tol, 15, None)
+    if pairs is not None:
+        return pairs
+    import mpmath  # only the mp passes need it
     digits = max(30, int(-math.log10(tol)) + 15)
-    zs = None
-    for ctx, dps in ((mpmath.fp, 15), (mpmath.mp, digits), (mpmath.mp, 2 * digits)):
+    for dps in (digits, 2 * digits):
         with mpmath.workdps(dps):
-            zs, pairs = _aberth(ctx, f, tol, dps, zs)
+            zs, pairs = _aberth(mpmath.mp, f, tol, dps, zs)
         if pairs is not None:
             return pairs
     raise NoConvergence(_MAX_ITER)
@@ -175,7 +186,7 @@ def _starts(ctx, coeffs):
 
 def _aberth(ctx, f: IntPolynomial, tol: float, dps: int, zs):
     """(iterates, pairs) of an Aberth-Ehrlich iteration for the roots of the
-    squarefree f in ``mpmath.fp`` or in ``mpmath.mp`` at dps digits.  pairs
+    squarefree f in ``_DOUBLE`` or in ``mpmath.mp`` at dps digits.  pairs
     holds (z, radius) for every root, or is None when some radius does not
     certify or two of the disks overlap; iterates are the final
     approximations in ctx, None when f is beyond the range of ctx.
@@ -188,21 +199,21 @@ def _aberth(ctx, f: IntPolynomial, tol: float, dps: int, zs):
     sweeps; every radius is then computed at the final position.
 
     Each z is returned as a complex double.  Its radius covers the rounding
-    of z to that double: in ``mpmath.fp`` the allowance counts against tol,
+    of z to that double: in ``_DOUBLE`` the allowance counts against tol,
     in ``mpmath.mp`` it is added after the test, which then takes tol
     relative to |z| beyond the circle, where log|z| moves by r/(|z| - r).
     """
     n = f.degree
     try:
         coeffs = [ctx.mpf(c) for c in f.coeffs]
-        if zs and all(map(mpmath.isfinite, zs)):
+        if zs and all(map(ctx.isfinite, zs)):
             zs = [ctx.mpc(z) for z in zs]
         else:
             zs = _starts(ctx, f.coeffs)
     except OverflowError:  # beyond double range: leave it to mpmath
         return None, None
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    if ctx is mpmath.fp:
+    if ctx is _DOUBLE:
         stop, nudge = 1e-15, 1e-6 + 1e-6j
     else:
         stop, nudge = ctx.mpf(10) ** (5 - dps), ctx.mpf(10) ** (-dps // 2)
@@ -237,14 +248,14 @@ def _aberth(ctx, f: IntPolynomial, tol: float, dps: int, zs):
             return zs, None
         radius = float(_SLACK * n * abs(_horner(coeffs, z) / dv))
         allowance = 2.0 ** -50 * (abs(complex(z)) + 1.0)
-        if ctx is mpmath.fp:
+        if ctx is _DOUBLE:
             radius += allowance
             certified = radius < tol
         else:
             radius += 10.0 ** (3 - dps)
             certified = radius < tol * max(1, abs(z))
             radius += allowance
-        if not certified:
+        if not certified or radius == math.inf:  # or z is beyond the double range
             return zs, None
         pairs.append((complex(z), radius))
     return zs, (pairs if _disjoint(pairs) else None)

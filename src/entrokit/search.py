@@ -53,7 +53,6 @@ import math
 import os
 from bisect import insort
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, product, repeat
@@ -229,7 +228,7 @@ def lehmer_search(spec: SearchSpec, workers: int = 1) -> SearchResult:
     into chunks; the measuring runs here, and the final leaderboard is a
     deterministic sort, identical for any worker count.  The pool is capped
     at the CPU count and at the number of chunks, since the executor starts
-    every worker it is asked for at once.
+    every worker it is asked for at once; a single worker loads no pool.
     """
     # one candidate past the budget is enough to know it is blown
     candidates = list(islice(_candidate_polys(spec), spec.budget + 1))
@@ -239,6 +238,7 @@ def lehmer_search(spec: SearchSpec, workers: int = 1) -> SearchResult:
     chunk_size = max(64, len(candidates) // (8 * workers) + 1)
     workers = min(workers, -(-len(candidates) // chunk_size))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             heap = list(pool.map(_bound_one, candidates, chunksize=chunk_size))
     else:

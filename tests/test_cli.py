@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -205,6 +206,21 @@ def test_coefficient_beyond_double_range(capsys):
     assert code == 0
     with mpmath.workdps(100):
         assert interval_contains(report["result"]["value"], 400 * mpmath.log(10))
+    # (t - 1e400)**2 skips the divisor search, but its squarefree
+    # decomposition gives the linear factor, whose root is exact
+    code, report = run_json(capsys, ["mahler", "--poly", "1e800,-2e400,1"])
+    assert code == 0
+    assert report["result"]["value"] == {"kind": "exact_log", "base": 10 ** 800,
+                                         "multiplier": "1/1"}
+
+
+@pytest.mark.parametrize("poly", ["2e800,-3e400,1", "2e400,-2,-1e400,1"])
+def test_squarefree_roots_beyond_double_range_are_not_certified(capsys, poly):
+    # (t - 1e400)(t - 2e400) and (t - 1e400)(t**2 - 2) are squarefree, so
+    # their rational roots past the divisor-search cap reach the numerics,
+    # which cannot give a root beyond the double range a disk
+    assert dispatch(["mahler", "--poly", poly]) == 3
+    assert "not certified" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -350,6 +366,54 @@ def _peak_rss_child(argv):
     on stderr."""
     return subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
                           capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
+
+
+# runs dispatch on its argv and prints, on stderr, which of the modules
+# that a start-up should not pay for were imported
+_LOADED_CHILD = """\
+import json, sys
+from entrokit.cli import dispatch
+code = dispatch(sys.argv[1:])
+print(json.dumps([name for name in ("mpmath", "concurrent.futures", "multiprocessing")
+                  if name in sys.modules]), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _loaded_child(argv):
+    """(exit code, JSON report, modules loaded of mpmath, concurrent.futures
+    and multiprocessing) of dispatch(argv + ["--json"]) in a fresh
+    interpreter."""
+    child = subprocess.run([sys.executable, "-c", _LOADED_CHILD, *argv, "--json"],
+                           capture_output=True, text=True, env=_CHILD_ENV, timeout=120)
+    return child.returncode, json.loads(child.stdout), json.loads(child.stderr)
+
+
+def test_a_double_precision_run_loads_neither_mpmath_nor_a_pool():
+    # Lehmer's polynomial certifies in doubles
+    code, report, loaded = _loaded_child(["mahler", "--poly=1,1,0,-1,-1,-1,-1,-1,0,1,1"])
+    assert code == 0 and report["result"]["value"]["kind"] == "approx"
+    assert loaded == []
+
+
+def test_an_mp_pass_loads_mpmath():
+    # tol = 1e-30 cannot be certified in doubles
+    rng = random.Random(30)
+    coeffs = [rng.choice((-1, 1)) for _ in range(31)]
+    code, report, loaded = _loaded_child(
+        ["mahler", "--poly=" + ",".join(map(str, coeffs)), "--tol", "1e-30"])
+    assert code == 0 and loaded == ["mpmath"]
+    assert interval_contains(report["result"]["value"], mahler_reference(coeffs)[0])
+
+
+def test_only_a_real_pool_loads_concurrent_futures():
+    argv = ["lehmer", "--max-degree", "6", "--threads"]
+    code, serial, loaded = _loaded_child(argv + ["1"])
+    assert code == 0 and loaded == []
+    code, parallel, loaded = _loaded_child(argv + ["2"])
+    assert code == 0 and parallel["result"] == serial["result"]
+    # a single CPU caps the pool at one worker, which loads nothing
+    assert ("concurrent.futures" in loaded) == ((os.cpu_count() or 1) > 1)
 
 
 @pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),

@@ -101,11 +101,16 @@ def test_cyclotomic_matches_sympy():
 def test_rational_roots_rebuild_the_input():
     # f = cofactor * prod (b t - a)**k; a linear cofactor is peeled even
     # beyond _FACTOR_CAP, and its content stays in the cofactor
+    big = IntPolynomial((-10 ** 400, 1))
+    simple = IntPolynomial((-2, 0, 1)) * IntPolynomial((-3, 2)) * IntPolynomial((-10 ** 13, 1))
     cases = [
         (IntPolynomial((6, 4)), [(Fraction(-3, 2), 1)], (2,)),
         (IntPolynomial((10 ** 400, 1)), [(Fraction(-10 ** 400), 1)], (1,)),
         (IntPolynomial((0, -2, 1)) * IntPolynomial((-1, 3)) * IntPolynomial((1, 1, 1)),
          [(0, 1), (Fraction(1, 3), 1), (2, 1)], (1, 1, 1)),
+        # past _FACTOR_CAP only the linear squarefree factors are peeled:
+        # the square of t - 1e400, not the simple roots 3/2 and 1e13
+        (big * big * simple, [(Fraction(10 ** 400), 2)], simple.coeffs),
     ]
     for f, want_roots, want_cofactor in cases:
         roots, cofactor = rational_roots(f)

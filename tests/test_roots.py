@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from entrokit.errors import NoConvergence
+from entrokit.errors import CertificationError, NoConvergence
 from entrokit.polynomials import IntPolynomial, cyclotomic
 import entrokit.polynomials
 import entrokit.roots
@@ -16,6 +16,7 @@ from entrokit.roots import classify_unit_circle, find_roots
 from oracles import bisect_real_root, classified_root_count, mahler_reference, resultant
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+DOUBLE = entrokit.roots._DOUBLE
 
 
 def test_known_radicals():
@@ -88,9 +89,9 @@ def test_overlapping_disks_raise_the_precision(monkeypatch):
 
     monkeypatch.setattr(entrokit.roots, "_aberth", spy)
     monkeypatch.setattr(entrokit.roots, "_disjoint",
-                        lambda pairs: contexts[-1] is not mpmath.fp and disjoint(pairs))
+                        lambda pairs: contexts[-1] is not DOUBLE and disjoint(pairs))
     roots = find_roots(LEHMER)
-    assert contexts == [mpmath.fp, mpmath.mp]
+    assert contexts == [DOUBLE, mpmath.mp]
     assert _pairwise_disjoint(roots) and len(roots) == LEHMER.degree
     for root in _reference_roots(LEHMER.coeffs):
         assert sum(_contains(r, root) for r in roots) == 1
@@ -222,7 +223,7 @@ def test_non_finite_iterates_restart_from_the_starts(monkeypatch):
 
     def planted(ctx, *args):
         zs, pairs = aberth(ctx, *args)
-        if ctx is mpmath.fp:
+        if ctx is DOUBLE:
             zs[0], pairs = complex(math.nan, 0.0), None
         return zs, pairs
 
@@ -233,10 +234,30 @@ def test_non_finite_iterates_restart_from_the_starts(monkeypatch):
     monkeypatch.setattr(entrokit.roots, "_aberth", planted)
     monkeypatch.setattr(entrokit.roots, "_starts", spy)
     roots = find_roots(LEHMER)
-    assert start_contexts == [mpmath.fp, mpmath.mp]
+    assert start_contexts == [DOUBLE, mpmath.mp]
     assert len(roots) == LEHMER.degree and _pairwise_disjoint(roots)
     for root in _reference_roots(LEHMER.coeffs):
         assert sum(_contains(r, root) for r in roots) == 1
+
+
+@pytest.mark.parametrize("f", [_plus_minus_one(d, seed=d) for d in (30, 47, 64, 100)]
+                         + [LEHMER * cyclotomic(7) * cyclotomic(12)],
+                         ids=["pm1-deg30", "pm1-deg47", "pm1-deg64", "pm1-deg100",
+                              "lehmer-phi7-phi12"])
+def test_double_context_is_mpmath_fp_bit_for_bit(monkeypatch, f):
+    # mpmath.fp binds float, complex and cmath.exp, so its pass must give
+    # the same bits; it is made the double context only for the oracle run
+    starts = entrokit.roots._starts(DOUBLE, f.coeffs)
+    zs, pairs = entrokit.roots._aberth(DOUBLE, f, 1e-12, 15, None)
+    assert pairs is not None
+    monkeypatch.setattr(entrokit.roots, "_DOUBLE", mpmath.fp)
+    assert repr(entrokit.roots._starts(mpmath.fp, f.coeffs)) == repr(starts)
+    assert repr(entrokit.roots._aberth(mpmath.fp, f, 1e-12, 15, None)) == repr((zs, pairs))
+
+
+def test_a_linear_root_beyond_double_range_is_not_certified():
+    with pytest.raises(CertificationError, match="beyond the double range"):
+        find_roots(IntPolynomial((-10 ** 400, 1)))
 
 
 def test_root_count_with_multiplicity():

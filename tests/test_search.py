@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import math
 
@@ -91,7 +92,7 @@ def test_worker_pool_is_capped(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     spec = SearchSpec(max_degree=6)
     serial = lehmer_search(spec, workers=1)
     assert not pools

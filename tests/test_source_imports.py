@@ -1,8 +1,10 @@
 """Static checks on the imports of the package sources.
 
 mpmath is the only runtime dependency, so a module may import only the
-standard library, mpmath and entrokit itself; and a name imported at module
-level must be used by that module, in the package and in the tests (the
+standard library, mpmath and entrokit itself; and mpmath and the process
+pool are imported inside the functions that need them, never when a module
+loads, so that a start-up pays only for what runs; and a name imported at
+module level must be used by that module, in the package and in the tests (the
 package's ``__init__`` re-exports are exempt); and a public top-level
 function or class of the package, or a public method of a class
 ``__init__`` re-exports, must be used by some other module of the package
@@ -23,6 +25,7 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 TRACER = ROOT / "perfbench" / "tracer.py"
 README = ROOT / "README.md"
 ALLOWED = set(sys.stdlib_module_names) | {"mpmath", "entrokit"}
+LAZY = {"mpmath", "concurrent", "multiprocessing"}   # imported where they are used
 
 
 def _imports(nodes):
@@ -45,6 +48,23 @@ def test_imports_are_stdlib_mpmath_or_entrokit(path):
     outside = sorted({module for module, _ in _imports(ast.walk(tree))
                       if module is not None and module not in ALLOWED})
     assert not outside, f"{path.name} imports {outside}"
+
+
+def _import_time_nodes(nodes):
+    """The nodes among these, and below them, that run when their module
+    is imported: all but the bodies of functions."""
+    for node in nodes:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _import_time_nodes(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_mpmath_and_the_pool_load_only_when_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    eager = sorted({module for module, _ in _imports(_import_time_nodes(tree.body))}
+                   & LAZY)
+    assert not eager, f"{path.name} imports {eager} at module level"
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"] + TESTS,
