@@ -9,14 +9,20 @@ therefore bounded, one repeated step certifies stationarity forever (the
 recursion depends only on the previous term), and the value is an exact
 zero.  The infinite side of the 0-or-infinity dichotomy needs infinite rank
 and lives with the generalized shifts.
+
+The chain runs on dual lattices, with no kernel: (L meet M)* = L* + M*
+and (A^-1 L)* = A^T L* for the preimage in Q^n, which N meets as it meets
+the one in Z^n; so C_(k+1)* = C_k* + A^T C_k* (see _cotrajectory).
 """
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError, SingularMap
-from .linalg import Lattice, RatMatrix, _meet_preimage
+from .linalg import Lattice, RatMatrix, _Echelon
 from .values import EntropyValue
 
 COTRAJECTORY_HORIZON = 64     # safety stop on chain steps (see adjoint_entropy_at)
@@ -48,34 +54,51 @@ def adjoint_entropy_at(a: RatMatrix, n_lattice: Lattice,
     [Z^n : e*Z^n] strict drops.  Raises SingularMap when det A = 0 and
     BudgetExceeded when the horizon is hit first (which indicates a horizon
     far below the index bound, not a genuinely growing chain).
-
-    The chain only shrinks, so C_(k+1) = C_k exactly when A C_k lies in
-    C_k; that test runs before the step's kernel, so the confirming step
-    costs n membership tests instead of a kernel.
     """
     _check_matrix(a, n_lattice.n)
     return _cotrajectory(a.int_rows(), n_lattice, horizon)
 
 
+def _scaled_dual(lattice: Lattice):
+    """Rows of m * B^-1, which span m * L*, for the HNF basis B and index m
+    of L: row r solves y B = m e_r by exact forward substitution."""
+    m, rows = lattice.index, []
+    for r in range(lattice.n):
+        y = [0] * lattice.n
+        for j, col in enumerate(lattice.basis[r:], r):
+            y[j] = (m * (j == r) - sum(y[i] * col[i] for i in range(r, j))) // col[j]
+        rows.append(y)
+    return rows
+
+
 def _cotrajectory(rows, n_lattice: Lattice, horizon: int) -> CotrajectoryReport:
     """The chain of adjoint_entropy_at for the integer rows of a matrix the
-    caller has checked."""
-    n = n_lattice.n
-    bound = Lattice.scaled(n, n_lattice.exponent())
-    current = n_lattice
-    indices = [current.index]
-    stationary_at = None
-    for step in range(1, horizon + 1):
-        if all(current.contains([sum(r[k] * col[k] for k in range(n)) for r in rows])
-               for col in current.basis):
-            indices.append(current.index)
-            stationary_at = step
+    caller has checked, on the scaled duals D_k = m * C_k*, m = [Z^n : N].
+
+    D_1 = m * N*, and D_(k+1) is the echelon closure of D_k and A^T of its
+    basis.  D_k holds m * Z^n (C_k lies in Z^n), so reducing the vectors
+    modulo m moves them by members of D_k: the closure stays exact.  The
+    index of C_k is m^n / |det D_k|, and a repeated |det| is stationarity
+    (D_k only grows).  The certificate e * Z^n in C_k reads D_k in
+    (m/e) * Z^n, with m / e = gcd(m, entries of m * B_N^-1)."""
+    n, m, dual = n_lattice.n, n_lattice.index, _scaled_dual(n_lattice)
+    g = math.gcd(m, *(x for y in dual for x in y))
+    transposed = list(zip(*rows))
+    ech = _Echelon(n)
+    for y in dual:
+        ech.insert(y)
+    det, indices = m ** (n - 1), [m]     # |det D_1| = m^n / [Z^n : N]
+    for stationary_at in range(1, horizon + 1):
+        for v in list(ech.basis.values()):
+            v = [x % m for x in v]
+            ech.insert([sum(map(operator.mul, c, v)) % m for c in transposed])
+        previous, det = det, math.prod(abs(v[p]) for p, v in ech.basis.items())
+        indices.append(m ** n // det)
+        if det == previous:
             break
-        current = _meet_preimage(rows, n_lattice, current)
-        indices.append(current.index)
-    if stationary_at is None:
+    else:
         raise BudgetExceeded(horizon, "cotrajectory iteration")
-    certificate = bound.is_sublattice_of(current)
+    certificate = all(x % g == 0 for v in ech.basis.values() for x in v)
     alphas = tuple(b // ax for ax, b in zip(indices, indices[1:]))
     return CotrajectoryReport(tuple(indices), alphas, stationary_at,
                               EntropyValue.zero(), certificate)
@@ -110,8 +133,6 @@ def lattice_count(n: int, max_index: int, cap: int) -> int:
     """Number of lattices enumerate_lattices(n, max_index) yields, or cap + 1
     once it passes cap.  A diagonal (d_1..d_n) carries prod d_i^(n-i)
     (1-based i) choices of off-diagonal entries."""
-    if n == 0:
-        return 1
     if n == 1:
         return min(max(max_index, 0), cap + 1)
     total = 0

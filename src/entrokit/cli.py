@@ -72,9 +72,21 @@ def parse_matrix(arg: str) -> RatMatrix:
     return matrix_from_json(_read_list(arg, "rows", rows=True))
 
 
+def _integer(x, what: str) -> int:
+    """An integer entry, read as matrix entries are ("1e3" and 2.0 are
+    taken); anything else, a JSON boolean included, is an InputError."""
+    try:
+        value = parse_fraction(x)
+        if value.denominator == 1:
+            return int(value)
+    except ValueError:
+        pass
+    raise InputError(f"{what} entry {x!r} is not an integer")
+
+
 def parse_lattice(arg: str) -> Lattice:
     cols = _read_list(arg, "columns", rows=True)
-    return Lattice.from_columns([[int(str(x)) for x in col] for col in cols])
+    return Lattice.from_columns([[_integer(x, "lattice") for x in col] for col in cols])
 
 
 def parse_map(arg: str) -> SymbolicSelfMap:
@@ -93,7 +105,7 @@ def parse_nodes(arg: str):
 
 def parse_vectors(arg: str):
     vectors = _read_list(arg, "vectors", rows=True)
-    return [tuple(int(str(x)) for x in v) for v in vectors]
+    return [tuple(_integer(x, "vector") for x in v) for v in vectors]
 
 
 def _count_json(x):

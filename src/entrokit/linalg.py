@@ -232,39 +232,6 @@ class Lattice:
     def index(self) -> int:
         return math.prod(self.basis[j][j] for j in range(self.n))
 
-    def contains(self, v) -> bool:
-        w = [int(x) for x in v]
-        for j in range(self.n - 1, -1, -1):
-            if w[j] % self.basis[j][j] != 0:
-                return False
-            q = w[j] // self.basis[j][j]
-            if q:
-                for i in range(j + 1):
-                    w[i] -= q * self.basis[j][i]
-        return all(x == 0 for x in w)
-
-    def is_sublattice_of(self, other: "Lattice") -> bool:
-        return all(other.contains(col) for col in self.basis)
-
-    def exponent(self) -> int:
-        """Exponent of Z^n / L: lcm of the orders of the unit vectors.
-
-        The order of e_i is found on the triangular basis from row i down:
-        once the rows above j are cleared, a multiple k w lies in L only if
-        the diagonal entry b_jj divides k w_j, so w is scaled by
-        b_jj / gcd(w_j, b_jj) and column j cleared from it."""
-        out = 1
-        for i in range(self.n):
-            order, w = 1, [int(j == i) for j in range(i + 1)]
-            for j in range(i, -1, -1):
-                col = self.basis[j]
-                scale = col[j] // math.gcd(w[j], col[j])
-                order *= scale
-                q = w[j] * scale // col[j]
-                w = [scale * x - q * c for x, c in zip(w[:j], col)]
-            out = math.lcm(out, order)
-        return out
-
 
 def _meet_preimage(rows, n_lattice: Lattice, lat: Lattice) -> Lattice:
     """N meet A^-1(L) for integer rows of A, from one integer kernel.

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the library's own numerical paths:
 real roots come from rational bisection on exact polynomial signs, lattice
-questions from brute-force enumeration of residues, characteristic
-polynomials of 2x2 matrices from the cofactor formula, Mahler measures
-from mpmath ``polyroots`` at 100 digits, resultants from fraction-free
-Bareiss elimination on the Sylvester matrix.  The two exceptions are
+questions from brute-force enumeration of residues or from back
+substitution on the triangular basis, characteristic polynomials of 2x2
+matrices from the cofactor formula, Mahler measures from mpmath
+``polyroots`` at 100 digits, resultants from fraction-free Bareiss
+elimination on the Sylvester matrix.  The two exceptions are
 ``espectrum_reference`` and ``lehmer_reference``, which check an
 enumeration, not a kernel: they call the library's Berkowitz and Mahler
 kernels once per matrix or class.  Exact matrix products, powers and
@@ -82,6 +83,31 @@ def lattice_members_box(lat, radius):
         if tuple(x % modulus for x in v) in residues:
             out.add(v)
     return out
+
+
+def lattice_contains(lat, v) -> bool:
+    """v lies in L: the triangular system B x = v of its HNF basis has an
+    integer solution, by back substitution from the last coordinate."""
+    w = list(v)
+    for j in range(lat.n - 1, -1, -1):
+        col = lat.basis[j]
+        if w[j] % col[j]:
+            return False
+        q = w[j] // col[j]
+        w = [x - q * c for x, c in zip(w, col)]
+    return True
+
+
+def is_sublattice(inner, outer) -> bool:
+    return all(lattice_contains(outer, col) for col in inner.basis)
+
+
+def lattice_exponent(lat) -> int:
+    """Exponent of Z^n / L by its definition: the least e with every e * e_i
+    in L (e divides the index)."""
+    units = [[int(i == j) for i in range(lat.n)] for j in range(lat.n)]
+    return next(e for e in range(1, lat.index + 1) if lat.index % e == 0
+                and all(lattice_contains(lat, [e * x for x in u]) for u in units))
 
 
 def charpoly_2x2(a, b, c, d):

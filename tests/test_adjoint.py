@@ -1,14 +1,16 @@
+import math
 import random
 
 import pytest
 
-from entrokit import adjoint
+from entrokit import adjoint, linalg
 from entrokit.adjoint import adjoint_entropy_at, dichotomy_probe, enumerate_lattices, \
     lattice_count
 from entrokit.errors import BudgetExceeded, SingularMap
 from entrokit.linalg import Lattice, RatMatrix, lattice_intersect, lattice_preimage
 
-from oracles import mat_mul, mat_pow, unimodular_pair
+from oracles import is_sublattice, lattice_exponent, mat_mul, mat_pow, \
+    unimodular_pair
 
 FIB = RatMatrix([[0, 1], [1, 1]])
 
@@ -65,7 +67,7 @@ def test_antimonotone_in_the_subgroup():
         a = random_nonsingular(rng, 2)
         m_lat = Lattice.from_columns([[2, 0], [0, 1]])
         n_lat = Lattice.from_columns([[4, 0], [0, 2]])  # sublattice of m_lat
-        assert n_lat.is_sublattice_of(m_lat)
+        assert is_sublattice(n_lat, m_lat)
         rn = adjoint_entropy_at(a, n_lat)
         rm = adjoint_entropy_at(a, m_lat)
         # both chains freeze, so extend each by its final value to compare
@@ -81,14 +83,14 @@ def test_exponent_containment_bound():
         n = rng.randint(1, 3)
         a = random_nonsingular(rng, n)
         for lattice in enumerate_lattices(n, 4):
-            e = lattice.exponent()
+            e = lattice_exponent(lattice)
             report = adjoint_entropy_at(a, lattice)
             assert report.certificate
             # rebuild the frozen lattice and verify e*Z^n sits inside it
             frozen = lattice
             for _ in range(report.stationary_at):
                 frozen = lattice_intersect(lattice, lattice_preimage(a, frozen))
-            assert Lattice.scaled(n, e).is_sublattice_of(frozen)
+            assert is_sublattice(Lattice.scaled(n, e), frozen)
 
 
 def test_per_lattice_log_law():
@@ -160,24 +162,34 @@ def reference_chain(a, lattice, horizon=64):
     raise AssertionError("reference chain did not freeze")
 
 
-def test_kernel_runs_once_per_strict_drop(monkeypatch):
-    kernels = []
-    meet = adjoint._meet_preimage
+def test_chain_runs_no_kernel_and_n_inserts_per_step(monkeypatch):
+    # the chain is one echelon closure on the duals: n inserts for m * N*
+    # and n per step, with no kernel and no HNF of a kernel
+    def forbidden(*args):
+        raise AssertionError("a kernel or an HNF ran in the cotrajectory chain")
 
-    def counting_meet(*args):
-        kernels.append(1)
-        return meet(*args)
+    inserts = []
+    insert = linalg._Echelon.insert
 
-    monkeypatch.setattr(adjoint, "_meet_preimage", counting_meet)
+    def counting_insert(self, *args):
+        inserts.append(1)
+        return insert(self, *args)
+
+    monkeypatch.setattr(linalg, "_meet_preimage", forbidden)
+    monkeypatch.setattr(linalg.Lattice, "from_columns", forbidden)
+    monkeypatch.setattr(linalg._Echelon, "insert", counting_insert)
+    assert not hasattr(adjoint, "_meet_preimage")
     rng = random.Random(44)
     for _ in range(6):
         n = rng.randint(1, 3)
         a = random_nonsingular(rng, n)
         for lattice in enumerate_lattices(n, 6):
-            kernels.clear()
+            inserts.clear()
             report = adjoint_entropy_at(a, lattice)
-            assert len(kernels) == report.stationary_at - 1
-            assert report.stationary_at == reference_chain(a, lattice)[1]
+            assert len(inserts) <= n * (report.stationary_at + 1)
+    inserts.clear()
+    probe = dichotomy_probe(FIB, 8)
+    assert len(inserts) <= 2 * (probe.max_stabilization + 1) * probe.lattices_probed
 
 
 def test_probe_checks_the_lattice_count_before_probing(monkeypatch):
@@ -201,14 +213,42 @@ def test_probe_checks_the_lattice_count_before_probing(monkeypatch):
 
 
 def test_exponent_is_the_least_scale_inside():
-    # the smallest e dividing the index with e * e_i in L for every i
+    # e = m / gcd(m, entries of m * B^-1), which the certificate reads, is
+    # the smallest e dividing the index m with e * e_i in L for every i
     for n in (1, 2, 3):
-        units = [[int(i == j) for i in range(n)] for j in range(n)]
         for lattice in enumerate_lattices(n, 30):
-            index = lattice.index
-            e = next(e for e in range(1, index + 1) if index % e == 0
-                     and all(lattice.contains([e * x for x in u]) for u in units))
-            assert lattice.exponent() == e
+            m = lattice.index
+            dual = adjoint._scaled_dual(lattice)
+            assert m // math.gcd(m, *(x for y in dual for x in y)) == lattice_exponent(lattice)
+
+
+def test_enum_sets_probes_are_pinned():
+    # the two adjoint-probe operations of the enum-sets benchmark workload
+    probe = dichotomy_probe(FIB, 32)
+    assert (probe.lattices_probed, probe.max_stabilization) == (857, 2)
+    circulant = RatMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    probe = dichotomy_probe(circulant, 12)
+    assert (probe.lattices_probed, probe.max_stabilization) == (1325, 3)
+    for lattice in enumerate_lattices(3, 12):
+        report = adjoint_entropy_at(circulant, lattice)
+        assert (report.indices, report.stationary_at) == reference_chain(circulant, lattice)[:2]
+        assert report.certificate
+
+
+def test_chain_on_an_index_beyond_two_to_the_sixty():
+    # entries of m * N* and of the reduced images are big ints
+    big = 10**20 + 39
+    cases = [(FIB, Lattice.from_columns([[big, 0], [5, 1]])),
+             (RatMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+              Lattice.from_columns([[big, 0, 0], [7, 3, 0], [2, 1, 2]])),
+             (RatMatrix([[2, 1], [1, 1]]), Lattice.from_columns([[2**61 - 1, 0], [0, 2**64]]))]
+    for a, lattice in cases:
+        assert lattice.index > 10**18
+        report = adjoint_entropy_at(a, lattice)
+        indices, stationary_at, frozen = reference_chain(a, lattice)
+        assert (report.indices, report.stationary_at) == (indices, stationary_at)
+        assert report.certificate
+        assert report.indices[-1] == frozen.index > lattice.index
 
 
 def test_probe_checks_the_matrix_once(monkeypatch):
@@ -255,7 +295,43 @@ if given is not None:
         indices, stationary_at, frozen = reference_chain(a, lattice)
         report = adjoint_entropy_at(a, lattice)
         assert report.indices == indices and report.stationary_at == stationary_at
-        current = lattice
-        for _ in range(report.stationary_at - 1):
-            current = adjoint._meet_preimage(a.int_rows(), lattice, current)
-        assert current.basis == frozen.basis
+        e = lattice_exponent(lattice)
+        assert report.certificate == is_sublattice(Lattice.scaled(a.n, e), frozen)
+
+    _SMALL = {n: list(enumerate_lattices(n, 12)) for n in (1, 2, 3)}
+
+    def _scaled_dual_at(lattice, m):
+        """Generators of m * L*, for an index of L dividing m."""
+        return [[m // lattice.index * x for x in y] for y in adjoint._scaled_dual(lattice)]
+
+    @st.composite
+    def _two_lattices_and_matrix(draw):
+        n = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        return (RatMatrix(rows), draw(st.sampled_from(_SMALL[n])),
+                draw(st.sampled_from(_SMALL[n])))
+
+    @given(_two_lattices_and_matrix())
+    def test_dual_of_meet_and_preimage(case):
+        # (L meet M)* = L* + M* and (Z^n meet A^-1 L)* = Z^n + A^T L*, each
+        # scaled by an m that makes the duals integer; the rows of
+        # _scaled_dual(L) times the basis of L give [Z^n : L] * I
+        a, l_lat, m_lat = case
+        n = a.n
+        for lattice in (l_lat, m_lat):
+            product = mat_mul(adjoint._scaled_dual(lattice),
+                              [[lattice.basis[j][i] for j in range(n)] for i in range(n)])
+            assert product == [[lattice.index * (i == j) for j in range(n)]
+                               for i in range(n)]
+        meet = lattice_intersect(l_lat, m_lat)
+        m = meet.index
+        assert Lattice.from_columns(_scaled_dual_at(meet, m)) == Lattice.from_columns(
+            _scaled_dual_at(l_lat, m) + _scaled_dual_at(m_lat, m))
+        assume(a.determinant() != 0)
+        m = l_lat.index
+        images = [[sum(r[i] * y[k] for k, r in enumerate(a.int_rows())) for i in range(n)]
+                  for y in _scaled_dual_at(l_lat, m)]
+        images += [[m * (i == j) for i in range(n)] for j in range(n)]
+        assert Lattice.from_columns(_scaled_dual_at(lattice_preimage(a, l_lat), m)) \
+            == Lattice.from_columns(images)

@@ -711,6 +711,46 @@ def test_exit_code_malformed_json_schema(capsys, tmp_path, key, bad):
     assert "error:" in capsys.readouterr().err
 
 
+INTEGER_ENTRY_COMMANDS = {
+    "columns": (["adjoint", "--matrix", "0,1;1,1", "--lattice"],
+                lambda x: [[x, 0], [1, 1]]),
+    "vectors": (["oracle", "--matrix", "2", "--horizon", "3", "--set"],
+                lambda x: [[0], [x]]),
+}
+
+
+def _inline(rows):
+    return ";".join(",".join(str(x) for x in row) for row in rows)
+
+
+@pytest.mark.parametrize("key", INTEGER_ENTRY_COMMANDS)
+@pytest.mark.parametrize("entry", ["1e3", "2.0", "1_000", "6/3", 2.0])
+def test_integer_entries_are_read_as_matrix_entries(capsys, tmp_path, key, entry):
+    # a lattice or vector entry takes what --matrix takes, with the same value
+    value = cli.parse_matrix(str(entry)).entries[0][0]
+    prefix, rows = INTEGER_ENTRY_COMMANDS[key]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({key: rows(entry)}))
+    expected = run_json(capsys, prefix + [_inline(rows(int(value)))])
+    assert expected[0] == 0
+    for arg in (_inline(rows(entry)), str(path)):
+        code, report = run_json(capsys, prefix + [arg])
+        assert (code, report["result"]) == (0, expected[1]["result"])
+
+
+@pytest.mark.parametrize("key", INTEGER_ENTRY_COMMANDS)
+@pytest.mark.parametrize("entry", ["1.5", "1/2", "x", "", True, 1.5, None])
+def test_non_integer_entries_are_named(capsys, tmp_path, key, entry):
+    prefix, rows = INTEGER_ENTRY_COMMANDS[key]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({key: rows(entry)}))
+    args = [str(path)] + ([_inline(rows(entry))] if isinstance(entry, str) else [])
+    for arg in args:
+        assert dispatch(prefix + [arg]) == 2
+        err = capsys.readouterr().err
+        assert f"entry {entry!r} is not an integer" in err and "literal" not in err
+
+
 # ----------------------------------------------------------------------
 # self-map point names
 

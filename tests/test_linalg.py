@@ -17,7 +17,8 @@ from entrokit.linalg import (
     solve_columns,
 )
 
-from oracles import charpoly_2x2, lattice_members_box, mat_mul, unimodular_pair
+from oracles import charpoly_2x2, is_sublattice, lattice_contains, lattice_exponent, \
+    lattice_members_box, mat_mul, unimodular_pair
 
 
 def test_char_poly_cofactor_oracle():
@@ -209,9 +210,12 @@ def test_hnf_idempotent_and_basis_independent():
 
 def test_lattice_membership_and_exponent():
     lat = Lattice.from_columns([[2, 0], [1, 1]])  # x == y mod 2
-    assert lat.contains((2, 0)) and lat.contains((3, 1)) and not lat.contains((1, 0))
-    assert lat.exponent() == 2
-    assert Lattice.scaled(2, 6).exponent() == 6
+    assert lattice_contains(lat, (2, 0)) and lattice_contains(lat, (3, 1))
+    assert not lattice_contains(lat, (1, 0))
+    assert {v for v in product(range(-3, 4), repeat=2) if lattice_contains(lat, v)} \
+        == lattice_members_box(lat, 3)
+    assert lattice_exponent(lat) == 2
+    assert lattice_exponent(Lattice.scaled(2, 6)) == 6
 
 
 def test_intersect_examples():
@@ -243,7 +247,7 @@ def test_intersect_containment_and_index():
 
         l1, l2 = rand_lattice(), rand_lattice()
         meet = lattice_intersect(l1, l2)
-        assert meet.is_sublattice_of(l1) and meet.is_sublattice_of(l2)
+        assert is_sublattice(meet, l1) and is_sublattice(meet, l2)
         assert meet.index % l1.index == 0 and meet.index % l2.index == 0
         assert meet.index <= l1.index * l2.index
 
