@@ -1,17 +1,15 @@
 """Growth functions of finitely generated groups with cheap normal forms.
 
 Supported families: free groups (reduced words packed into ints), the
-discrete Heisenberg group (upper unitriangular 3x3 integer matrices, also
-packed into ints), free abelian groups, and finite direct products of
-these.  The first two carry a multiplication and a bulk ``step``, and their
-balls come from exact breadth-first closure over normal forms; the search
-never steps an element made by a generator g by a generator h with gh a
-generator or the identity, since that product is already in the ball.
+discrete Heisenberg group, free abelian groups, and finite direct products
+of these.  A free group's balls come from exact breadth-first closure over
+its words, which never steps an element made by a generator g by a
+generator h with gh a generator or the identity.  The Heisenberg ball is an
+exact closure over z-fibres: one bitmask of corner entries per (x, y).
 Word length adds across the factors of a product, so its spheres are the
 convolution of its factors' sphere sizes, and Z^D is the D-fold product of
-Z; neither builds an element, so they carry only their rank or factors.
-Arbitrary finite presentations are rejected because the word problem would
-make the counts unreliable.
+Z.  Arbitrary finite presentations are rejected because the word problem
+would make the counts unreliable.
 
 The ball sequence gamma(n) is submultiplicative, so log gamma(n)/n
 converges (Fekete); the headline rate estimate is the last one-step
@@ -26,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError
@@ -52,8 +51,6 @@ class Free:
     Custom generating sets are given as words (tuples of signed letters);
     the set is closed under inverses automatically.
     """
-
-    MAX_RADIUS = math.inf         # words of any length fit an int
 
     def __init__(self, rank: int, generator_words=None):
         if rank < 1:
@@ -127,37 +124,7 @@ class Free:
 
 class Heisenberg3:
     """Upper unitriangular 3x3 integer matrices (x, y above the diagonal, z
-    in the corner), packed into the int x * 2**40 + y * 2**20 + z of signed
-    20-bit fields, so (x, y, z)(x', y', z') = (x + x', y + y', z + z' + x y')
-    is a + b + x y'; ``unpack`` reads the fields back.  At word length r,
-    |x|, |y| <= r and |z| <= r^2 / 4: up to MAX_RADIUS, all fit.
-    """
-
-    MAX_RADIUS = 1448             # floor(1448^2 / 4) < 2**19
-
-    def unpack(self, e: int) -> tuple:
-        z = (e + (1 << 19) & 0xFFFFF) - (1 << 19)
-        y = ((e - z >> 20) + (1 << 19) & 0xFFFFF) - (1 << 19)
-        return e - (y << 20) - z >> 40, y, z
-
-    def identity(self):
-        return 0
-
-    def generators(self):
-        return [1 << 40, -(1 << 40), 1 << 20, -(1 << 20)]
-
-    def multiply(self, a, b):
-        return a + b + self.unpack(a)[0] * self.unpack(b)[1]
-
-    def step(self, xs, i):
-        """[multiply(x, generators()[i]) for x in xs]: a y generator adds
-        (0, ±1, ±x), with x read off by one shift."""
-        if i < 2:
-            g = self.generators()[i]
-            return [e + g for e in xs]
-        if i == 2:
-            return [e + (1 << 20) + (e + (1 << 39) >> 40) for e in xs]
-        return [e - (1 << 20) - (e + (1 << 39) >> 40) for e in xs]
+    in the corner); ``_heisenberg_spheres`` counts its balls."""
 
     def describe(self):
         return "discrete Heisenberg group"
@@ -240,16 +207,19 @@ def _spheres(family, budget: int):
     A direct product carries the union of its factors' generating sets, so
     word length adds across factors and the product's spheres are the
     convolution of the factors' spheres; its ball is never built.  Z^D is
-    the D-fold product of Z, whose spheres are 1, 2, 2, ...  Any other
-    family is enumerated by breadth-first closure.  For each generator g_j,
-    the frontier is stepped in bulk, slice by slice, and the products not
-    yet in the ball join it and the next frontier (right multiplication by
-    a generator is injective, so a slice repeats no element).  The next
-    frontier thus comes in parts, one per generator, and the part made by
-    g_i is not stepped by the g_j that ``_short_products`` marks.  A slice is
-    never longer than the budget leaves room for, so at most budget + 1
-    elements are made (a factor's ball is no larger than the product's at
-    the same radius, so this raises only when the product's would too).
+    the D-fold product of Z, whose spheres are 1, 2, 2, ...  The Heisenberg
+    ball is closed over z-fibres (``_heisenberg_spheres``) in a few bits per
+    element, and growth_table stops it at the first radius past the
+    budget.  A free group's ball is built by breadth-first closure.  For
+    each generator g_j, the frontier is stepped in bulk, slice by slice, and
+    the products not yet in the ball join it and the next frontier (right
+    multiplication by a generator is injective, so a slice repeats no
+    element).  The next frontier thus comes in parts, one per generator,
+    and the part made by g_i is not stepped by the g_j that
+    ``_short_products`` marks.  A slice is never longer than the budget
+    leaves room for, so at most budget + 1 elements are made (a factor's
+    ball is no larger than the product's at the same radius, so this raises
+    only when the product's would too).
     """
     if isinstance(family, DirectProduct):
         yield from _convolve([_spheres(f, budget) for f in family.factors])
@@ -258,6 +228,9 @@ def _spheres(family, budget: int):
         yield from _convolve([itertools.chain([1], itertools.repeat(2))
                               for _ in range(family.rank)])
         return
+    if isinstance(family, Heisenberg3):
+        yield from _heisenberg_spheres()
+        return
     step = family.step
     skip = _short_products(family)
     ball = {family.identity()}
@@ -265,11 +238,8 @@ def _spheres(family, budget: int):
     # (skip row of the generator that made them, start, stop) per part of
     # the frontier; the identity was made by none
     parts = [([False] * len(skip), 0, 1)]
-    for radius in itertools.count(1):
+    while True:
         yield len(frontier)
-        if radius > family.MAX_RADIUS:      # the elements would not fit
-            raise BudgetExceeded(budget, f"ball enumeration past radius "
-                                         f"{family.MAX_RADIUS}")
         new_frontier, new_parts = [], []
         for j, row in enumerate(skip):
             first = len(new_frontier)
@@ -287,6 +257,35 @@ def _spheres(family, budget: int):
                     start = stop
             new_parts.append((row, first, len(new_frontier)))
         frontier, parts = new_frontier, new_parts
+
+
+def _heisenberg_spheres():
+    """Heisenberg sphere sizes by closure over z-fibres: B_r is a dict
+    (x, y) -> int with bit z + off set when (x, y, z) lies in B_r.  Right
+    multiplication by a^(+-1) moves (x, y, z) to (x +- 1, y, z) and by
+    b^(+-1) to (x, y +- 1, z +- x), so B_(r+1) = B_r | B_r S ORs each fibre
+    into (x +- 1, y) and, shifted by +-x bits, into (x, y +- 1).  A word of
+    length r with k letters b^(+-1) has |z| <= k (r - k) <= floor(r^2 / 4),
+    as each adds at most r - k to |z|, so no bit falls below 0 while off >=
+    floor(r^2 / 4); off is doubled, shifting every fibre once, when the next
+    radius needs more."""
+    fibres, off, ball = {(0, 0): 1}, 0, 1
+    yield 1
+    for radius in itertools.count(1):
+        if radius * radius // 4 > off:
+            shift = max(radius * radius // 4 - off, off)
+            off += shift
+            fibres = {key: f << shift for key, f in fibres.items()}
+        grown = defaultdict(int, fibres)
+        for (x, y), f in fibres.items():
+            grown[x + 1, y] |= f
+            grown[x - 1, y] |= f
+            grown[x, y + 1] |= f << x if x >= 0 else f >> -x
+            grown[x, y - 1] |= f >> x if x >= 0 else f << -x
+        fibres = grown
+        size = sum(f.bit_count() for f in fibres.values())
+        yield size - ball
+        ball = size
 
 
 def _short_products(family):

@@ -17,6 +17,7 @@ time, exactly over Z.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -488,11 +489,22 @@ def delta_exact(f: IntPolynomial, n: int) -> int:
 # ----------------------------------------------------------------------
 # JSON form
 
+_MAX_DIGITS = 100_000          # digits one entry may expand to
+
+
 def parse_fraction(text) -> Fraction:
-    """Exact rational from decimal or "p/q" text; a zero denominator is an
-    InputError rather than a ZeroDivisionError."""
+    """Exact rational from decimal or "p/q" text.  A zero denominator is an
+    InputError, and so is an entry whose digits and exponent pass
+    _MAX_DIGITS, found before any int is built from the exponent."""
+    text = str(text)
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if len(exponent) > len(str(_MAX_DIGITS)) or len(mantissa) + (
+            int(exponent) if exponent.isdecimal() else 0) > _MAX_DIGITS:
+        raise InputError(f"entry {reprlib.repr(text)} expands to more than "
+                         f"{_MAX_DIGITS} digits")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except ZeroDivisionError:
         raise InputError(f"zero denominator in {text!r}") from None
 

@@ -9,6 +9,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 
 import mpmath
 import pytest
@@ -212,6 +213,19 @@ def test_coefficient_beyond_double_range(capsys):
     assert code == 0
     assert report["result"]["value"] == {"kind": "exact_log", "base": 10 ** 800,
                                          "multiplier": "1/1"}
+
+
+@pytest.mark.parametrize("argv", [["mahler", "--poly", "1e1000000"],
+                                  ["yuzvinski", "--matrix", "2,1;1,1e1000000"],
+                                  ["padic", "--p", "5", "--xi", "1e1000000"],
+                                  ["adjoint", "--matrix", "2", "--lattice", "1e1000000"]])
+def test_entry_exponent_is_bounded_before_it_is_expanded(capsys, argv):
+    # Fraction("1e1000000") builds 10**1000000, about 0.5 s: the entry is
+    # refused from the length of its text and exponent first
+    started = time.perf_counter()
+    assert dispatch(argv) == 2
+    assert time.perf_counter() - started < 0.1
+    assert "'1e1000000' expands to more than 100000 digits" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("poly", ["2e800,-3e400,1", "2e400,-2,-1e400,1"])
@@ -426,6 +440,19 @@ def test_shift_oracle_long_horizon_is_fast_and_small(tmp_path):
     assert report["result"]["oracle_ranks"] == list(range(1, 1001))
     assert report["timing_ms"] < 1000
     assert int(child.stderr) < 100 * 1024
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
+                    reason="reads the peak resident set from /proc")
+def test_heisenberg_past_the_budget_is_fast_and_small():
+    # the ball passes the default budget of 5,000,000 at radius 59; its
+    # z-fibres hold it in a few bits an element, and no radius limit applies
+    child = _peak_rss_child(["growth", "--family", "heisenberg", "--horizon", "200",
+                             "--json"])
+    assert child.returncode == 3 and child.stdout == ""
+    message, peak = child.stderr.splitlines()
+    assert message == "not certified: ball enumeration exceeded budget of 5000000"
+    assert int(peak) < 64 * 1024
 
 
 def test_cotrajectory_prints_sizes_past_the_int_digit_cap(capsys, tmp_path):

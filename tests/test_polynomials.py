@@ -15,6 +15,7 @@ from entrokit.polynomials import (
     cyclotomic_candidates,
     delta_exact,
     is_prime,
+    parse_fraction,
     poly_from_json,
     rational_roots,
     squarefree_decomposition,
@@ -235,6 +236,17 @@ def test_poly_json_round_trip():
 
 # ----------------------------------------------------------------------
 # exact division over Z, against the product and against sympy
+
+def test_entry_digit_bound_counts_digits_and_exponent():
+    # an entry may expand to 100,000 digits, mantissa and exponent together
+    assert parse_fraction("1e99999") == 10 ** 99999
+    assert parse_fraction("1" * 4000 + "e95999") == (10 ** 4000 - 1) // 9 * 10 ** 95999
+    assert parse_fraction("1e" + "0" * 20 + "5") == 10 ** 5
+    for text in ["1e100000", "10e99999", "1" * 4000 + "e96001", "1e-100000",
+                 "1" * 100_001, "1e" + "9" * 10 ** 6, "1E+1_000_000"]:
+        with pytest.raises(InputError, match="expands to more than 100000 digits"):
+            parse_fraction(text)
+
 
 try:
     from hypothesis import given, strategies as st
