@@ -1,15 +1,15 @@
-"""Growth functions of finitely generated groups with cheap normal forms.
+"""Growth functions of finitely generated groups whose spheres can be counted.
 
-Supported families: free groups (reduced words packed into ints), the
-discrete Heisenberg group, free abelian groups, and finite direct products
-of these.  A free group's balls come from exact breadth-first closure over
-its words, which never steps an element made by a generator g by a
-generator h with gh a generator or the identity.  The Heisenberg ball is an
-exact closure over z-fibres: one bitmask of corner entries per (x, y).
-Word length adds across the factors of a product, so its spheres are the
-convolution of its factors' sphere sizes, and Z^D is the D-fold product of
-Z.  Arbitrary finite presentations are rejected because the word problem
-would make the counts unreliable.
+Supported families: free groups (on the standard letters, with x_1 x_2
+optionally added), the discrete Heisenberg group, free abelian groups, and
+finite direct products of these.  No ball is built.  A free group's
+spheres come from a transfer count over the last letter of the reduced
+word, which is Cannon's cone-type matrix for these generating sets.  The
+Heisenberg ball is an exact closure over z-fibres: one bitmask of corner
+entries per (x, y).  Word length adds across the factors of a product, so
+its spheres are the convolution of its factors' sphere sizes, and Z^D is
+the D-fold product of Z.  Arbitrary finite presentations are rejected
+because the word problem would make the counts unreliable.
 
 The ball sequence gamma(n) is submultiplicative, so log gamma(n)/n
 converges (Fekete); the headline rate estimate is the last one-step
@@ -41,85 +41,20 @@ class FreeAbelian:
 
 
 class Free:
-    """Free group; elements are reduced words packed into ints.
+    """Free group on the letters x_1 .. x_rank, generated by those letters
+    and their inverses, with x_1 x_2 and its inverse added when ``ab``;
+    ``_free_spheres`` counts its balls."""
 
-    A word over the signed letters 1..rank is an int in base 2*rank + 1:
-    letter i > 0 is digit i, letter -i is digit rank + i, and the last
-    letter is the lowest digit, so the identity is 0 and every digit of a
-    word is nonzero.  ``element`` and ``word`` convert at the edges.
-
-    Custom generating sets are given as words (tuples of signed letters);
-    the set is closed under inverses automatically.
-    """
-
-    def __init__(self, rank: int, generator_words=None):
+    def __init__(self, rank: int, ab: bool = False):
+        if ab and rank < 2:
+            raise InputError("standard+ab needs a free group of rank at least 2")
         if rank < 1:
             raise InputError("rank must be positive")
         self.rank = rank
-        self._base = 2 * rank + 1
-        if generator_words is None:
-            generator_words = [(i,) for i in range(1, rank + 1)]
-        gens = {}
-        for w in generator_words:
-            g = self.element(w)
-            if not g:
-                raise InputError("the identity cannot be a generator")
-            gens[g] = None
-            gens[self.element([-x for x in reversed(w)])] = None
-        self._gens = list(gens)
-        # the (digit, inverse digit) pairs of each generator's letters, in order
-        digit = {a: a if a > 0 else rank - a for a in range(-rank, rank + 1)}
-        self._letters = [[(digit[a], digit[-a]) for a in self.word(g)]
-                         for g in self._gens]
-
-    def element(self, letters) -> int:
-        """The packed reduced word of a sequence of signed letters."""
-        x = 0
-        for letter in letters:
-            if not 1 <= abs(letter) <= self.rank:
-                raise InputError(f"letter {letter} is not in the free group "
-                                 f"of rank {self.rank}")
-            x = self.multiply(x, letter if letter > 0 else self.rank - letter)
-        return x
-
-    def word(self, x: int) -> tuple:
-        """The signed letters of a packed reduced word."""
-        letters = []
-        while x:
-            x, d = divmod(x, self._base)
-            letters.append(d if d <= self.rank else self.rank - d)
-        return tuple(reversed(letters))
-
-    def identity(self):
-        return 0
-
-    def generators(self):
-        return list(self._gens)
-
-    def multiply(self, a, b):
-        # a and b are reduced, so letters cancel only where they meet: feed
-        # b's letters to a first letter first, cancelling while a ends in
-        # the inverse letter
-        base, rank = self._base, self.rank
-        top = 1                  # base ** len(b)
-        while top <= b:
-            top *= base
-        while top > 1:
-            top //= base
-            d = b // top % base
-            inverse = d + rank if d <= rank else d - rank
-            a = a // base if a % base == inverse else a * base + d
-        return a
-
-    def step(self, xs, i):
-        """[multiply(x, generators()[i]) for x in xs], one pass per letter."""
-        base = self._base
-        for d, inverse in self._letters[i]:
-            xs = [x // base if x % base == inverse else x * base + d for x in xs]
-        return xs
+        self.ab = ab
 
     def describe(self):
-        return f"free of rank {self.rank} with {len(self._gens)} generators"
+        return f"free of rank {self.rank} with {2 * self.rank + 2 * self.ab} generators"
 
 
 class Heisenberg3:
@@ -143,7 +78,7 @@ class DirectProduct:
 def family_from_spec(spec: str, budget=None):
     """Parse "abelian:2", "free:2", "free:2:standard+ab", "heisenberg",
     or "product:heisenberg,abelian:1".  The generating set is the sphere of
-    radius 1, so it is checked against the budget before it is built."""
+    radius 1, so its size is checked against the budget."""
     spec = spec.strip().lower()
     if spec.startswith("product:"):
         return DirectProduct([family_from_spec(part, budget)
@@ -154,12 +89,9 @@ def family_from_spec(spec: str, budget=None):
         _check_generating_set(2 * rank, budget)
         return FreeAbelian(rank)
     if name == "free" and fields and fields[1:] in ([], ["standard+ab"]):
-        rank = int(fields[0])
-        extra = [(1, 2)] if fields[1:] else []
-        if extra and rank < 2:
-            raise InputError("standard+ab needs a free group of rank at least 2")
-        _check_generating_set(2 * rank + 2 * len(extra), budget)
-        return Free(rank, [(i,) for i in range(1, rank + 1)] + extra)
+        family = Free(int(fields[0]), ab=bool(fields[1:]))
+        _check_generating_set(2 * family.rank + 2 * family.ab, budget)
+        return family
     if name in ("heisenberg", "heisenberg3") and not fields:
         _check_generating_set(4, budget)
         return Heisenberg3()
@@ -190,7 +122,7 @@ def growth_table(family, horizon: int,
     if horizon < 1:
         raise InputError("horizon must be positive")
     gamma = []
-    for g in itertools.islice(itertools.accumulate(_spheres(family, budget)),
+    for g in itertools.islice(itertools.accumulate(_spheres(family)),
                               horizon + 1):
         if g > budget:
             raise BudgetExceeded(budget, "ball enumeration")
@@ -198,65 +130,64 @@ def growth_table(family, horizon: int,
     return GrowthTable(tuple(gamma))
 
 
-_SLICE = 4096                 # frontier elements stepped per bulk call
-
-
-def _spheres(family, budget: int):
-    """Sphere sizes s(0), s(1), ... of the word metric, one radius per step.
+def _spheres(family):
+    """Sphere sizes s(0), s(1), ... of the word metric, one radius per step;
+    no ball is built.
 
     A direct product carries the union of its factors' generating sets, so
     word length adds across factors and the product's spheres are the
-    convolution of the factors' spheres; its ball is never built.  Z^D is
-    the D-fold product of Z, whose spheres are 1, 2, 2, ...  The Heisenberg
-    ball is closed over z-fibres (``_heisenberg_spheres``) in a few bits per
-    element, and growth_table stops it at the first radius past the
-    budget.  A free group's ball is built by breadth-first closure.  For
-    each generator g_j, the frontier is stepped in bulk, slice by slice, and
-    the products not yet in the ball join it and the next frontier (right
-    multiplication by a generator is injective, so a slice repeats no
-    element).  The next frontier thus comes in parts, one per generator,
-    and the part made by g_i is not stepped by the g_j that
-    ``_short_products`` marks.  A slice is never longer than the budget
-    leaves room for, so at most budget + 1 elements are made (a factor's
-    ball is no larger than the product's at the same radius, so this raises
-    only when the product's would too).
+    convolution of the factors' spheres.  Z^D is the D-fold product of Z,
+    whose spheres are 1, 2, 2, ...  The Heisenberg ball is closed over
+    z-fibres (``_heisenberg_spheres``) and a free group's spheres come from
+    a transfer count over the last letter (``_free_spheres``).  Each radius
+    costs far less than its sphere holds, so growth_table stops at the
+    first radius past the budget having made no element.
     """
     if isinstance(family, DirectProduct):
-        yield from _convolve([_spheres(f, budget) for f in family.factors])
-        return
-    if isinstance(family, FreeAbelian):
+        yield from _convolve([_spheres(f) for f in family.factors])
+    elif isinstance(family, FreeAbelian):
         yield from _convolve([itertools.chain([1], itertools.repeat(2))
                               for _ in range(family.rank)])
-        return
-    if isinstance(family, Heisenberg3):
+    elif isinstance(family, Heisenberg3):
         yield from _heisenberg_spheres()
-        return
-    step = family.step
-    skip = _short_products(family)
-    ball = {family.identity()}
-    frontier = list(ball)
-    # (skip row of the generator that made them, start, stop) per part of
-    # the frontier; the identity was made by none
-    parts = [([False] * len(skip), 0, 1)]
+    else:
+        yield from _free_spheres(family)
+
+
+def _free_spheres(family):
+    """Free-group sphere sizes by a transfer count over the last letter.
+
+    S is the letters x_i^(+-1), with g = x_1 x_2 and g^-1 = X_2 X_1 too when
+    ``family.ab`` (X_i is the inverse of x_i).  Two adjacent generators
+    whose letters cancel where they meet multiply to the identity or to one
+    letter (x_1 x_2 . X_2 = x_1, X_1 . x_1 x_2 = x_2, X_2 X_1 . x_1 = X_2,
+    x_2 . X_2 X_1 = X_1), so a geodesic S-word cancels at no junction, and
+    since each generator is reduced and cancellation can start only at a
+    junction, its letters spell the reduced word w.  A geodesic thus cuts w
+    into letters and occurrences of x_1 x_2 and X_2 X_1.  These never
+    overlap, as their second letters x_2, X_1 are never first letters, so
+    |w|_S = |w| - #(x_1 x_2 in w) - #(X_2 X_1 in w).
+
+    ends[a] counts the reduced words of S-length r that end in letter a
+    (x_i is 2i - 2 and X_i is 2i - 1, so a ^ 1 is the inverse of a).
+    Appending b != a^-1 adds 1 to the S-length, except that the pairs
+    (x_1, x_2) and (X_2, X_1) make an occurrence and add 0, so the words of
+    length r + 1 are those of length r extended by a letter outside these
+    pairs, then closed under the pairs within the level; as x_1 and X_2
+    end no pair, one pass closes it.
+    """
+    pairs = [(0, 2), (3, 1)] if family.ab else []
+    yield 1
+    ends = [1] * (2 * family.rank)        # the one-letter words
     while True:
-        yield len(frontier)
-        new_frontier, new_parts = [], []
-        for j, row in enumerate(skip):
-            first = len(new_frontier)
-            for skipped, start, end in parts:
-                if skipped[j]:
-                    continue
-                while start < end:
-                    stop = min(end, start + min(_SLICE, budget - len(ball) + 1))
-                    fresh = list(itertools.filterfalse(
-                        ball.__contains__, step(frontier[start:stop], j)))
-                    ball.update(fresh)
-                    if len(ball) > budget:
-                        raise BudgetExceeded(budget, "ball enumeration")
-                    new_frontier += fresh
-                    start = stop
-            new_parts.append((row, first, len(new_frontier)))
-        frontier, parts = new_frontier, new_parts
+        for a, b in pairs:
+            ends[b] += ends[a]
+        size = sum(ends)
+        yield size
+        grown = [size - ends[b ^ 1] for b in range(len(ends))]
+        for a, b in pairs:
+            grown[b] -= ends[a]
+        ends = grown
 
 
 def _heisenberg_spheres():
@@ -286,15 +217,6 @@ def _heisenberg_spheres():
         size = sum(f.bit_count() for f in fibres.values())
         yield size - ball
         ball = size
-
-
-def _short_products(family):
-    """skip[i][j]: whether g_i g_j is a generator or the identity.  An
-    element x = y g_i new at radius r then gives x g_j = y (g_i g_j), of
-    length at most r, so that product is already in the ball."""
-    gens = family.generators()
-    short = {family.identity(), *gens}
-    return [[family.multiply(g, h) in short for h in gens] for g in gens]
 
 
 def _convolve(seqs):

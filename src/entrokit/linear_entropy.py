@@ -56,14 +56,23 @@ class LinearFlow:
 def padic_valuation(x: Fraction, p: int) -> int:
     if x == 0:
         raise InputError("the zero scalar has infinite valuation")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    return _multiplicity(x.numerator, p) - _multiplicity(x.denominator, p)
+
+
+def _multiplicity(n: int, p: int) -> int:
+    """The exponent of p in n != 0.  Dividing by p, p^2, p^4, ... while
+    each divides takes out p^(2^J - 1) and leaves fewer than 2^J factors p,
+    which the same powers, largest first, take out bit by bit: O(log v)
+    divisions instead of v."""
+    v, powers = 0, [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for j in reversed(range(len(powers) - 1)):
+        if n % powers[j] == 0:
+            n //= powers[j]
+            v += 1 << j
     return v
 
 

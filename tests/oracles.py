@@ -14,7 +14,9 @@ conjugations are built here on plain rows, and ``power_map`` and
 ``disjoint_union`` build new self-map presentations from old ones for the
 entropy laws the tests check.
 """
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import add
 
@@ -461,26 +463,32 @@ def _growth_factor(spec: str):
     return (), gens, lambda a, b: reduce_word(a + b)
 
 
-def growth_reference(specs, horizon: int):
-    """Ball sizes gamma(0..horizon) of the direct product of the factors
-    "free:K", "free:K:standard+ab", "abelian:D" and "heisenberg", with the
-    union of their generating sets, by breadth-first search over tuples of
-    factor elements (free words as reduced tuples)."""
+def ball_distances(specs, radius: int):
+    """The word-metric distance from the identity of every element of the
+    ball of the given radius, keyed by the tuple of its factor elements
+    (free words as reduced tuples), for the direct product of the factors
+    "free:K", "free:K:standard+ab", "abelian:D" and "heisenberg" with the
+    union of their generating sets, by breadth-first search."""
     factors = [_growth_factor(s) for s in specs]
     start = tuple(identity for identity, _, _ in factors)
-    ball, frontier, gamma = {start}, [start], [1]
-    for _ in range(horizon):
+    distance, frontier = {start: 0}, [start]
+    for r in range(1, radius + 1):
         new_frontier = []
         for x in frontier:
             for i, (_, gens, multiply) in enumerate(factors):
                 for g in gens:
                     y = x[:i] + (multiply(x[i], g),) + x[i + 1:]
-                    if y not in ball:
-                        ball.add(y)
+                    if y not in distance:
+                        distance[y] = r
                         new_frontier.append(y)
         frontier = new_frontier
-        gamma.append(len(ball))
-    return tuple(gamma)
+    return distance
+
+
+def growth_reference(specs, horizon: int):
+    """Ball sizes gamma(0..horizon) of the product, from ``ball_distances``."""
+    spheres = Counter(ball_distances(specs, horizon).values())
+    return tuple(itertools.accumulate(spheres[r] for r in range(horizon + 1)))
 
 
 def trajectory_reference(rows, points, horizon: int):

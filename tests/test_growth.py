@@ -16,7 +16,7 @@ from entrokit.growth import (
     growth_table,
 )
 
-from oracles import growth_reference, reduce_word
+from oracles import ball_distances, growth_reference
 
 
 def test_free_group_closed_form():
@@ -108,16 +108,6 @@ def test_bass_guivarch_matches_empirical_exponents():
     assert abs(bass_guivarch([2, 1]) - growth_exponent(growth_table(Heisenberg3(), 25))) < 0.5
 
 
-def test_generating_sets_are_symmetric():
-    for fam in (Free(2), family_from_spec("free:3:standard+ab")):
-        gens = fam.generators()
-        ident = fam.identity()
-        assert ident not in gens
-        for g in gens:
-            inverse = next(h for h in gens if fam.multiply(g, h) == ident)
-            assert inverse in gens
-
-
 def test_family_spec_parsing():
     assert family_from_spec("abelian:3").rank == 3
     assert family_from_spec("heisenberg").describe().startswith("discrete")
@@ -128,72 +118,56 @@ def test_family_spec_parsing():
             family_from_spec(spec)
 
 
-def test_budget_per_insertion():
-    # every element the search makes comes out of a bulk step
-    for fam in (Free(2), family_from_spec("free:2:standard+ab")):
-        made = set()
-        real_step = fam.step
-
-        def step(xs, i):
-            out = real_step(xs, i)
-            made.update(out)
-            return out
-
-        fam.step = step
-        with pytest.raises(BudgetExceeded):
-            growth_table(fam, 10, budget=100)
-        assert made
-        # the ball stops growing one element past the budget
-        assert len(made | {fam.identity()}) <= 100 + 1
-
-
-@pytest.mark.parametrize("spec", ["free:2", "free:3", "free:2:standard+ab"])
-def test_step_is_bulk_right_multiplication(spec):
-    fam = family_from_spec(spec)
-    gens = fam.generators()
-    xs = {fam.identity()}
-    for _ in range(4):
-        xs |= {fam.multiply(x, g) for x in xs for g in gens}
-    xs = sorted(xs)
-    for i, g in enumerate(gens):
-        assert fam.step(xs, i) == [fam.multiply(x, g) for x in xs]
-
-
+# the first five horizons are quick checks; the others are the largest
+# whose reference ball has at most 2 * 10**5 elements, except that free:1
+# stops at 1,000, as its long words make the reference quadratic
 @pytest.mark.parametrize("spec, horizon", [
     ("free:2", 7), ("free:3", 5), ("free:2:standard+ab", 6),
-    ("free:3:standard+ab", 5), ("heisenberg", 14)])
+    ("free:3:standard+ab", 5), ("heisenberg", 14),
+    ("free:1", 1000), ("free:2", 10), ("free:3", 7), ("free:4", 6),
+    ("free:2:standard+ab", 8), ("free:3:standard+ab", 6), ("free:4:standard+ab", 5),
+    ("product:free:2:standard+ab,heisenberg", 7)])
 def test_spheres_match_reference(spec, horizon):
     gamma = growth_table(family_from_spec(spec), horizon).gamma
-    assert gamma == growth_reference([spec], horizon)
+    factors = spec[len("product:"):].split(",") if spec.startswith("product:") else [spec]
+    assert gamma == growth_reference(factors, horizon)
 
 
-@pytest.mark.parametrize("spec, skipped", [
-    ("free:2", 4), ("free:2:standard+ab", 12)])
-def test_steps_skip_generators_whose_product_is_short(spec, skipped):
-    # g_i g_j in the generating set or the identity: an element made by
-    # g_i is never stepped by g_j
-    fam = family_from_spec(spec)
-    gens = fam.generators()
-    short = set(gens) | {fam.identity()}
-    skip = {(i, j) for i, g in enumerate(gens) for j, h in enumerate(gens)
-            if fam.multiply(g, h) in short}
-    assert len(skip) == skipped
-    assert sum(map(sum, growth._short_products(fam))) == skipped
-    made_by = {}                  # element -> the generator of its first making
-    real_step = fam.step
+def _reduced_words(rank, length, word=()):
+    """Every reduced word over the letters +-1 .. +-rank that extends word
+    by at most length letters."""
+    yield word
+    if length:
+        for a in range(-rank, rank + 1):
+            if a and not (word and word[-1] == -a):
+                yield from _reduced_words(rank, length - 1, word + (a,))
 
-    def step(xs, j):
-        assert not any((made_by.get(x), j) in skip for x in xs)
-        out = real_step(xs, j)
-        for y in out:
-            made_by.setdefault(y, j)
-        return out
 
-    fam.step = step
-    gamma = growth_reference([spec], 6)
-    assert growth_table(fam, 6).gamma == gamma
-    # everything made lies in the ball, and the identity is never made
-    assert len(made_by) == gamma[-1] - 1 and fam.identity() not in made_by
+def _standard_ab_length(word):
+    # |w| less the occurrences of x_1 x_2 and X_2 X_1
+    return len(word) - sum(pair in ((1, 2), (-2, -1)) for pair in zip(word, word[1:]))
+
+
+@pytest.mark.parametrize("rank, radius", [(2, 8), (3, 6)])
+def test_standard_ab_length_is_the_reduced_length_less_the_pairs(rank, radius):
+    # every element of the reference ball has the length of the lemma in
+    # _free_spheres, and so has every reduced word of free length <= 8 that
+    # the ball can hold (the F_3 ball of radius 8 has 3.6 million elements)
+    distance = ball_distances([f"free:{rank}:standard+ab"], radius)
+    assert all(d == _standard_ab_length(w) for (w,), d in distance.items())
+    assert all((w,) in distance for w in _reduced_words(rank, 8)
+               if _standard_ab_length(w) <= radius)
+
+
+def test_free_spheres_closed_forms():
+    # 2k (2k - 1)^(r - 1) words of length r; 6 * 4^(r - 1) with x_1 x_2 added
+    for rank in range(1, 5):
+        gamma = growth_table(Free(rank), 300, budget=10**400).gamma
+        assert [b - a for a, b in zip(gamma, gamma[1:])] == \
+            [2 * rank * (2 * rank - 1) ** (r - 1) for r in range(1, 301)]
+    gamma = growth_table(Free(2, ab=True), 300, budget=10**400).gamma
+    assert [b - a for a, b in zip(gamma, gamma[1:])] == \
+        [6 * 4 ** (r - 1) for r in range(1, 301)]
 
 
 def _count_spheres(monkeypatch):
@@ -201,8 +175,8 @@ def _count_spheres(monkeypatch):
     pulled = []
     spheres = growth._spheres
 
-    def counting_spheres(family, budget):
-        for s in spheres(family, budget):
+    def counting_spheres(family):
+        for s in spheres(family):
             pulled.append(1)
             yield s
 
@@ -226,36 +200,25 @@ def test_heisenberg_horizon_is_bounded_by_the_budget_alone():
     assert str(raised.value) == "ball enumeration exceeded budget of 10000"
 
 
-def test_free_words_are_packed_ints():
-    # base 2*rank + 1, letter -i is digit rank + i, the last letter lowest
-    free = Free(2)
-    assert free.identity() == 0
-    assert free.element((1, -2)) == 1 * 5 + 4
-    assert free.element((2, 1, -1, -2)) == 0
-    assert free.word(free.element((-1, 2, 2))) == (-1, 2, 2)
-    assert sorted(free.generators()) == [1, 2, 3, 4]
-    with pytest.raises(InputError):
-        free.element((3,))
+def test_free_budget_stops_at_the_first_radius_past_it(monkeypatch):
+    # the ball of radius 7 has 2 * 4^7 - 1 = 32767 > 10**4 elements
+    pulled = _count_spheres(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        growth_table(family_from_spec("free:2:standard+ab"), 10**6, budget=10**4)
+    assert len(pulled) == 7 + 1
 
 
-def test_generating_set_checked_against_the_budget(monkeypatch):
+def test_generating_set_checked_against_the_budget():
     # the generating set is the sphere of radius 1: 12 generators and the
-    # identity exceed a budget of 12, and no generator is built
-    built = []
-    element = Free.element
-
-    def counting_element(self, letters):
-        built.append(1)
-        return element(self, letters)
-
-    monkeypatch.setattr(Free, "element", counting_element)
+    # identity exceed a budget of 12
     for spec, budget in [("free:6", 12), ("free:2:standard+ab", 6),
                          ("product:heisenberg,free:6", 12), ("heisenberg", 4)]:
         with pytest.raises(BudgetExceeded):
             family_from_spec(spec, budget=budget)
-    assert not built
-    assert len(family_from_spec("free:6", budget=13).generators()) == 12
-    assert len(family_from_spec("free:2:standard+ab", budget=7).generators()) == 6
+    assert family_from_spec("free:6", budget=13).describe() == \
+        "free of rank 6 with 12 generators"
+    assert family_from_spec("free:2:standard+ab", budget=7).describe() == \
+        "free of rank 2 with 6 generators"
     assert isinstance(family_from_spec("heisenberg", budget=5), Heisenberg3)
     with pytest.raises(BudgetExceeded):
         family_from_spec("abelian:10000000", budget=5_000_000)
@@ -289,22 +252,9 @@ except ImportError:  # the property tests below need hypothesis
     given = None
 
 if given is not None:
-    _words = st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), max_size=12)
-
-    @given(_words, _words)
-    def test_free_multiply_cancels_at_the_junction(a, b):
-        free = Free(3)
-        x = free.element(a)
-        assert free.word(x) == reduce_word(a)
-        a, b = reduce_word(a), reduce_word(b)
-        assert free.word(free.multiply(x, free.element(b))) == reduce_word(a + b)
-        # a right factor that starts with the inverse of a cancels deeply
-        c = reduce_word(tuple(-x for x in reversed(a)) + b)
-        assert free.word(free.multiply(x, free.element(c))) == reduce_word(a + c)
-
     # factors with at most 8 generators in all keep the reference BFS small
     _FACTOR_GENERATORS = {"free:1": 2, "free:2": 4, "free:2:standard+ab": 6,
-                          "abelian:1": 2, "abelian:2": 4, "abelian:3": 6,
+                          "free:3": 6, "free:3:standard+ab": 8, "abelian:1": 2, "abelian:2": 4, "abelian:3": 6,
                           "heisenberg": 4}
     _products = st.lists(st.sampled_from(sorted(_FACTOR_GENERATORS)),
                          min_size=1, max_size=3).filter(

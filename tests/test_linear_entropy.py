@@ -62,6 +62,27 @@ def test_padic_zero_scalar_has_zero_entropy():
         padic_valuation(Fraction(0), 5)
 
 
+def _valuation_one_factor_at_a_time(x, p):
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def test_padic_valuation_matches_division_one_factor_at_a_time():
+    rng = random.Random(5)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 97])
+        num = rng.choice([1, -1]) * p ** rng.randrange(300) * rng.randrange(1, 10**6)
+        x = Fraction(num, p ** rng.randrange(300) * rng.randrange(1, 10**6))
+        assert padic_valuation(x, p) == _valuation_one_factor_at_a_time(x, p)
+    assert padic_valuation(Fraction(5**20000 * 7, 5**3), 5) == 19997
+    assert padic_valuation(Fraction(7, 5**20000 * 3), 5) == -20000
+    assert padic_valuation(Fraction(5**20000 * 7, 5**3), 7) == 1
+
+
 def test_zn_requires_integer_entries():
     with pytest.raises(InputError):
         LinearFlow("zn", RatMatrix([[Fraction(1, 2)]]))
