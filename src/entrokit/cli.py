@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
 
-    p = add("oracle", _cmd_oracle, budget=True, aliases=["trajectory"],
+    p = add("oracle", _cmd_oracle, budget=True,
             help="exact sumset trajectory oracle on Z^n")
     p.add_argument("--matrix", required=True)
     p.add_argument("--set", required=True)

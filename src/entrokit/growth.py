@@ -7,8 +7,8 @@ spheres come from a transfer count over the last letter of the reduced
 word, which is Cannon's cone-type matrix for these generating sets.  The
 Heisenberg ball is an exact closure over z-fibres: one bitmask of corner
 entries per (x, y).  Word length adds across the factors of a product, so
-its spheres are the convolution of its factors' sphere sizes, and Z^D is
-the D-fold product of Z.  Arbitrary finite presentations are rejected
+its spheres are the convolution of its factors' sphere sizes; those of
+Z^D have a closed form.  Arbitrary finite presentations are rejected
 because the word problem would make the counts unreliable.
 
 The ball sequence gamma(n) is submultiplicative, so log gamma(n)/n
@@ -136,18 +136,25 @@ def _spheres(family):
 
     A direct product carries the union of its factors' generating sets, so
     word length adds across factors and the product's spheres are the
-    convolution of the factors' spheres.  Z^D is the D-fold product of Z,
-    whose spheres are 1, 2, 2, ...  The Heisenberg ball is closed over
-    z-fibres (``_heisenberg_spheres``) and a free group's spheres come from
-    a transfer count over the last letter (``_free_spheres``).  Each radius
-    costs far less than its sphere holds, so growth_table stops at the
-    first radius past the budget having made no element.
+    convolution of the factors' spheres.  A point of Z^D at l1-distance
+    r >= 1 has some k <= min(D, r) nonzero coordinates: C(D, k) supports,
+    2^k signs and C(r - 1, k - 1) ways to write r as k positive sizes, so
+    s(r) is the sum of 2^k C(D, k) C(r - 1, k - 1).  The Heisenberg ball
+    is closed over z-fibres (``_heisenberg_spheres``) and a free group's
+    spheres come from a transfer count over the last letter
+    (``_free_spheres``).  Each radius costs far less than its sphere holds,
+    so growth_table stops at the first radius past the budget having made
+    no element.
     """
     if isinstance(family, DirectProduct):
         yield from _convolve([_spheres(f) for f in family.factors])
     elif isinstance(family, FreeAbelian):
-        yield from _convolve([itertools.chain([1], itertools.repeat(2))
-                              for _ in range(family.rank)])
+        d, coeffs = family.rank, []      # 2^k C(D, k) for k = 1 .. min(D, r)
+        yield 1
+        for r in itertools.count(1):
+            if r <= d:
+                coeffs.append(2 ** r * math.comb(d, r))
+            yield sum(c * math.comb(r - 1, k) for k, c in enumerate(coeffs))
     elif isinstance(family, Heisenberg3):
         yield from _heisenberg_spheres()
     else:

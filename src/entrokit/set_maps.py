@@ -22,15 +22,15 @@ zero, no blank, digits below the branching).  A map is checked when it is
 constructed and raises ``InvalidMap`` listing every violated invariant.
 
 Every core node has exactly one image, so a weakly connected component is
-the basin of one terminal, a core cycle or a ray, and ``components`` finds
-it by a forward walk from each core node.  The covariant entropy counts
-pairwise disjoint infinite forward orbits: one per component whose terminal
-is a ray, so one per ray; the local covariant entropy of a finite set counts
-the rays its forward orbits reach.  The contravariant entropy lives on the
-surjective core: infinite when a tree survives there (unbounded antichains
-of ramification points), otherwise the number of pairwise disjoint
-backward-infinite strings; the surjective core keeps every string and tree,
-so all three are read off the presentation.
+the basin of one terminal, a core cycle or a ray.  The covariant entropy
+counts pairwise disjoint infinite forward orbits: one per ray; the local
+covariant entropy of a finite set counts the rays its forward orbits reach.
+The contravariant entropy lives on the surjective core (``surjective_core``
+peels off the core nodes that no surviving point maps to): infinite when a
+tree survives there (unbounded antichains of ramification points),
+otherwise the number of pairwise disjoint backward-infinite strings; the
+surjective core keeps every string and tree, so all three are read off the
+presentation.
 """
 from __future__ import annotations
 
@@ -258,61 +258,13 @@ def validate(m: SymbolicSelfMap) -> list:
 
 
 # ----------------------------------------------------------------------
-# components and the covariant entropies
-
-@dataclass(frozen=True)
-class Component:
-    core_nodes: tuple
-    rays: tuple
-    strings: tuple
-    trees: tuple
-    terminal: tuple  # ("cycle", (nodes...)) or ("ray", ray_id)
-
-
-def components(m: SymbolicSelfMap) -> list:
-    """The weakly connected components, sorted by (core nodes, rays).
-
-    One forward walk per core node, in sorted order and memoized on the
-    nodes already placed, finds its terminal; strings and trees join the
-    component of their attach node.  The first walk into a component starts
-    at its smallest node, and a cycle is listed from the first of its nodes
-    that walk meets.
-    """
-    terminal_of = {}
-    for start in m.core:
-        path, position, current = [], {}, start
-        while isinstance(current, str) and current not in terminal_of \
-                and current not in position:
-            position[current] = len(path)
-            path.append(current)
-            current = m.core[current]
-        if not isinstance(current, str):
-            terminal = ("ray", current[0])
-        elif current in terminal_of:
-            terminal = terminal_of[current]
-        else:
-            terminal = ("cycle", tuple(path[position[current]:]))
-        terminal_of.update(dict.fromkeys(path, terminal))
-
-    members = {("ray", r): ([], [], []) for r in m.out_rays}  # nodes, strings, trees
-    for node, terminal in terminal_of.items():
-        members.setdefault(terminal, ([], [], []))[0].append(node)
-    for s in m.in_strings:
-        members[terminal_of[s.attach]][1].append(s.id)
-    for t in m.in_trees:
-        members[terminal_of[t.attach]][2].append(t.id)
-    out = [Component(tuple(sorted(nodes)), (terminal[1],) if terminal[0] == "ray" else (),
-                     tuple(sorted(strings)), tuple(sorted(trees)), terminal)
-           for terminal, (nodes, strings, trees) in members.items()]
-    out.sort(key=lambda c: (c.core_nodes, c.rays))
-    return out
-
+# the covariant entropies
 
 def covariant_entropy(m: SymbolicSelfMap) -> int:
     """The number of pairwise disjoint infinite forward orbits: one per
-    wandering component.  Every part of the presentation but a ray has
-    exactly one outgoing edge, so a weakly connected component holds at
-    most one ray, and the wandering components are counted by the rays."""
+    ray.  Every part of the presentation but a ray has exactly one outgoing
+    edge, so the basin of a ray is a weakly connected component holding no
+    other ray and no cycle, and its orbits all meet on the ray."""
     return len(m.out_rays)
 
 
@@ -353,44 +305,27 @@ def covariant_local_entropy(m: SymbolicSelfMap, points) -> int:
 def surjective_core(m: SymbolicSelfMap) -> SymbolicSelfMap:
     """Restriction of the map to the intersection of all forward images.
 
-    A point survives exactly when it has arbitrarily long backward chains.
-    Seeds with infinite backward depth are the core cycles and the string
-    and tree attach points; infinite depth propagates forward, so the
-    surviving core is the forward closure of the seeds, and a ray survives
-    exactly when a surviving core node feeds it.  String and tree points
-    always survive.  The result may be the empty map.
+    Every point has finitely many preimages, so a point survives exactly
+    when it keeps a surviving preimage.  String and tree points always do,
+    so a core node is fed by its core preimages and by each tail attached
+    to it; the nodes fed by nothing are peeled off, one at a time, each
+    taking one feed from its target, until every node left is fed.  A ray
+    survives while its head keeps a feed.  The result may be the empty map.
     """
-    seeds = set()
-    for comp in components(m):
-        if comp.terminal[0] == "cycle":
-            seeds.update(comp.terminal[1])
-    seeds.update(s.attach for s in m.in_strings)
-    seeds.update(t.attach for t in m.in_trees)
-
-    alive = set()
-    kept_rays = set()
-    frontier = list(seeds)
-    while frontier:
-        node = frontier.pop()
-        if node in alive:
-            continue
-        alive.add(node)
-        target = m.core[node]
-        if isinstance(target, str):
-            frontier.append(target)
-        else:
-            kept_rays.add(target[0])
+    fed = {p: len(nodes) + len(ranges)
+           for p, (nodes, ranges) in m._listed_preimages.items()}
+    bare = [node for node in m.core if not fed[node]]
+    while bare:
+        target = m.core[bare.pop()]
+        fed[target] -= 1
+        if not fed[target] and isinstance(target, str):
+            bare.append(target)
     return SymbolicSelfMap.build(
-        {n: t for n, t in m.core_map if n in alive},
-        tuple(r for r in m.out_rays if r in kept_rays),
+        {n: t for n, t in m.core_map if fed[n]},
+        tuple(r for r in m.out_rays if fed[r, 0]),
         m.in_strings,
         m.in_trees,
     )
-
-
-def point_in_core(sc: SymbolicSelfMap, point) -> bool:
-    """Whether a point of the map lies in its surjective core sc."""
-    return point in sc.core if isinstance(point, str) else point[0] in sc.tails
 
 
 def contravariant_entropy(m: SymbolicSelfMap):
@@ -452,8 +387,10 @@ def cotrajectory_profile(m: SymbolicSelfMap, points, horizon: int,
             raise BudgetExceeded(budget, "cotrajectory enumeration")
         naive_sizes.append(naive)
         reduced_sizes.append(reduced)
+    in_core = [p for p in e
+               if (p in sc.core if isinstance(p, str) else p[0] in sc.tails)]
     return BackwardProfile(tuple(reduced_sizes), tuple(naive_sizes),
-                           _backward_limit(sc, [p for p in e if point_in_core(sc, p)]))
+                           _backward_limit(sc, in_core))
 
 
 def _backward_levels(m: SymbolicSelfMap, sources):

@@ -14,6 +14,7 @@ conjugations are built here on plain rows, and ``power_map`` and
 ``disjoint_union`` build new self-map presentations from old ones for the
 entropy laws the tests check.
 """
+import functools
 import itertools
 import math
 from collections import Counter
@@ -431,6 +432,28 @@ def components_reference(obj: dict):
                 else ("cycle", tuple(path[path.index(current):]))
         out.append((nodes, rays, strings, trees, terminal))
     return sorted(out, key=lambda c: (c[0], c[1]))
+
+
+def surjective_core_reference(obj: dict) -> dict:
+    """The surjective core of a self-map given in its JSON form, in that
+    form.  A core node survives when it has a backward chain of |core| + 1
+    core nodes, which must run round a cycle, or a shorter one that reaches
+    a node with a string or tree attached; ``deep(n, k)`` asks for k more
+    links by a depth recursion.  A ray survives when a surviving node maps
+    to its head, and every string and tree survives."""
+    core = obj.get("core", {})
+    fed = {e["attach"] for key in ("in_strings", "in_trees") for e in obj.get(key, ())}
+
+    @functools.cache
+    def deep(n, k):
+        return k == 0 or n in fed or any(deep(p, k - 1) for p, t in core.items() if t == n)
+
+    alive = {n: t for n, t in core.items() if deep(n, len(core))}
+    return {"core": alive,
+            "out_rays": [r for r in obj.get("out_rays", ()) if "ray:" + r in alive.values()],
+            "in_strings": list(obj.get("in_strings", ())),
+            "in_trees": [dict(t, branching=t.get("branching", 2))
+                         for t in obj.get("in_trees", ())]}
 
 
 def reduce_word(word):

@@ -101,6 +101,13 @@ def test_removed_options_exit_2(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_the_trajectory_alias_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        dispatch(["trajectory", "--matrix", "0,1;1,1", "--set", "1,0", "--horizon", "3"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'trajectory'" in capsys.readouterr().err
+
+
 def test_readme_command_lines_parse():
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
@@ -449,6 +456,19 @@ def test_heisenberg_past_the_budget_is_fast_and_small():
     # z-fibres hold it in a few bits an element, and no radius limit applies
     child = _peak_rss_child(["growth", "--family", "heisenberg", "--horizon", "200",
                              "--json"])
+    assert child.returncode == 3 and child.stdout == ""
+    message, peak = child.stderr.splitlines()
+    assert message == "not certified: ball enumeration exceeded budget of 5000000"
+    assert int(peak) < 64 * 1024
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(),
+                    reason="reads the peak resident set from /proc")
+def test_abelian_past_the_budget_is_small():
+    # the generating set of 4,000,000 elements passes the check, and the
+    # ball of radius 2 (about 8 * 10**12 elements) is counted by its closed
+    # form, so no sphere of Z is held per coordinate
+    child = _peak_rss_child(["growth", "--family", "abelian:2000000", "--horizon", "2"])
     assert child.returncode == 3 and child.stdout == ""
     message, peak = child.stderr.splitlines()
     assert message == "not certified: ball enumeration exceeded budget of 5000000"

@@ -42,9 +42,9 @@ def test_abelian_ball_counts():
     assert line.gamma == tuple(2 * n + 1 for n in range(11))
 
 
-def test_abelian_spheres_are_convolved():
-    # Z^D is the D-fold product of Z: it has no multiplication, so no
-    # element of its ball can be built
+def test_abelian_spheres_have_a_closed_form():
+    # Z^D has no multiplication, so no element of its ball can be built:
+    # its spheres are counted by supports, signs and compositions
     assert not hasattr(FreeAbelian(3), "multiply")
     assert growth_table(FreeAbelian(1000), 2).gamma == (1, 2001, 2002001)
     assert growth_table(FreeAbelian(3), 6).gamma == growth_reference(["abelian:3"], 6)
@@ -118,15 +118,20 @@ def test_family_spec_parsing():
             family_from_spec(spec)
 
 
-# the first five horizons are quick checks; the others are the largest
-# whose reference ball has at most 2 * 10**5 elements, except that free:1
-# stops at 1,000, as its long words make the reference quadratic
+# the first five horizons are quick checks; the free groups run to the
+# largest horizon whose reference ball has at most 2 * 10**5 elements and
+# the free abelian groups to the largest with at most 5 * 10**4, except
+# that free:1 stops at 1,000, as its long words make the reference
+# quadratic, and so does abelian:1
 @pytest.mark.parametrize("spec, horizon", [
     ("free:2", 7), ("free:3", 5), ("free:2:standard+ab", 6),
     ("free:3:standard+ab", 5), ("heisenberg", 14),
     ("free:1", 1000), ("free:2", 10), ("free:3", 7), ("free:4", 6),
     ("free:2:standard+ab", 8), ("free:3:standard+ab", 6), ("free:4:standard+ab", 5),
-    ("product:free:2:standard+ab,heisenberg", 7)])
+    ("product:free:2:standard+ab,heisenberg", 7),
+    ("abelian:1", 1000), ("abelian:2", 157), ("abelian:3", 32), ("abelian:4", 15),
+    ("abelian:5", 10), ("abelian:6", 8), ("product:abelian:1,abelian:2", 32),
+    ("product:free:2,abelian:3", 7)])
 def test_spheres_match_reference(spec, horizon):
     gamma = growth_table(family_from_spec(spec), horizon).gamma
     factors = spec[len("product:"):].split(",") if spec.startswith("product:") else [spec]

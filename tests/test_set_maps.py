@@ -6,7 +6,6 @@ import pytest
 from entrokit.errors import BudgetExceeded, InputError, InvalidMap
 from entrokit.set_maps import (
     SymbolicSelfMap,
-    components,
     contravariant_entropy,
     cotrajectory_profile,
     covariant_entropy,
@@ -16,7 +15,7 @@ from entrokit.set_maps import (
 )
 
 from oracles import apply, components_reference, cotrajectory_reference, \
-    disjoint_union, forward_profile_reference, power_map
+    disjoint_union, forward_profile_reference, power_map, surjective_core_reference
 
 RHO = SymbolicSelfMap.build({}, ["R"])                    # n -> n + 1
 SIG = SymbolicSelfMap.build({"z": "z"}, [], [("S", "z")])  # n -> n - 1, 0 fixed
@@ -79,7 +78,7 @@ def test_qper_wan_partition():
     # a cycle terminal carries only quasi-periodic points, a ray terminal
     # only wandering ones: (quasi-periodic, wandering) component counts
     def split(m):
-        kinds = [c.terminal[0] for c in components(m)]
+        kinds = [terminal[0] for *_, terminal in components_reference(m.to_json())]
         return kinds.count("cycle"), kinds.count("ray")
 
     assert split(RHO) == (0, 1)
@@ -238,9 +237,9 @@ def test_power_map_cycles():
     cyc = SymbolicSelfMap.build({"a": "b", "b": "c", "c": "a"})
     sq = power_map(cyc, 2)
     assert covariant_entropy(sq) == 0 and contravariant_entropy(sq) == 0
-    assert len(components(sq)) == 1  # 3-cycle stays a single orbit under squaring
+    assert len(components_reference(sq.to_json())) == 1  # 3-cycle stays a single orbit under squaring
     tri = power_map(cyc, 3)
-    assert len(components(tri)) == 3  # and splits into fixed points under cubing
+    assert len(components_reference(tri.to_json())) == 3  # and splits into fixed points under cubing
 
 
 def test_profile_limit_is_independent_oracle_for_closed_form():
@@ -473,7 +472,8 @@ if given is not None:
         # h counts the wandering components, h* is the string number of the
         # surjective core; both are read off the presentation directly
         m = SymbolicSelfMap.from_json(case[0])
-        assert covariant_entropy(m) == sum(c.terminal[0] == "ray" for c in components(m))
+        assert covariant_entropy(m) == sum(terminal[0] == "ray"
+                                           for *_, terminal in components_reference(case[0]))
         sc = surjective_core(m)
         string_number = 0 if sc == SymbolicSelfMap.build() else \
             math.inf if sc.in_trees else len(sc.in_strings)
@@ -489,12 +489,15 @@ if given is not None:
     @settings(max_examples=150)
     @given(_small_maps())
     @example(({"core": {}, "out_rays": ["R0", "R1"], "in_strings": [], "in_trees": []}, []))
+    @example(({"core": {"c0": "c1", "c1": "c2", "c2": "c1", "c3": "ray:R0"},
+               "out_rays": ["R0", "R1"], "in_strings": [], "in_trees": []}, []))
+    @example(({"core": {"c0": "c1", "c1": "c2", "c2": "c3", "c3": "ray:R0"}, "out_rays": ["R0"],
+               "in_strings": [], "in_trees": [{"id": "T0", "attach": "c1"}]}, []))
     @example(({"core": {"c0": "c1", "c1": "c2", "c2": "c1", "c3": "c2"}, "out_rays": [],
                "in_strings": [{"id": "S0", "attach": "c3"}], "in_trees": []}, []))
-    def test_components_match_union_find(case):
-        comps = components(SymbolicSelfMap.from_json(case[0]))
-        assert [(c.core_nodes, c.rays, c.strings, c.trees, c.terminal) for c in comps] \
-            == components_reference(case[0])
+    def test_surjective_core_matches_the_depth_reference(case):
+        assert surjective_core(SymbolicSelfMap.from_json(case[0])).to_json() \
+            == surjective_core_reference(case[0])
 
     @given(st.integers(2, 36), st.integers(1, 10 ** 6))
     def test_tree_names_round_trip(branching, k):
