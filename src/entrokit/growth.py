@@ -84,7 +84,7 @@ def family_from_spec(spec: str, budget=None):
         return DirectProduct([family_from_spec(part, budget)
                               for part in spec[len("product:"):].split(",")])
     name, *fields = spec.split(":")
-    if name in ("abelian", "freeabelian", "zn") and len(fields) == 1:
+    if name == "abelian" and len(fields) == 1:
         rank = int(fields[0])
         _check_generating_set(2 * rank, budget)
         return FreeAbelian(rank)
@@ -92,7 +92,7 @@ def family_from_spec(spec: str, budget=None):
         family = Free(int(fields[0]), ab=bool(fields[1:]))
         _check_generating_set(2 * family.rank + 2 * family.ab, budget)
         return family
-    if name in ("heisenberg", "heisenberg3") and not fields:
+    if name == "heisenberg" and not fields:
         _check_generating_set(4, budget)
         return Heisenberg3()
     raise InputError(f"unknown group family {spec!r}")

@@ -10,8 +10,9 @@ Rational entries are scaled to integers by the lcm of their denominators
 Division-free Berkowitz (``int_char_poly``) gives the characteristic
 polynomial and the determinant.  An integer column echelon (``_Echelon``),
 whose vectors carry a companion recording the inputs they were built from,
-gives the Hermite normal form, lattice meets and preimages, and exact
-column solves from the companions of the vectors that reduce to zero.  No
+gives the Hermite normal form, lattice meets and preimages, and the orbit
+relations, read off the companions of the vectors that reduce to zero,
+whose product is the characteristic polynomial on an invariant span.  No
 stage here is numerical: root finding is the only numerical stage of the
 pipeline.
 """
@@ -47,9 +48,6 @@ class RatMatrix:
         if not self.is_integer():
             raise InputError("matrix has non-integer entries")
         return [[int(x) for x in row] for row in self.entries]
-
-    def matvec(self, v):
-        return tuple(sum(x * y for x, y in zip(row, v)) for row in self.entries)
 
     def determinant(self) -> Fraction:
         d, b = _clear_denominators(self)
@@ -94,42 +92,6 @@ def char_poly(a: RatMatrix) -> IntPolynomial:
     d, b = _clear_denominators(a)
     scaled = [c * d ** k for k, c in enumerate(int_char_poly(b))]
     return IntPolynomial(scaled).primitive()
-
-
-def solve_columns(columns, target):
-    """Solve sum_j x_j * columns[j] = target exactly; None if inconsistent.
-
-    The target lies in the span of the columns exactly when it is a free
-    column of [columns | target]; its reduced relation v then has v_m = 1,
-    and x = -(v_0, ..., v_(m-1)) is 0 at the other free columns."""
-    m, n = len(columns), len(target)
-    _, flat = clear_denominators([Fraction(x) for c in (*columns, target) for x in c])
-    rels = _relations([flat[j * n:(j + 1) * n] for j in range(m + 1)], n)
-    if not rels or rels[-1][0] != m:
-        return None
-    return [-x for x in rels[-1][1][:m]]
-
-
-def _relations(columns, n):
-    """Reduced basis of the rational relations among integer columns of
-    length n: per free column f (one in the span of those before it), the
-    pair (f, v) with sum_j v_j columns[j] = 0, v_f = 1 and v = 0 at every
-    other free column.  Column j enters the echelon with companion e_j, so
-    f leaves a relation nonzero at f and zero past it, which is scaled and
-    back-substituted."""
-    m = len(columns)
-    ech = _Echelon(n)
-    for j, col in enumerate(columns):
-        ech.insert(col, [int(i == j) for i in range(m)])
-    out = []
-    for rel in ech.kernel:
-        f = _last_nonzero(rel, m)
-        v = [Fraction(x, rel[f]) for x in rel]
-        for g, k in out:
-            if v[g]:
-                v = [x - v[g] * y for x, y in zip(v, k)]
-        out.append((f, v))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +143,32 @@ class _Echelon:
                 g, x, y = _xgcd(b[p], v[p])
                 self.basis[p] = tuple(x * s + y * t for s, t in zip(b, v))
                 v = [(b[p] // g) * t - (v[p] // g) * s for s, t in zip(b, v)]
+
+
+def orbit_char_poly(rows, points) -> IntPolynomial:
+    """det(tI - A) on the span of the orbits of integer points under the
+    integer rows of A.
+
+    The points take turns in one echelon.  A point v enters with its powers
+    v, Av, A^2 v, ..., the k-th carrying the companion e_k, until a power
+    reduces to zero; its kernel companion c, with c_k != 0, is the relation
+    sum c_j A^j v = 0 modulo the span so far, so sum c_j t^j is det(tI - A)
+    on the quotient that v adds, times its content.  By the Addition Theorem
+    the product over the points is the polynomial on the whole span; a zero
+    point, or one already in the span, contributes 1.  The companions are
+    then reset to zero, so the next point's relation holds its powers alone.
+    """
+    n = len(rows)
+    ech, poly, zero = _Echelon(n), IntPolynomial([1]), (0,) * (n + 1)
+    for v in points:
+        k, found = 0, len(ech.kernel)
+        while len(ech.kernel) == found:
+            ech.insert(v, [int(i == k) for i in range(n + 1)])
+            v, k = [sum(x * y for x, y in zip(row, v)) for row in rows], k + 1
+        poly = poly * IntPolynomial(ech.kernel[-1]).primitive()
+        for p, b in ech.basis.items():
+            ech.basis[p] = (*b[:n], *zero)
+    return poly
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError, WrongDomain
-from .linalg import RatMatrix, char_poly, solve_columns
+from .linalg import RatMatrix, char_poly, orbit_char_poly
 from .mahler import log_value, mahler_measure, outside_sum
 from .polynomials import is_prime
 from .roots import classify_unit_circle
@@ -149,10 +149,7 @@ def trajectory_oracle(a: RatMatrix, points, horizon: int,
         raise InputError("the sumset oracle runs over integer matrices")
     rows = a.int_rows()
     n = a.n
-    base = {tuple(int(x) for x in v) for v in points}
-    if any(len(v) != n for v in base):
-        raise InputError("point dimension disagrees with the matrix")
-    base.add((0,) * n)
+    base = {*_int_points(points, n), (0,) * n}
     orbit = _orbit(rows, base)
     reach, width = 0, 1
     current = [0]                  # T_0 = {0}, packed
@@ -171,6 +168,17 @@ def trajectory_oracle(a: RatMatrix, points, horizon: int,
     slopes = [math.log(s) / (i + 1) for i, s in enumerate(sizes)]
     diffs = [math.log(b) - math.log(a) for a, b in zip(sizes, sizes[1:])]
     return TrajectoryProfile(tuple(sizes), min(diffs), min(slopes))
+
+
+def _int_points(points, n: int) -> list:
+    """The points as int tuples: an InputError for a wrong dimension or for
+    a non-integer coordinate, which int() would truncate."""
+    points = [tuple(Fraction(x) for x in v) for v in points]
+    if any(len(v) != n for v in points):
+        raise InputError("point dimension disagrees with the matrix")
+    if any(x.denominator != 1 for v in points for x in v):
+        raise InputError("the sumset oracle runs over integer points")
+    return [tuple(int(x) for x in v) for v in points]
 
 
 _AHEAD = 64                   # steps whose images are made before their sumsets
@@ -216,50 +224,7 @@ def _sumset(current: list, shifts: list, budget: int) -> list:
 
 
 # ----------------------------------------------------------------------
-# invariant subspaces and the growth dichotomy
-
-def invariant_span(a: RatMatrix, points):
-    """Basis (list of Fraction tuples) of the smallest A-invariant subspace
-    of Q^n containing the given points: the Krylov span.
-
-    Kept as library API, with ``restrict_to_subspace``: no subcommand calls
-    them, and ``classify_growth`` restricts A to this span."""
-    n = a.n
-    basis = []
-
-    def try_add(vec):
-        if solve_columns(basis, vec) is None:
-            basis.append(tuple(Fraction(x) for x in vec))
-            return True
-        return False
-
-    frontier = [tuple(Fraction(x) for x in v) for v in points]
-    for v in frontier:
-        if any(x != 0 for x in v):
-            try_add(v)
-    changed = True
-    while changed and len(basis) < n:
-        changed = False
-        for v in list(basis):
-            img = a.matvec(v)
-            if try_add(img):
-                changed = True
-    return basis
-
-
-def restrict_to_subspace(a: RatMatrix, basis) -> RatMatrix:
-    """Matrix of A on an invariant subspace, in the given basis coordinates.
-    Kept as library API (see ``invariant_span``)."""
-    cols = []
-    for v in basis:
-        img = a.matvec(v)
-        coeffs = solve_columns(basis, img)
-        if coeffs is None:
-            raise InputError("subspace is not invariant under the matrix")
-        cols.append(coeffs)
-    m = len(basis)
-    return RatMatrix([[cols[j][i] for j in range(m)] for i in range(m)])
-
+# the growth dichotomy
 
 @dataclass(frozen=True)
 class GrowthClassification:
@@ -273,20 +238,17 @@ def classify_growth(a: RatMatrix, points, horizon: int = 12,
     """Polynomial-vs-exponential growth of the trajectory of F under A.
 
     Decided exactly by the closed form: the growth is exponential iff the
-    Mahler measure of A restricted to the invariant span of the orbit of F
-    is nonzero (equivalently, iff the span escapes the Pinsker subspace).
-    Exact zero detection makes the dichotomy a real decision; intermediate
-    horizons could not separate slow exponential from fast polynomial, so
-    the empirical profile is attached as evidence only.
+    Mahler measure of det(tI - A) on the invariant span of the orbit of F
+    (``linalg.orbit_char_poly``; 1 for an empty span) is nonzero
+    (equivalently, iff the span escapes the Pinsker subspace).  Exact zero
+    detection makes the dichotomy a real decision; intermediate horizons
+    could not separate slow exponential from fast polynomial, so the
+    empirical profile is attached as evidence only.
 
     Kept as library API: no subcommand calls it (``oracle`` reports the
     profile alone).
     """
     profile = trajectory_oracle(a, points, horizon, budget)
-    span = invariant_span(a, points)
-    if not span:
-        return GrowthClassification("polynomial", EntropyValue.zero(), profile)
-    restricted = restrict_to_subspace(a, span)
-    value = mahler_measure(char_poly(restricted))
+    value = mahler_measure(orbit_char_poly(a.int_rows(), _int_points(points, a.n)))
     kind = "polynomial" if value.is_zero() else "exponential"
     return GrowthClassification(kind, value, profile)

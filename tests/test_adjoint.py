@@ -127,7 +127,8 @@ def test_conjugation_invariance():
         conj = RatMatrix(mat_mul(mat_mul(p, a.entries), p_inv))
         if not conj.is_integer():
             continue
-        moved = Lattice.from_columns([RatMatrix(p).matvec(col) for col in lattice.basis])
+        moved = Lattice.from_columns([[sum(x * y for x, y in zip(row, col)) for row in p]
+                                      for col in lattice.basis])
         ra = adjoint_entropy_at(a, lattice)
         rc = adjoint_entropy_at(conj, moved)
         assert ra.indices == rc.indices

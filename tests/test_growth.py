@@ -113,7 +113,9 @@ def test_family_spec_parsing():
     assert family_from_spec("heisenberg").describe().startswith("discrete")
     for spec in ["grigorchuk", "abelian", "abelian:1:2", "free", "free:2:weird",
                  "free:2:", "free:0", "free:1:standard+ab", "heisenberg:3",
-                 "product:", "product:free:2,,abelian:1", ""]:
+                 "product:", "product:free:2,,abelian:1", "",
+                 # retired aliases of abelian:n and heisenberg
+                 "freeabelian:2", "zn:2", "heisenberg3"]:
         with pytest.raises(InputError):
             family_from_spec(spec)
 

@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 
-from entrokit import linalg
 from entrokit.errors import RankDeficient, SingularMap
 from entrokit.linalg import (
     Lattice,
@@ -14,7 +13,7 @@ from entrokit.linalg import (
     lattice_intersect,
     lattice_preimage,
     matrix_from_json,
-    solve_columns,
+    orbit_char_poly,
 )
 
 from oracles import charpoly_2x2, is_sublattice, lattice_contains, lattice_exponent, \
@@ -113,70 +112,62 @@ if given is not None:
         assert int_char_poly(rows) == tuple(want)
 
 
-def _random_rational_rows(rng, n, rank, m=None):
-    """n x m (default n x n) Fraction rows of the given rank (a product of
-    n x rank and rank x m factors, so rank-deficient ones come up as often
-    as full)."""
-    m = n if m is None else m
-
-    def entry():
-        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-    left = [[entry() for _ in range(rank)] for _ in range(n)]
-    right = [[entry() for _ in range(m)] for _ in range(rank)]
-    return [[sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0))
-             for j in range(m)] for i in range(n)]
+def _random_rank_rows(rng, n, rank):
+    """n x n integer rows of the given rank (a product of n x rank and
+    rank x n factors, so singular ones come up as often as regular)."""
+    left = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(n)]
+    right = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rank)]
+    return [[sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(n)]
+            for i in range(n)]
 
 
-def test_gauss_jordan_sympy_oracle():
+def test_orbit_char_poly_sympy_oracle():
+    # sympy's reference: a basis K of the column space of the Krylov vectors
+    # A^j v (j < n) of every point, the matrix M = (K^T K)^-1 K^T A K of A
+    # on it, and det(tI - M); 1 when the span is zero
     sympy = pytest.importorskip("sympy")
     rng = random.Random(41)
+    t = sympy.Symbol("t")
 
-    def to_sympy(rows):
-        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                             for row in rows])
+    def reference(rows, points):
+        a = sympy.Matrix(rows)
+        krylov = [a ** j * sympy.Matrix(v) for v in points for j in range(len(rows))]
+        basis = sympy.Matrix.hstack(*krylov).columnspace() if krylov else []
+        if not basis:
+            return (1,)
+        k = sympy.Matrix.hstack(*basis)
+        m = (k.T * k).inv() * k.T * a * k
+        return tuple(int(c) for c in reversed(m.charpoly(t).all_coeffs()))
 
-    def to_fraction(x):
-        return Fraction(int(x.p), int(x.q))
+    def invariant_lines(rows):
+        # integer eigenvectors for the small integer eigenvalues
+        a, n = sympy.Matrix(rows), len(rows)
+        for value in range(-4, 5):
+            for v in (a - value * sympy.eye(n)).nullspace():
+                scale = sympy.ilcm(1, *[x.q for x in v])
+                yield tuple(int(x * scale) for x in v)
 
-    def check_solve(columns, n):
-        # the columns against a random target, and against one inside their
-        # span: None exactly when appending the target grows the rank
-        oracle = to_sympy([[c[i] for c in columns] for i in range(n)])
-        rank = oracle.rank()
-        inside = [sum((rng.randint(-3, 3) * c[i] for c in columns), Fraction(0))
-                  for i in range(n)]
-        for target in ([Fraction(rng.randint(-4, 4)) for _ in range(n)], inside):
-            x = solve_columns(columns, target)
-            grows = oracle.row_join(to_sympy([[t] for t in target])).rank() > rank
-            assert (x is None) == grows
-            if x is not None:
-                assert [sum((xj * c[i] for xj, c in zip(x, columns)), Fraction(0))
-                        for i in range(n)] == target
-
-    for trial in range(120):
-        n = 1 + trial % 5
-        rows = _random_rational_rows(rng, n, rng.randint(0, n))
-        columns, oracle = [tuple(row[j] for row in rows) for j in range(n)], to_sympy(rows)
-        # the inverse column by column, from A x = e_i; None when singular
-        inverse = [solve_columns(columns, [Fraction(int(k == i)) for k in range(n)])
-                   for i in range(n)]
-        if oracle.rank() == n:
-            assert inverse == [[to_fraction(x) for x in oracle.inv().col(i)]
-                               for i in range(n)]
-        else:
-            assert None in inverse
-        # the reduced relations that solve_columns reads are sympy's kernel basis
-        _, scaled = linalg._clear_denominators(RatMatrix(rows))
-        relations = linalg._relations(list(zip(*scaled)), n)
-        assert [v for _, v in relations] \
-            == [[to_fraction(x) for x in v] for v in oracle.nullspace()]
-        check_solve(columns, n)
-    # rectangular column sets: m != n columns in Q^n, of every rank
-    for n, m in product(range(1, 6), range(1, 8)):
-        if m != n:
-            for rank in sorted({0, min(n, m) - 1, min(n, m)}):
-                rows = _random_rational_rows(rng, n, rank, m)
-                check_solve([tuple(row[j] for row in rows) for j in range(m)], n)
+    for trial in range(150):
+        n, kind = 1 + trial % 4, trial // 4 % 3
+        if kind == 0:  # singular
+            rows = _random_rank_rows(rng, n, rng.randint(0, n - 1))
+        elif kind == 1:  # nilpotent: a conjugate of a strictly upper triangular matrix
+            strict = [[rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+                      for i in range(n)]
+            p, p_inv = unimodular_pair(rng, n)
+            rows = [[int(x) for x in row] for row in mat_mul(mat_mul(p, strict), p_inv)]
+        else:  # block triangular [[B, C], [0, D]]
+            nb = rng.randint(0, n)
+            rows = [[rng.randint(-2, 2) if j >= nb or i < nb else 0 for j in range(n)]
+                    for i in range(n)]
+        lines = list(invariant_lines(rows))
+        random_point = tuple(rng.randint(-2, 2) for _ in range(n))
+        pools = [[], [(0,) * n], [random_point, random_point],
+                 [(0,) * n, random_point], lines[:1], [*lines[:1], random_point],
+                 [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)]]
+        for points in pools:
+            assert orbit_char_poly(rows, points).coeffs == reference(rows, points), \
+                (rows, points)
 
 
 def test_hnf_examples():
@@ -286,7 +277,7 @@ def test_preimage_induced_map_injective():
         assert lat.index % pre.index == 0
         images = {}
         for v in product(range(-3, 4), repeat=n):
-            av = tuple(int(x) for x in a.matvec([Fraction(x) for x in v]))
+            av = tuple(sum(x * y for x, y in zip(row, v)) for row in a.int_rows())
             key_pre = _residue_key(pre, v)
             key_img = _residue_key(lat, av)
             if key_pre in images:

@@ -6,14 +6,12 @@ import mpmath
 import pytest
 
 from entrokit.errors import BudgetExceeded, InputError, WrongDomain
-from entrokit.linalg import RatMatrix, char_poly
+from entrokit.linalg import RatMatrix, char_poly, orbit_char_poly
 from entrokit.linear_entropy import (
     LinearFlow,
     algebraic_entropy,
     classify_growth,
-    invariant_span,
     padic_valuation,
-    restrict_to_subspace,
     topological_entropy,
     trajectory_oracle,
 )
@@ -212,16 +210,29 @@ def test_trajectory_oracle_widens_its_fields():
         == trajectory_reference(rows, [(1, 0)], 130)
 
 
-def test_invariant_span_and_restriction():
-    span = invariant_span(FIB, [(1, 0)])
-    assert len(span) == 2
-    restricted = restrict_to_subspace(FIB, span)
-    assert char_poly(restricted).coeffs == char_poly(FIB).coeffs
-    # a proper invariant subspace
-    a = RatMatrix([[2, 0], [0, 3]])
-    span = invariant_span(a, [(1, 0)])
-    assert span == [(Fraction(1), Fraction(0))]
-    assert char_poly(restrict_to_subspace(a, span)).coeffs == (Fraction(-2), Fraction(1))
+def test_orbit_char_poly_examples():
+    # the orbit of (1, 0) under FIB spans Q^2: t^2 - t - 1
+    assert orbit_char_poly(FIB.int_rows(), [(1, 0)]).coeffs == (-1, -1, 1)
+    # (1, 0) spans an invariant line of diag(2, 3): t - 2
+    assert orbit_char_poly([[2, 0], [0, 3]], [(1, 0)]).coeffs == (-2, 1)
+    # the second line adds t - 3; a zero, repeated or empty point set adds 1
+    assert orbit_char_poly([[2, 0], [0, 3]], [(0, 0), (1, 0), (0, 1), (1, 0)]).coeffs \
+        == (6, -5, 1)
+    assert orbit_char_poly([[2, 0], [0, 3]], [(0, 0)]).coeffs == (1,)
+    assert orbit_char_poly([[2, 0], [0, 3]], []).coeffs == (1,)
+
+
+def test_non_integer_points_are_rejected():
+    # int() would read (1/2, 0) as (0, 0) and (1.9, 0) as (1, 0)
+    a = RatMatrix([[2, 0], [0, 1]])
+    for point in [(Fraction(1, 2), 0), (1.9, 0)]:
+        with pytest.raises(InputError):
+            trajectory_oracle(a, [point], 4)
+        with pytest.raises(InputError):
+            classify_growth(a, [point], 4)
+    # integral values of other types are read exactly
+    assert trajectory_oracle(a, [(Fraction(4, 2), 3.0)], 4).sizes \
+        == trajectory_oracle(a, [(2, 3)], 4).sizes
 
 
 def test_classify_growth():
