@@ -55,8 +55,8 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, product, repeat
-from operator import add
+from itertools import chain, cycle, islice, product, repeat
+from operator import add, mul, neg, sub
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError
 from .linalg import int_char_poly
@@ -98,33 +98,46 @@ class SearchResult:
 
 
 def canonical_form(coeffs) -> tuple:
-    """Public alias for the search's symmetry-class representative.
+    """The search's symmetry-class representative: the smallest
+    positive-lead coefficient tuple over the measure-preserving symmetries,
+    global sign, t -> -t and (when defined) reciprocal.  Trailing zeros are
+    trimmed first; the zero polynomial raises InputError.
 
     Kept as library API: board entries are compared through it, by the
     acceptance tests and by users matching a polynomial to its entry."""
-    return _canonical(tuple(int(c) for c in coeffs))
+    coeffs = [int(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
+        raise InputError("the zero polynomial has no canonical form")
+    c = tuple(coeffs) if coeffs[-1] > 0 else tuple(map(neg, coeffs))
+    return min(c, *_variants(c))
 
 
-def _canonical(coeffs: tuple) -> tuple:
-    """Smallest positive-lead coefficient tuple over the measure-preserving
-    symmetries: global sign, t -> -t, and (when defined) reciprocal.  Kept
-    within positive leads so canonical forms stay inside the enumerated
-    family."""
-    variants = []
-    base = list(coeffs)
-    for flip_t in (False, True):
-        v = [c * ((-1) ** i) if flip_t else c for i, c in enumerate(base)]
-        for rev in (False, True):
-            if rev:
-                if v[0] == 0:
-                    continue
-                w = list(reversed(v))
-            else:
-                w = list(v)
-            if w[-1] < 0:
-                w = [-c for c in w]
-            variants.append(tuple(w))
-    return min(variants)
+def _variants(coeffs: tuple):
+    """The images of a positive-lead tuple under reversal (when its constant
+    term is nonzero, so the degree is kept), t -> -t and both, each scaled
+    to a positive lead, in that order; built lazily, so a caller can stop at
+    the first one it needs."""
+    if coeffs[0]:
+        w = coeffs[::-1]
+        yield w if w[-1] > 0 else tuple(map(neg, w))
+    flipped = tuple(map(mul, coeffs, cycle((1, -1))))
+    yield flipped if flipped[-1] > 0 else tuple(map(neg, flipped))
+    if coeffs[0]:
+        w = flipped[::-1]
+        yield w if w[-1] > 0 else tuple(map(neg, w))
+
+
+def _is_canonical(coeffs: tuple) -> bool:
+    """canonical_form(coeffs) == coeffs for a nonempty tuple: a positive
+    lead and no variant smaller, stopping at the first smaller one."""
+    if coeffs[-1] <= 0:
+        return False
+    for v in _variants(coeffs):
+        if v < coeffs:
+            return False
+    return True
 
 
 def _candidate_polys(spec: SearchSpec):
@@ -146,7 +159,7 @@ def _candidate_polys(spec: SearchSpec):
                 coeffs = rest + (lead,)
                 if math.gcd(*coeffs) != 1:
                     continue
-                if _canonical(coeffs) == coeffs:
+                if _is_canonical(coeffs):
                     yield coeffs
 
 
@@ -177,10 +190,12 @@ def _square(c: list) -> list:
     out = [0] * (2 * len(c) - 1)
     for i, a in enumerate(c):
         if a:
-            out[2 * i] += a * a
+            k = 2 * i
+            out[k] += a * a
             a2 = 2 * a
-            for j in range(i + 1, len(c)):
-                out[i + j] += a2 * c[j]
+            for b in c[i + 1:]:
+                k += 1
+                out[k] += a2 * b
     return out
 
 
@@ -188,11 +203,14 @@ def _graeffe(coeffs: list) -> list:
     """g with g(t^2) = (-1)^n f(t) f(-t): the roots of f squared, same degree.
 
     With f(t) = E(t^2) + t O(t^2), f(t) f(-t) = E(t^2)^2 - t^2 O(t^2)^2."""
-    g = _square(coeffs[0::2]) + [0]
-    for i, c in enumerate(_square(coeffs[1::2]), 1):
-        g[i] -= c
-    g = g[:len(coeffs)]
-    return [-c for c in g] if len(coeffs) % 2 == 0 else g
+    # E^2 - t O^2, both padded to the n + 1 entries of g, negated for odd n
+    even, odd = _square(coeffs[0::2]), _square(coeffs[1::2])
+    odd.insert(0, 0)
+    if len(coeffs) % 2:
+        odd.append(0)
+        return list(map(sub, even, odd))
+    even.append(0)
+    return list(map(sub, odd, even))
 
 
 @lru_cache(maxsize=None)
@@ -208,8 +226,15 @@ def _graeffe_bound(coeffs: tuple, squarings: int) -> float:
     for _ in range(squarings):
         c = _graeffe(c)
     logs = _log_binomials(len(c) - 1)
-    _, j = max((math.log(abs(a)) - logs[j], j) for j, a in enumerate(c) if a)
-    value, error = sum_logs([(1, math.log(abs(c[j]))), (-1, logs[j])])
+    # the argmax, the largest j among ties; the lead is nonzero
+    best = -math.inf
+    for j, a in enumerate(c):
+        if a:
+            log_a = math.log(abs(a))
+            x = log_a - logs[j]
+            if x >= best:
+                best, top, log_top = x, j, log_a
+    value, error = sum_logs([(1, log_top), (-1, logs[top])])
     return math.nextafter(math.ldexp(value - error, -squarings), -math.inf)
 
 

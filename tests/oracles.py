@@ -9,7 +9,8 @@ matrices from the cofactor formula, Mahler measures from mpmath
 elimination on the Sylvester matrix.  The two exceptions are
 ``espectrum_reference`` and ``lehmer_reference``, which check an
 enumeration, not a kernel: they call the library's Berkowitz and Mahler
-kernels once per matrix or class.  Exact matrix products, powers and
+kernels once per matrix or class (the classes themselves come from
+``lehmer_candidates``, a brute-force enumeration of its own).  Exact matrix products, powers and
 conjugations are built here on plain rows, and ``power_map`` and
 ``disjoint_union`` build new self-map presentations from old ones for the
 entropy laws the tests check.
@@ -198,15 +199,40 @@ def espectrum_reference(dim: int, bound: int, measure=None):
     return tuple((v.as_float(), v.kind) for v in values), len(values), minimal
 
 
+def lehmer_candidates(spec):
+    """The Lehmer scan's class representatives, in scan order, by brute
+    force: every tuple of the family (degree, then lead, then
+    ``itertools.product`` order of the lower coefficients) that is
+    primitive, has a nonzero constant term, and is the smallest
+    positive-lead tuple among its eight images under global sign, t -> -t
+    and reversal."""
+    h = spec.max_height
+    leads = [1] if spec.monic_only else range(1, h + 1)
+    for degree in range(1, spec.max_degree + 1):
+        for lead in leads:
+            for rest in itertools.product(range(-h, h + 1), repeat=degree):
+                coeffs = rest + (lead,)
+                if rest[0] == 0 or math.gcd(*coeffs) != 1:
+                    continue
+                images = []
+                for x in (1, -1):
+                    f = [c * x ** i for i, c in enumerate(coeffs)]
+                    for g in (f, f[::-1]):
+                        for sign in (1, -1):
+                            images.append(tuple(sign * c for c in g))
+                if coeffs == min(g for g in images if g[-1] > 0):
+                    yield coeffs
+
+
 def lehmer_reference(spec):
     """The SearchResult of an unpruned Lehmer scan: the library's
-    ``_measure_one`` on every candidate class, then one sort of all the
-    positives by (measure, coefficients).  It checks an enumeration, not a
-    kernel: the pruned scan must measure a subset of these classes and
-    report the same result."""
+    ``_measure_one`` on every class of ``lehmer_candidates``, then one sort
+    of all the positives by (measure, coefficients).  It checks an
+    enumeration, not a kernel: the pruned scan must measure a subset of
+    these classes and report the same result."""
     from entrokit import search
 
-    candidates = list(search._candidate_polys(spec))
+    candidates = list(lehmer_candidates(spec))
     zero_count, quarantined, positives = 0, [], []
     for coeffs in candidates:
         kind, payload = search._measure_one(coeffs)

@@ -1,12 +1,14 @@
 import concurrent.futures
 import functools
 import math
+from collections import Counter
 
 import pytest
 
 from entrokit import search
 from entrokit.cli import dispatch
 from entrokit.errors import BudgetExceeded, InputError
+from entrokit.mahler import sum_logs
 from entrokit.polynomials import IntPolynomial, cyclotomic
 from entrokit.values import EntropyValue
 from entrokit.search import (
@@ -15,7 +17,12 @@ from entrokit.search import (
     espectrum_sample,
     lehmer_search,
 )
-from oracles import espectrum_reference, lehmer_reference, mahler_reference
+from oracles import (
+    espectrum_reference,
+    lehmer_candidates,
+    lehmer_reference,
+    mahler_reference,
+)
 
 PLASTIC_MEASURE = 0.28119957432359323
 
@@ -154,8 +161,7 @@ def test_budget_stops_the_enumeration(monkeypatch):
 _reference = functools.lru_cache(maxsize=None)(lehmer_reference)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("spec", [
+_SCAN_SPECS = [
     # monic height 1; top = 50 runs into the ties at log(theta_0)
     *(SearchSpec(max_degree=d, top=top) for d in range(1, 9) for top in (1, 5, 50)),
     # non-monic height 2
@@ -164,10 +170,90 @@ _reference = functools.lru_cache(maxsize=None)(lehmer_reference)
     # more places than positive classes: nothing is pruned
     SearchSpec(max_degree=4, top=10_000),
     SearchSpec(max_degree=3, max_height=2, monic_only=False, top=10_000),
-], ids=lambda s: f"deg{s.max_degree}-h{s.max_height}-{'monic' if s.monic_only else 'any'}"
-                 f"-top{s.top}")
+]
+
+
+def _scan_id(spec):
+    return (f"deg{spec.max_degree}-h{spec.max_height}"
+            f"-{'monic' if spec.monic_only else 'any'}-top{spec.top}")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec", _SCAN_SPECS, ids=_scan_id)
 def test_pruned_scan_matches_unpruned(spec, workers):
     assert lehmer_search(spec, workers) == _reference(spec)
+
+
+@pytest.mark.parametrize("spec", _SCAN_SPECS, ids=_scan_id)
+def test_candidates_match_the_oracle_in_order(spec):
+    # the budget cut pulls candidates in order, so the order is checked too
+    assert list(search._candidate_polys(spec)) == list(lehmer_candidates(spec))
+
+
+def test_canonical_form_trims_trailing_zeros():
+    # 1 + 2t, not t(t - 2): the zero lead is dropped before the symmetries
+    assert canonical_form((1, 2, 0)) == canonical_form((1, 2)) == (-2, 1)
+    assert canonical_form([0, -3, 0, 0]) == (0, 3)
+
+
+@pytest.mark.parametrize("coeffs", [(), (0,), (0, 0, 0)])
+def test_canonical_form_rejects_the_zero_polynomial(coeffs):
+    with pytest.raises(InputError):
+        canonical_form(coeffs)
+
+
+def _tuple_argmax_bound(coeffs, squarings):
+    """The Graeffe bound with its argmax taken over (value, j) tuples: the
+    largest j among ties."""
+    c = list(coeffs)
+    for _ in range(squarings):
+        c = search._graeffe(c)
+    n = len(c) - 1
+    logs = [math.log(math.comb(n, j)) for j in range(n + 1)]
+    _, j = max((math.log(abs(a)) - logs[j], j) for j, a in enumerate(c) if a)
+    value, error = sum_logs([(1, math.log(abs(c[j]))), (-1, logs[j])])
+    return math.nextafter(math.ldexp(value - error, -squarings), -math.inf)
+
+
+def test_graeffe_bound_matches_the_tuple_argmax():
+    classes = list(search._candidate_polys(SearchSpec(max_degree=8)))
+    assert len(classes) == 1760
+    # one squaring gives -4 + 12t - 8t^2 + t^3, where j = 0 and j = 1 tie
+    # at 4 / C(3, 0) = 12 / C(3, 1), and j = 0 would round to another float
+    classes.append((-2, -2, 2, 1))
+    for coeffs in classes:
+        for k in (1, 4, 8):
+            expected = _tuple_argmax_bound(coeffs, k)
+            assert search._graeffe_bound(coeffs, k).hex() == expected.hex(), (coeffs, k)
+
+
+def test_scan_work_is_pinned(monkeypatch):
+    # degree 8, height 1: 6,560 tuples reach the canonical test, which draws
+    # 12,252 variants in all (it stops at the first smaller one); 1,760
+    # classes are bounded at k = 4 and 392 deepened to k = 8
+    counts = Counter()
+    graeffe, variants, is_canonical = (search._graeffe, search._variants,
+                                       search._is_canonical)
+
+    def counted_graeffe(coeffs):
+        counts["graeffe"] += 1
+        return graeffe(coeffs)
+
+    def counted_variants(coeffs):
+        for v in variants(coeffs):
+            counts["variants"] += 1
+            yield v
+
+    def counted_is_canonical(coeffs):
+        counts["is_canonical"] += 1
+        return is_canonical(coeffs)
+
+    monkeypatch.setattr(search, "_graeffe", counted_graeffe)
+    monkeypatch.setattr(search, "_variants", counted_variants)
+    monkeypatch.setattr(search, "_is_canonical", counted_is_canonical)
+    lehmer_search(SearchSpec(max_degree=8))
+    assert counts == {"graeffe": 1760 * 4 + 392 * 8,
+                      "is_canonical": 6560, "variants": 12252}
 
 
 def test_pruning_skips_most_classes(monkeypatch):
@@ -212,6 +298,17 @@ if given is not None:
                              IntPolynomial((1,)))
         for k in range(9):
             assert search._graeffe_bound(f.coeffs, k) <= 0
+
+    _small = st.lists(st.integers(-3, 3), min_size=1, max_size=11)
+
+    @settings(max_examples=400)
+    @given(st.one_of(_small.filter(any),
+                     st.lists(st.integers(-3, 3), max_size=10).map(lambda c: c + [1])))
+    def test_is_canonical_holds_exactly_at_canonical_forms(coeffs):
+        # height <= 3, degree <= 10, monic or not; zero constant terms,
+        # zero and negative leads included
+        coeffs = tuple(coeffs)
+        assert search._is_canonical(coeffs) == (canonical_form(coeffs) == coeffs)
 
 
 def test_espectrum_dimension_one():
