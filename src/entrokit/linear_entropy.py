@@ -243,12 +243,17 @@ def classify_growth(a: RatMatrix, points, horizon: int = 12,
     (equivalently, iff the span escapes the Pinsker subspace).  Exact zero
     detection makes the dichotomy a real decision; intermediate horizons
     could not separate slow exponential from fast polynomial, so the
-    empirical profile is attached as evidence only.
+    empirical profile is attached as evidence only, built after the
+    decision: past the budget it raises BudgetExceeded naming the kind.
 
     Kept as library API: no subcommand calls it (``oracle`` reports the
     profile alone).
     """
-    profile = trajectory_oracle(a, points, horizon, budget)
     value = mahler_measure(orbit_char_poly(a.int_rows(), _int_points(points, a.n)))
     kind = "polynomial" if value.is_zero() else "exponential"
+    try:
+        profile = trajectory_oracle(a, points, horizon, budget)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(budget, f"the growth is {kind} (decided exactly), "
+                             "but its advisory sumset profile") from exc
     return GrowthClassification(kind, value, profile)

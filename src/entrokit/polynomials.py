@@ -246,45 +246,37 @@ def strip_cyclotomic_factors(f: IntPolynomial):
 
 
 # ----------------------------------------------------------------------
-# gcd over Q and squarefree decomposition
+# gcd over Z and squarefree decomposition
 
 def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Z, computed by the monic Euclid algorithm over Q."""
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in g.coeffs]
-    while b:
-        # a mod b
-        lead = b[-1]
-        for top in range(len(a) - 1, len(b) - 2, -1):
-            q = a[top] / lead
-            if q:
-                for j, c in enumerate(b):
-                    a[top - (len(b) - 1) + j] -= q * c
-        a, b = b, list(_trim(a))
-    if not a:
-        return IntPolynomial(())
-    return IntPolynomial(clear_denominators(a)[1]).primitive()
+    """The gcd, primitive with positive lead (gcd(f, 0) = pp(f), gcd(0, 0)
+    = 0), by the heuristic GCD (Char-Geddes-Gonnet, J. Symbolic Comput. 7,
+    1989): for primitive f, g, the base-xi digits in [-xi/2, xi/2) of
+    gcd(f(xi), g(xi)) are the coefficients of an h, and pp(h) is returned
+    once it divides f and g; otherwise xi grows.
 
-
-_SQUAREFREE_PRIME = 1_000_003
-
-
-def _squarefree_mod_p(f: IntPolynomial) -> bool:
-    """gcd(f, f') = 1 over GF(p) certifies squarefreeness over Q (one-sided)."""
-    p = _SQUAREFREE_PRIME
-    a = list(_trim([c % p for c in f.coeffs]))
-    b = list(_trim([(i * c) % p for i, c in enumerate(f.coeffs)][1:]))
-    if len(a) - 1 != f.degree:
-        return False  # leading coefficient vanished mod p; stay conservative
-    while b:
-        inv = pow(b[-1], -1, p)
-        for top in range(len(a) - 1, len(b) - 2, -1):
-            q = (a[top] * inv) % p
-            if q:
-                for j, c in enumerate(b):
-                    a[top - (len(b) - 1) + j] = (a[top - (len(b) - 1) + j] - q * c) % p
-        a, b = b, list(_trim(a))
-    return len(a) == 1
+    From xi >= 2 min(|f|_inf, |g|_inf) + 2 on, a dividing pp(h) is the gcd
+    G.  Say f has the smaller norm: f(xi) != 0, so h != 0 and G = pp(h) k.
+    G(xi) divides f(xi), g(xi), so h(xi) = cont(h) pp(h)(xi): k(xi) divides
+    cont(h) <= xi/2.  The roots of a non-constant k are roots of f, below
+    1 + |f|_inf <= xi/2 (Cauchy), so |k(xi)| > xi/2; hence k = 1.  The loop
+    ends: gcd(f(xi), g(xi)) = G(xi) s, where s = gcd((f/G)(xi), (g/G)(xi))
+    divides Res(f/G, g/G) != 0, and xi > 2 |Res| |G|_inf reads h = s G back.
+    """
+    if f.is_zero() or g.is_zero():
+        h = f + g
+        return h.primitive() if h.coeffs else h
+    f, g = f.primitive(), g.primitive()
+    xi = 2 * min(max(map(abs, f.coeffs)), max(map(abs, g.coeffs))) + 2
+    while True:
+        gamma, half, digits = math.gcd(f(xi), g(xi)), xi // 2, []
+        while gamma:
+            gamma, d = divmod(gamma + half, xi)
+            digits.append(d - half)
+        h = IntPolynomial(digits).primitive()
+        if try_exact_divide(f, h) is not None and try_exact_divide(g, h) is not None:
+            return h
+        xi = 2 * xi + 1
 
 
 def squarefree_decomposition(f: IntPolynomial):
@@ -292,17 +284,17 @@ def squarefree_decomposition(f: IntPolynomial):
 
     Returns a list of (factor, multiplicity) with f = lead-sign * prod
     factor**multiplicity up to content; factors are primitive with positive
-    lead.  A GF(p) gcd pre-test short-circuits the common squarefree case.
+    lead.  A constant gcd(f, f') returns f alone.
     """
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     f = f.primitive()
     if f.degree == 0:
         return []
-    if _squarefree_mod_p(f):
+    g = poly_gcd(f, f.derivative())
+    if g.degree == 0:
         return [(f, 1)]
     parts = []
-    g = poly_gcd(f, f.derivative())
     # f and every gcd below are primitive, so by Gauss's lemma each
     # division is exact over Z
     c = try_exact_divide(f, g)

@@ -6,7 +6,8 @@ questions from brute-force enumeration of residues or from back
 substitution on the triangular basis, characteristic polynomials of 2x2
 matrices from the cofactor formula, Mahler measures from mpmath
 ``polyroots`` at 100 digits, resultants from fraction-free Bareiss
-elimination on the Sylvester matrix.  The two exceptions are
+elimination on the Sylvester matrix, and polynomial gcds from the Euclid
+algorithm over Q (``gcd_over_q``).  The two exceptions are
 ``espectrum_reference`` and ``lehmer_reference``, which check an
 enumeration, not a kernel: they call the library's Berkowitz and Mahler
 kernels once per matrix or class (the classes themselves come from
@@ -157,6 +158,32 @@ def resultant(f, g) -> int:
     rows = [[0] * i + fc + [0] * (size - n - 1 - i) for i in range(m)]
     rows += [[0] * i + gc + [0] * (size - m - 1 - i) for i in range(n)]
     return bareiss_determinant(rows)
+
+
+def gcd_over_q(f, g) -> tuple:
+    """The gcd of two ascending integer coefficient sequences by the monic
+    Euclid algorithm over Q, scaled to a primitive integer polynomial with
+    positive lead; () when both are zero."""
+    def trim(a):
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    a, b = trim([Fraction(c) for c in f]), trim([Fraction(c) for c in g])
+    while b:
+        # a mod b
+        for top in range(len(a) - 1, len(b) - 2, -1):
+            q = a[top] / b[-1]
+            if q:
+                for j, c in enumerate(b):
+                    a[top - (len(b) - 1) + j] -= q * c
+        a, b = b, trim(a)
+    if not a:
+        return ()
+    d = math.lcm(*[c.denominator for c in a])
+    ints = [c.numerator * (d // c.denominator) for c in a]
+    content = functools.reduce(math.gcd, ints, 0) * (1 if ints[-1] > 0 else -1)
+    return tuple(c // content for c in ints)
 
 
 def classified_root_count(cl) -> int:

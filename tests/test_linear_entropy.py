@@ -250,6 +250,16 @@ def test_classify_growth():
     assert res.kind == "exponential"
 
 
+def test_classify_growth_decides_before_the_profile():
+    # the measure decides at once; only the advisory profile passes the
+    # budget, and the error says so
+    with pytest.raises(BudgetExceeded, match="growth is exponential .decided exactly.") as err:
+        classify_growth(FIB, [(1, 0), (0, 1)], 40, budget=10**5)
+    assert err.value.budget == 10**5
+    with pytest.raises(BudgetExceeded, match="growth is polynomial"):
+        classify_growth(RatMatrix([[1, 1], [0, 1]]), [(1, 0), (0, 1)], 400, budget=10**3)
+
+
 def test_block_triangular_addition_identity():
     # the addition identity, cross-checked on block-triangular matrices:
     # the entropy of [[B, C], [0, D]] is the sum over the diagonal blocks

@@ -11,6 +11,7 @@ from entrokit.errors import ZeroPolynomial
 from entrokit.linalg import RatMatrix
 from entrokit.linear_entropy import LinearFlow, topological_entropy
 from entrokit.mahler import mahler_measure
+from entrokit.roots import find_roots
 from entrokit.polynomials import IntPolynomial, cyclotomic, poly_from_json
 
 from oracles import bisect_real_root
@@ -151,3 +152,17 @@ def test_large_rational_roots_stay_exact():
     assert v.kind == "exact_log" and (v.base, v.multiplier) == (10 ** 13, 1)
     v = mahler_measure(IntPolynomial((-10 ** 400, 1)))
     assert v.kind == "exact_log" and (v.base, v.multiplier) == (10 ** 400, 1)
+
+
+@pytest.mark.parametrize("degree", [40, 60])
+def test_measure_of_a_square_is_twice_the_measure(degree):
+    # the law M(g**2) = 2 M(g) on a seeded +-1 polynomial g: the two
+    # certified intervals must meet, and the roots of g**2 are those of g,
+    # each twice
+    rng = random.Random(degree)
+    g = IntPolynomial([rng.choice((-1, 1)) for _ in range(degree + 1)])
+    lo, hi = mahler_measure(g * g).interval()
+    lo1, hi1 = mahler_measure(g).interval()
+    assert lo <= 2 * hi1 and 2 * lo1 <= hi
+    roots = find_roots(g * g)
+    assert len(roots) == degree and all(r.multiplicity == 2 for r in roots)

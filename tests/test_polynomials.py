@@ -17,6 +17,7 @@ from entrokit.polynomials import (
     is_prime,
     parse_fraction,
     poly_from_json,
+    poly_gcd,
     rational_roots,
     squarefree_decomposition,
     strip_cyclotomic_factors,
@@ -24,7 +25,7 @@ from entrokit.polynomials import (
 )
 from entrokit.roots import classify_unit_circle
 
-from oracles import delta_reference, resultant
+from oracles import delta_reference, gcd_over_q, resultant
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 
@@ -226,6 +227,48 @@ def test_squarefree_decomposition():
     assert (IntPolynomial((-1, 1)), 2) in parts
 
 
+def test_squarefree_decomposition_of_a_repeated_pm1_factor():
+    # (2t - 3) g**3 for a squarefree +-1 polynomial g of degree 40; 2t - 3
+    # is coprime to g, since a +-1 polynomial has no rational root but +-1
+    rng = random.Random(40)
+    g = IntPolynomial([rng.choice((-1, 1)) for _ in range(41)]).primitive()
+    assert gcd_over_q(g.coeffs, g.derivative().coeffs) == (1,)
+    linear = IntPolynomial((-3, 2))
+    f = linear * g * g * g
+    assert squarefree_decomposition(f) == [(linear, 1), (g, 3)]
+    assert squarefree_decomposition(-f * 7) == [(linear, 1), (g, 3)]
+
+
+def test_poly_gcd_zero_arguments():
+    # gcd(f, 0) = gcd(0, f) = pp(f), gcd(0, 0) = 0; results are primitive
+    # with positive lead
+    f = IntPolynomial((-4, 0, -6))
+    zero = IntPolynomial(())
+    assert poly_gcd(f, zero) == poly_gcd(zero, f) == IntPolynomial((2, 0, 3))
+    assert poly_gcd(zero, zero).is_zero()
+    assert poly_gcd(IntPolynomial((-5,)), zero) == IntPolynomial((1,))
+    assert poly_gcd(IntPolynomial((6,)), f) == IntPolynomial((1,))
+    assert poly_gcd(f * -3, f * 5) == IntPolynomial((2, 0, 3))
+
+
+def test_poly_gcd_grows_xi_until_the_candidate_divides(monkeypatch):
+    # f = 2t^3 - t^2 - t + 2 is squarefree, but at xi = 6 and 13 the digits
+    # of gcd(f(xi), f'(xi)) read t + 1 and t - 6; only xi = 27 reads 1.  A
+    # round ends in a division of f by its candidate, so these are counted.
+    f = IntPolynomial((2, -1, -1, 2))
+    divisors = []
+    divide = polynomials.try_exact_divide
+
+    def counted(a, d):
+        if a == f:
+            divisors.append(d.coeffs)
+        return divide(a, d)
+
+    monkeypatch.setattr(polynomials, "try_exact_divide", counted)
+    assert poly_gcd(f, f.derivative()) == IntPolynomial((1,))
+    assert divisors == [(1, 1), (-6, 1), (1,)]
+
+
 def test_poly_json_round_trip():
     # rational coefficients are scaled by the lcm of their denominators
     f = poly_from_json(["1/2", "-3", "2/7"])
@@ -249,7 +292,7 @@ def test_entry_digit_bound_counts_digits_and_exponent():
 
 
 try:
-    from hypothesis import given, strategies as st
+    from hypothesis import assume, given, settings, strategies as st
 except ImportError:  # the property tests below need hypothesis
     given = None
 
@@ -299,3 +342,66 @@ if given is not None:
     @given(_monic, st.integers(1, 60))
     def test_delta_exact_agrees_with_sylvester(f, n):
         assert delta_exact(f, n) == delta_reference(f.coeffs, n)
+
+    # ------------------------------------------------------------------
+    # gcd over Z and squarefree decomposition, against the Euclid over Q
+
+    _factor = st.lists(st.integers(-50, 50), min_size=1, max_size=7).map(IntPolynomial)
+
+    @given(_factor, _factor, _factor)
+    def test_poly_gcd_matches_the_euclid_over_q(g, a, b):
+        f, h = g * a, g * b
+        assert poly_gcd(f, h).coeffs == gcd_over_q(f.coeffs, h.coeffs)
+        assert poly_gcd(f, f.derivative()).coeffs \
+            == gcd_over_q(f.coeffs, f.derivative().coeffs)
+
+    @settings(max_examples=50)
+    @given(_factor, _factor, _factor)
+    def test_poly_gcd_agrees_with_sympy(g, a, b):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        f, h = g * a, g * b
+        want = sympy.Poly(list(reversed(f.coeffs)) or [0], x, domain=sympy.ZZ).gcd(
+            sympy.Poly(list(reversed(h.coeffs)) or [0], x, domain=sympy.ZZ))
+        got = poly_gcd(f, h)
+        if want.is_zero:
+            assert got.is_zero()
+        else:
+            want = want.primitive()[1]
+            want = -want if want.LC() < 0 else want
+            assert got.coeffs == tuple(int(c) for c in reversed(want.all_coeffs()))
+
+    def _power_product(pairs):
+        f = IntPolynomial((1,))
+        for p, k in pairs:
+            for _ in range(k):
+                f = f * p
+        return f
+
+    def _is_squarefree(p):
+        return gcd_over_q(p.coeffs, p.derivative().coeffs) == (1,)
+
+    _sqf_factor = st.lists(st.integers(-6, 6), min_size=2, max_size=5).map(
+        IntPolynomial).filter(lambda p: p.degree >= 1)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(_sqf_factor, st.integers(1, 3)), min_size=1, max_size=3))
+    def test_squarefree_decomposition_of_coprime_powers(pairs):
+        # f = prod p_i ** k_i for squarefree, pairwise coprime p_i of total
+        # degree <= 12: the part of multiplicity k is pp(prod of the p_i
+        # with k_i = k)
+        assume(sum(p.degree * k for p, k in pairs) <= 12)
+        assume(all(_is_squarefree(p) for p, _ in pairs))
+        assume(all(gcd_over_q(p.coeffs, q.coeffs) == (1,)
+                   for i, (p, _) in enumerate(pairs) for q, _ in pairs[:i]))
+        f = _power_product(pairs)
+        parts = squarefree_decomposition(f)
+        assert _power_product(parts) == f.primitive()
+        assert all(_is_squarefree(p) and p.lead > 0 and p.content() == 1
+                   for p, _ in parts)
+        assert all(gcd_over_q(p.coeffs, q.coeffs) == (1,)
+                   for i, (p, _) in enumerate(parts) for q, _ in parts[:i])
+        want = {}
+        for p, k in pairs:
+            want[k] = want.get(k, IntPolynomial((1,))) * p
+        assert parts == [(want[k].primitive(), k) for k in sorted(want)]

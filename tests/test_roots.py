@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -329,13 +328,14 @@ def test_classify_outside_product_matches_mahler():
 
 
 def test_classification_is_one_pass(monkeypatch):
-    # one find_roots call per classification and no gcd(g, g*), whether
-    # boundary roots are present (Lehmer) or not (random degree 64)
-    calls = Counter()
+    # one find_roots call per classification, and one gcd, the squarefree
+    # check gcd(g, g') of the cofactor g that find_roots gets: no gcd(g, g*),
+    # whether boundary roots are present (Lehmer) or not (random degree 64)
+    calls = []
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls.append((name, args))
             return original(*args, **kwargs)
         return wrapper
 
@@ -348,7 +348,9 @@ def test_classification_is_one_pass(monkeypatch):
         calls.clear()
         cl = classify_unit_circle(f)
         assert classified_root_count(cl) == f.degree
-        assert calls == Counter(find_roots=1)
+        assert [name for name, _ in calls] == ["find_roots", "poly_gcd"]
+        g = calls[0][1][0]
+        assert calls[1][1] == (g, g.derivative())
 
 
 def _counts_60_digits(coeffs):
