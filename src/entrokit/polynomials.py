@@ -187,30 +187,39 @@ def cyclotomic(m: int) -> IntPolynomial:
     return poly
 
 
-# the largest degree d sieved so far and its (m, euler_phi(m) <= d) pairs
-_totients = [0, ()]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_candidates(degree: int):
     """All m with euler_phi(m) <= degree, in increasing order.
 
-    euler_phi(m) >= sqrt(m / 2) for all m, so euler_phi(m) <= d forces
-    m <= 2*d**2: one totient sieve to that bound serves every degree up to
-    d, and only the pairs it keeps outlive it.
+    A depth-first walk builds them from prime powers: m = prod p**a has
+    euler_phi(m) = prod p**(a-1) (p - 1), which only grows as a factor
+    p**a joins, so each branch takes the primes p with p - 1 <= degree in
+    increasing order and stops at the first that overshoots.
     """
     if degree < 1:
         return []
-    if degree > _totients[0]:
-        limit = 2 * degree * degree
-        phi = list(range(limit + 1))
-        for p in range(2, limit + 1):
-            if phi[p] == p:  # p prime
-                for k in range(p, limit + 1, p):
-                    phi[k] -= phi[k] // p
-        _totients[:] = degree, [(m, phi[m]) for m in range(1, limit + 1)
-                                if phi[m] <= degree]
-    return [m for m, phi_m in _totients[1] if phi_m <= degree]
+    primes = [p for p in range(2, degree + 2) if is_prime(p)]
+    out = []
+    stack = [(1, 1, 0)]     # (m, euler_phi(m), index of the least prime left)
+    while stack:
+        m, phi, i = stack.pop()
+        out.append(m)
+        for j in range(i, len(primes)):
+            p = primes[j]
+            q, phi_q = p, phi * (p - 1)
+            if phi_q > degree:
+                break
+            while phi_q <= degree:
+                stack.append((m * q, phi_q, j + 1))
+                q, phi_q = q * p, phi_q * p
+    return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_at_two(m: int):
+    """(Phi_m(2), Phi_m(-2)), neither of them 0."""
+    phi_m = cyclotomic(m)
+    return phi_m(2), phi_m(-2)
 
 
 def strip_cyclotomic_factors(f: IntPolynomial):
@@ -219,27 +228,26 @@ def strip_cyclotomic_factors(f: IntPolynomial):
     Returns (factors, cofactor) where factors is a sorted list of
     (m, multiplicity) pairs and cofactor has no cyclotomic divisors.
     Purely exact: no floating point is involved.  A divisibility screen at
-    t = 2 (Phi_m | g forces Phi_m(2) | g(2) over Z) skips most of the trial
-    divisions.
+    t = 2 and t = -2 (Phi_m | g forces Phi_m(2) | g(2) and Phi_m(-2) |
+    g(-2) over Z) runs before every trial division and skips most of them;
+    after each division g(2) and g(-2) are divided by Phi_m(2) and Phi_m(-2).
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     factors = {}
     g = f
-    g2 = g(2)
+    g2, gm2 = g(2), g(-2)
     for m in cyclotomic_candidates(f.degree):
         phi_m = cyclotomic(m)
         if phi_m.degree > g.degree:
             continue
-        if g2 != 0 and g2 % phi_m(2) != 0:
-            continue
-        while True:
+        a, b = _cyclotomic_at_two(m)
+        while g2 % a == 0 and gm2 % b == 0:
             q = try_exact_divide(g, phi_m)
             if q is None:
                 break
             factors[m] = factors.get(m, 0) + 1
-            g = q
-            g2 = g(2)
+            g, g2, gm2 = q, g2 // a, gm2 // b
         if g.degree == 0:
             break
     return sorted(factors.items()), g

@@ -21,7 +21,9 @@ the pass before it, unless one of them is not finite.  A root
 whose step falls below the stopping threshold is frozen and no longer
 updated, though the Aberth sums of the others still run over it; the loop
 ends when every root is frozen, and the radii are then computed for every
-root at its final position.
+root at its final position.  Each update and each radius takes f and f'
+from one Horner pass over the coefficient pairs, and the disks are checked
+for disjointness by a sweep over their real parts.
 Initial guesses are Bini's: each edge of the upper convex hull of the
 points (k, log|a_k|) puts as many guesses on one circle as it spans, at
 fixed angles, so the loop starts near the moduli of the roots and runs are
@@ -141,11 +143,16 @@ def _roots_squarefree(f: IntPolynomial, tol: float):
     raise NoConvergence(_MAX_ITER)
 
 
-def _horner(coeffs, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
+def _f_and_df(top, rest, c0, x):
+    """(f(x), f'(x)) by one Horner pass: top holds the leading coefficients
+    of f and f', rest the next ones of both, highest first, and c0 the
+    constant term of f.  Each accumulator makes the same operations, in the
+    same order, as a Horner pass of its own."""
+    fv, dv = top
+    for c, d in rest:
+        fv = fv * x + c
+        dv = dv * x + d
+    return fv * x + c0, dv
 
 
 def _upper_hull(coeffs):
@@ -213,10 +220,13 @@ def _aberth(ctx, f: IntPolynomial, tol: float, dps: int, zs):
     except OverflowError:  # beyond double range: leave it to mpmath
         return None, None
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    top, rest, c0 = ((coeffs[-1], dcoeffs[-1]),
+                     list(zip(coeffs[-2:0:-1], dcoeffs[-2::-1])), coeffs[0])
     if ctx is _DOUBLE:
         stop, nudge = 1e-15, 1e-6 + 1e-6j
     else:
         stop, nudge = ctx.mpf(10) ** (5 - dps), ctx.mpf(10) ** (-dps // 2)
+    one, zero = ctx.mpc(1), ctx.mpc(0)
     active = range(n)
     for _ in range(_MAX_ITER):
         if not active:
@@ -224,17 +234,22 @@ def _aberth(ctx, f: IntPolynomial, tol: float, dps: int, zs):
         threshold = stop * max(1, max(abs(z) for z in zs))
         moving = []
         for k in active:
-            dv = _horner(dcoeffs, zs[k])
+            zk = zs[k]
+            fv, dv = _f_and_df(top, rest, c0, zk)
             if dv == 0:
                 zs[k] += nudge
                 moving.append(k)
                 continue
-            w = _horner(coeffs, zs[k]) / dv
-            s = 0
-            for j in range(n):
-                if j != k:
-                    diff = zs[k] - zs[j]
-                    s += 1 / (diff if diff != 0 else nudge)
+            w = fv / dv
+            others = zs[:k] + zs[k + 1:]
+            try:
+                s = zero
+                for z in others:
+                    s += one / (zk - z)
+            except ZeroDivisionError:  # two equal iterates: nudge their difference
+                s = zero
+                for z in others:
+                    s += one / ((zk - z) or nudge)
             denom = 1 - w * s
             step = w / denom if denom != 0 else w
             zs[k] -= step
@@ -243,10 +258,10 @@ def _aberth(ctx, f: IntPolynomial, tol: float, dps: int, zs):
         active = moving
     pairs = []
     for z in zs:
-        dv = _horner(dcoeffs, z)
+        fv, dv = _f_and_df(top, rest, c0, z)
         if dv == 0:
             return zs, None
-        radius = float(_SLACK * n * abs(_horner(coeffs, z) / dv))
+        radius = float(_SLACK * n * abs(fv / dv))
         allowance = 2.0 ** -50 * (abs(complex(z)) + 1.0)
         if ctx is _DOUBLE:
             radius += allowance
@@ -262,9 +277,23 @@ def _aberth(ctx, f: IntPolynomial, tol: float, dps: int, zs):
 
 
 def _disjoint(pairs) -> bool:
-    """True when the disks (z, r) are pairwise disjoint."""
-    return all(abs(z - w) > r + s
-               for i, (z, r) in enumerate(pairs) for w, s in pairs[i + 1:])
+    """True when the disks (z, r) are pairwise disjoint: |z - w| > r + s.
+
+    A sweep over the real parts: in increasing order of z.real, each disk
+    is compared with the later ones until w.real - z.real > r + rmax, rmax
+    the widest radius.  Every pair left out then has |z - w| >= w.real -
+    z.real > r + s, each side as rounded, so the answer is the all-pairs one.
+    """
+    disks = sorted(pairs, key=lambda disk: disk[0].real)
+    rmax = max((r for _, r in disks), default=0.0)
+    for i, (z, r) in enumerate(disks):
+        reach = r + rmax
+        for w, s in disks[i + 1:]:
+            if w.real - z.real > reach:
+                break
+            if not abs(z - w) > r + s:
+                return False
+    return True
 
 
 # ----------------------------------------------------------------------

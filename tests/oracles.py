@@ -7,11 +7,16 @@ substitution on the triangular basis, characteristic polynomials of 2x2
 matrices from the cofactor formula, Mahler measures from mpmath
 ``polyroots`` at 100 digits, resultants from fraction-free Bareiss
 elimination on the Sylvester matrix, and polynomial gcds from the Euclid
-algorithm over Q (``gcd_over_q``).  The two exceptions are
-``espectrum_reference`` and ``lehmer_reference``, which check an
+algorithm over Q (``gcd_over_q``).  Four exceptions call library code on
+purpose.  ``espectrum_reference`` and ``lehmer_reference`` check an
 enumeration, not a kernel: they call the library's Berkowitz and Mahler
 kernels once per matrix or class (the classes themselves come from
-``lehmer_candidates``, a brute-force enumeration of its own).  Exact matrix products, powers and
+``lehmer_candidates``, a brute-force enumeration of its own).
+``aberth_reference`` is the root finder's Aberth loop in its plain form
+(separate Horner passes, guarded sums, all-pairs disjointness) from the
+library's starts, which the faster loop must match bit for bit, and
+``strip_reference`` divides by the library's cyclotomic polynomials, every
+candidate and with no screen.  Exact matrix products, powers and
 conjugations are built here on plain rows, and ``power_map`` and
 ``disjoint_union`` build new self-map presentations from old ones for the
 entropy laws the tests check.
@@ -285,6 +290,113 @@ def mahler_reference(coeffs, dps=100):
         logs = [mpmath.log(abs(r)) for r in roots]
         return (mpmath.log(abs(coeffs[-1])) + sum(x for x in logs if x > 0),
                 max([mpmath.mpf(0)] + logs))
+
+
+def _horner(coeffs, x):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def disjoint_reference(pairs) -> bool:
+    """True when the disks (z, r) are pairwise disjoint, over all pairs."""
+    return all(abs(z - w) > r + s
+               for i, (z, r) in enumerate(pairs) for w, s in pairs[i + 1:])
+
+
+def aberth_reference(ctx, f, tol: float, dps: int, zs):
+    """``roots._aberth`` in its plain form, for bit-for-bit comparison: f
+    and f' by separate Horner passes, each Aberth sum over every j != k
+    with a zero difference replaced by the nudge, and the disjointness of
+    the disks over all pairs.  The starts, slack and sweep cap are the
+    library's own."""
+    from entrokit.roots import _DOUBLE, _MAX_ITER, _SLACK, _starts
+
+    n = f.degree
+    try:
+        coeffs = [ctx.mpf(c) for c in f.coeffs]
+        if zs and all(map(ctx.isfinite, zs)):
+            zs = [ctx.mpc(z) for z in zs]
+        else:
+            zs = _starts(ctx, f.coeffs)
+    except OverflowError:
+        return None, None
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    if ctx is _DOUBLE:
+        stop, nudge = 1e-15, 1e-6 + 1e-6j
+    else:
+        stop, nudge = ctx.mpf(10) ** (5 - dps), ctx.mpf(10) ** (-dps // 2)
+    active = range(n)
+    for _ in range(_MAX_ITER):
+        if not active:
+            break
+        threshold = stop * max(1, max(abs(z) for z in zs))
+        moving = []
+        for k in active:
+            dv = _horner(dcoeffs, zs[k])
+            if dv == 0:
+                zs[k] += nudge
+                moving.append(k)
+                continue
+            w = _horner(coeffs, zs[k]) / dv
+            s = 0
+            for j in range(n):
+                if j != k:
+                    diff = zs[k] - zs[j]
+                    s += 1 / (diff if diff != 0 else nudge)
+            denom = 1 - w * s
+            step = w / denom if denom != 0 else w
+            zs[k] -= step
+            if abs(step) >= threshold:
+                moving.append(k)
+        active = moving
+    pairs = []
+    for z in zs:
+        dv = _horner(dcoeffs, z)
+        if dv == 0:
+            return zs, None
+        radius = float(_SLACK * n * abs(_horner(coeffs, z) / dv))
+        allowance = 2.0 ** -50 * (abs(complex(z)) + 1.0)
+        if ctx is _DOUBLE:
+            radius += allowance
+            certified = radius < tol
+        else:
+            radius += 10.0 ** (3 - dps)
+            certified = radius < tol * max(1, abs(z))
+            radius += allowance
+        if not certified or radius == math.inf:
+            return zs, None
+        pairs.append((complex(z), radius))
+    return zs, (pairs if disjoint_reference(pairs) else None)
+
+
+def _euler_phi(m: int) -> int:
+    """euler_phi(m) by trial division."""
+    phi, p, rest = m, 2, m
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return phi - phi // rest if rest > 1 else phi
+
+
+def strip_reference(f):
+    """(factors, cofactor) as ``strip_cyclotomic_factors`` gives them, by
+    trial division of f by every Phi_m with euler_phi(m) <= deg f, m in
+    increasing order up to 2 deg(f)**2 (euler_phi(m) >= sqrt(m/2)), with
+    no screen."""
+    from entrokit.polynomials import cyclotomic, try_exact_divide
+
+    factors, g = {}, f
+    for m in range(1, 2 * f.degree ** 2 + 1):
+        if _euler_phi(m) <= f.degree:
+            while (q := try_exact_divide(g, cyclotomic(m))) is not None:
+                factors[m] = factors.get(m, 0) + 1
+                g = q
+    return sorted(factors.items()), g
 
 
 def interval_contains(value: dict, reference) -> bool:

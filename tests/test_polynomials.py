@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import repeat
 
@@ -25,7 +26,7 @@ from entrokit.polynomials import (
 )
 from entrokit.roots import classify_unit_circle
 
-from oracles import delta_reference, gcd_over_q, resultant
+from oracles import delta_reference, gcd_over_q, resultant, strip_reference
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 
@@ -146,18 +147,30 @@ def test_is_zero_mahler_requires_primitive():
         classify_unit_circle(IntPolynomial((2, 2)))
 
 
-def test_cyclotomic_candidates_match_brute_force_totients(monkeypatch):
+def test_cyclotomic_candidates_match_brute_force_totients():
     # euler_phi(m) as a gcd count, over 1..2 d^2 for d up to 40
     top = 2 * 40 * 40
     phi = [0] + [sum(map((1).__eq__, map(math.gcd, range(m), repeat(m))))
                  for m in range(1, top + 1)]
     for order in (range(1, 41), range(40, 0, -1)):
-        monkeypatch.setattr(polynomials, "_totients", [0, ()])
         cyclotomic_candidates.cache_clear()
         for d in order:
             want = [m for m in range(1, 2 * d * d + 1) if phi[m] <= d]
             assert cyclotomic_candidates(d) == want
     cyclotomic_candidates.cache_clear()
+
+
+def test_cyclotomic_candidates_of_a_large_degree_stay_small():
+    # a totient sieve to 2 d^2 peaked at about 320 MB for d = 2000
+    cyclotomic_candidates.cache_clear()
+    tracemalloc.start()
+    try:
+        candidates = cyclotomic_candidates(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        cyclotomic_candidates.cache_clear()
+    assert len(candidates) == 3884 and peak < 2 * 10 ** 6
 
 
 def test_strip_cyclotomic_factors():
@@ -405,3 +418,22 @@ if given is not None:
         for p, k in pairs:
             want[k] = want.get(k, IntPolynomial((1,))) * p
         assert parts == [(want[k].primitive(), k) for k in sorted(want)]
+
+    # ------------------------------------------------------------------
+    # the screen of strip_cyclotomic_factors, against trial division
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.integers(1, 60), st.integers(1, 3)), min_size=1, max_size=4),
+           _nonzero.filter(lambda c: len(c) <= 5))
+    def test_strip_cyclotomic_factors_matches_unscreened_division(powers, cofactor):
+        # Phi_m of m <= 60 with multiplicities 1-3 times a cofactor that may
+        # hold cyclotomic factors itself; factors past degree 64 are left
+        # out to keep the oracle's trial divisions few
+        f = IntPolynomial(cofactor)
+        for m, k in powers:
+            for _ in range(k):
+                if f.degree + cyclotomic(m).degree <= 64:
+                    f = f * cyclotomic(m)
+        factors, rest = strip_cyclotomic_factors(f)
+        assert (factors, rest) == strip_reference(f)
+        assert math.prod([cyclotomic(m) for m, k in factors for _ in range(k)], start=rest) == f

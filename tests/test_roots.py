@@ -12,7 +12,8 @@ import entrokit.roots
 from entrokit.mahler import mahler_measure
 from entrokit.roots import classify_unit_circle, find_roots
 
-from oracles import bisect_real_root, classified_root_count, mahler_reference, resultant
+from oracles import (aberth_reference, bisect_real_root, classified_root_count,
+                     disjoint_reference, mahler_reference, resultant)
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 DOUBLE = entrokit.roots._DOUBLE
@@ -173,45 +174,47 @@ def test_every_root_in_exactly_one_disk(f, tol):
         assert sum(_contains(r, root) for r in roots) == 1
 
 
-def _horner_arguments(monkeypatch, f, tol=1e-12):
-    """The arguments of every ``roots._horner`` call made by find_roots(f,
-    tol), after checking the root count."""
-    calls = []
-    horner = entrokit.roots._horner
+def _evaluation_points(monkeypatch, f, tol=1e-12):
+    """The point of every evaluation of f and f' made by find_roots(f,
+    tol), after checking the root count and that the radius pass, one
+    evaluation per root, was seen."""
+    points = []
+    f_and_df = entrokit.roots._f_and_df
 
-    def spy(coeffs, x):
-        calls.append(x)
-        return horner(coeffs, x)
+    def spy(top, rest, c0, x):
+        points.append(x)
+        return f_and_df(top, rest, c0, x)
 
-    monkeypatch.setattr(entrokit.roots, "_horner", spy)
+    monkeypatch.setattr(entrokit.roots, "_f_and_df", spy)
     roots = find_roots(f, tol)
     assert sum(r.multiplicity for r in roots) == f.degree
-    return calls
+    assert len(points) >= f.degree
+    return points
 
 
-# _horner calls of find_roots on the degree-100 polynomial below when every
-# Aberth start sat on the Cauchy circle of radius 1 + max|a_i|/|a_n| = 2
-CAUCHY_START_HORNER_CALLS = 7200
+# evaluation points of find_roots on the degree-100 polynomial below when
+# every Aberth start sat on the Cauchy circle of radius 1 + max|a_i|/|a_n| = 2
+CAUCHY_START_POINTS = 3600
 
 
 def test_newton_polygon_starts_halve_the_work(monkeypatch):
-    calls = _horner_arguments(monkeypatch, _plus_minus_one(100, seed=100))
-    assert len(calls) <= CAUCHY_START_HORNER_CALLS // 2
+    points = _evaluation_points(monkeypatch, _plus_minus_one(100, seed=100))
+    assert len(points) <= CAUCHY_START_POINTS // 2
 
 
 def test_frozen_roots_are_not_swept_again(monkeypatch):
-    # 9 sweeps over all 100 roots and the radius pass took 2,000 calls;
+    # 9 sweeps over all 100 roots and the radius pass took 1,000 points;
     # most roots converge several sweeps before the last one
-    calls = _horner_arguments(monkeypatch, _plus_minus_one(100, seed=100))
-    assert len(calls) <= 1500
+    points = _evaluation_points(monkeypatch, _plus_minus_one(100, seed=100))
+    assert len(points) <= 750
 
 
 def test_the_mp_pass_starts_from_the_double_iterates(monkeypatch):
-    # tol = 1e-30 fails in doubles; restarted from _starts, the mp pass made
-    # 660 calls, and from the double iterates it needs two sweeps and the
-    # radius pass, 180 calls
-    calls = _horner_arguments(monkeypatch, _plus_minus_one(30, seed=30), 1e-30)
-    assert sum(not isinstance(x, complex) for x in calls) <= 240
+    # tol = 1e-30 fails in doubles; restarted from _starts, the mp pass
+    # evaluated at 330 points, and from the double iterates it needs two
+    # sweeps and the radius pass, 90 points
+    points = _evaluation_points(monkeypatch, _plus_minus_one(30, seed=30), 1e-30)
+    assert sum(not isinstance(x, complex) for x in points) <= 120
 
 
 def test_non_finite_iterates_restart_from_the_starts(monkeypatch):
@@ -252,6 +255,49 @@ def test_double_context_is_mpmath_fp_bit_for_bit(monkeypatch, f):
     monkeypatch.setattr(entrokit.roots, "_DOUBLE", mpmath.fp)
     assert repr(entrokit.roots._starts(mpmath.fp, f.coeffs)) == repr(starts)
     assert repr(entrokit.roots._aberth(mpmath.fp, f, 1e-12, 15, None)) == repr((zs, pairs))
+
+
+# t**3 - 3t + 1 with f'(1) = 0: an iterate at 1 is nudged, and two equal
+# iterates make the Aberth sum divide by zero and fall back to the nudge
+PLANTED = IntPolynomial((1, -3, 0, 1))
+PLANTED_STARTS = ([0.5 + 0.25j, 0.5 + 0.25j, -2 + 0j], [1 + 0j, 0.3 + 0.1j, -2 + 0.5j],
+                  [1 + 0j, 1 + 0j, -2 + 0.5j])
+
+
+def _aberth_inputs():
+    """(f, starts) for the bit-for-bit comparison of the Aberth loop with
+    its plain form: seeded +-1 polynomials of degree 5-130, Lehmer's
+    polynomial times Phi_7 Phi_12, clustered roots a (t - 1)**k + c, and
+    the planted starts (None: Bini's starts)."""
+    cases = [(_plus_minus_one(d, seed=d), None) for d in range(5, 131, 25)]
+    cases.append((LEHMER * cyclotomic(7) * cyclotomic(12), None))
+    for a, k, c in ((1, 5, 1), (1000, 6, 1), (10 ** 6, 8, -3)):
+        cluster = math.prod([IntPolynomial((-1, 1))] * k, start=IntPolynomial((a,)))
+        cases.append((cluster + IntPolynomial((c,)), None))
+    return cases + [(PLANTED, starts) for starts in PLANTED_STARTS]
+
+
+@pytest.mark.parametrize("dps, top", [(15, 130), (30, 80), (60, 55)],
+                         ids=["double", "mp30", "mp60"])
+def test_aberth_is_its_plain_form_bit_for_bit(dps, top):
+    # the mp passes start where find_roots starts them, from the double
+    # iterates, and from Bini's starts up to degree 30; they stop at degree
+    # top, where they take about a second
+    for f, starts in _aberth_inputs():
+        runs = [starts]
+        if dps > 15:
+            if f.degree > top:
+                continue
+            ctx, tol = mpmath.mp, 10.0 ** (15 - dps)
+            double_zs = aberth_reference(DOUBLE, f, 1e-12, 15, starts)[0]
+            runs = [double_zs] + ([starts] if f.degree <= 30 else [])
+        else:
+            ctx, tol = DOUBLE, 1e-12
+        for zs in runs:
+            with mpmath.workdps(dps):
+                got = entrokit.roots._aberth(ctx, f, tol, dps, zs and list(zs))
+                want = aberth_reference(ctx, f, tol, dps, zs and list(zs))
+            assert repr(got) == repr(want)
 
 
 def test_a_linear_root_beyond_double_range_is_not_certified():
@@ -415,6 +461,18 @@ if given is not None:
         return sum(k * mahler_reference([int(c) for c in reversed(g.all_coeffs())])[0]
                    for g, k in factors)
 
+    # quarter-integer centres and radii make tangent disks, equal real parts
+    # and identical centres frequent; 1e3 is a disk much wider than the rest
+    _quarter = st.integers(-16, 16).map(lambda k: k / 4)
+    _coordinate = st.one_of(_quarter, st.floats(-4, 4))
+    _radius = st.one_of(_quarter.map(abs), st.floats(0, 3), st.sampled_from((1e3, 1e-300)))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.builds(complex, _coordinate, _coordinate), _radius),
+                    max_size=12))
+    def test_disjoint_is_the_all_pairs_test(pairs):
+        assert entrokit.roots._disjoint(pairs) == disjoint_reference(pairs)
+
     @settings(max_examples=60)
     @given(st.sampled_from(SALEM), st.integers(1, 20), st.integers(0, 2), _reciprocal())
     def test_reciprocal_products(salem, m, power, g):
@@ -427,6 +485,20 @@ if given is not None:
         with mpmath.workdps(100):
             reference = mahler_reference(salem.coeffs)[0] + _reference(g)
             assert lo <= reference <= hi
+
+
+def test_disjoint_on_tangent_equal_and_wide_disks():
+    disjoint = entrokit.roots._disjoint
+    small = [(complex(x, 0.0), 0.25) for x in range(10)]
+    for pairs, want in (
+            ([(0j, 1.0), (3 + 0j, 2.0)], False),              # tangent: |z - w| == r + s
+            ([(0j, 2.0), (3 + 4j, 3.0)], False),              # tangent off the axis
+            ([(1 + 1j, 0.0), (1 + 1j, 0.0)], False),          # identical centres
+            ([(1 + 0j, 0.5), (1 + 2j, 0.5), (1 - 2j, 0.5)], True),   # equal real parts
+            (small + [(30 + 0j, 21.0)], False),               # wide disk meets the last small one
+            (small + [(30 + 0j, 20.5)], True)):
+        assert disjoint(pairs) is disjoint_reference(pairs) is want
+        assert disjoint(pairs[::-1]) is want
 
 
 def test_classification_counts_rational_roots_and_powers_of_t():
