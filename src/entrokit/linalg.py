@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, RankDeficient, SingularMap
-from .polynomials import IntPolynomial, clear_denominators, json_list, \
-    parse_fraction
+from .polynomials import IntPolynomial, as_integer, clear_denominators, \
+    json_list, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class Lattice:
 
     @staticmethod
     def from_columns(columns) -> "Lattice":
-        columns = [tuple(int(x) for x in c) for c in columns]
+        columns = [tuple(map(as_integer, c)) for c in columns]
         if not columns:
             raise RankDeficient("no generators")
         n = len(columns[0])

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InputError, WrongDomain
 from .linalg import RatMatrix, char_poly, orbit_char_poly
 from .mahler import log_value, mahler_measure, outside_sum
-from .polynomials import is_prime
+from .polynomials import as_integer, is_prime
 from .roots import classify_unit_circle
 from .values import EntropyValue
 
@@ -171,14 +171,11 @@ def trajectory_oracle(a: RatMatrix, points, horizon: int,
 
 
 def _int_points(points, n: int) -> list:
-    """The points as int tuples: an InputError for a wrong dimension or for
-    a non-integer coordinate, which int() would truncate."""
-    points = [tuple(Fraction(x) for x in v) for v in points]
+    """The points as int tuples (``as_integer``); a wrong dimension is an InputError."""
+    points = [tuple(map(as_integer, v)) for v in points]
     if any(len(v) != n for v in points):
         raise InputError("point dimension disagrees with the matrix")
-    if any(x.denominator != 1 for v in points for x in v):
-        raise InputError("the sumset oracle runs over integer points")
-    return [tuple(int(x) for x in v) for v in points]
+    return points
 
 
 _AHEAD = 64                   # steps whose images are made before their sumsets

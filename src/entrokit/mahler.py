@@ -7,12 +7,13 @@ pipeline needs); rational input is scaled to an integer polynomial where it
 is parsed.
 
 One ``classify_unit_circle`` call does the exact peel: it divides out the
-cyclotomic factors, then the rational roots, and only the cofactor left
-after both touches floating point.  A polynomial whose roots are all
-rational or roots of unity (Kronecker) therefore yields an exact_zero or
-exact_log value with no numerics at all.  The exact log of the rational
-part (``log_value``) and the certified sum over the outside roots
-(``outside_sum``) are shared with the eigenvalue entropies of
+cyclotomic factors, splits the rest once into squarefree parts and divides
+out the rational roots of each (searched where the part is within the cap),
+and only what is left of the parts touches floating point.  A polynomial
+whose roots are all rational or roots of unity (Kronecker) therefore yields
+an exact_zero or exact_log value with no numerics at all.  The exact log of
+the rational part (``log_value``) and the certified sum over the outside
+roots (``outside_sum``) are shared with the eigenvalue entropies of
 ``linear_entropy``.
 """
 from __future__ import annotations

@@ -10,9 +10,9 @@ polynomial scaled that way has the same roots.
 The module supplies the exact machinery the rest of the toolkit leans on:
 content/primitive part, exact division over Z, cyclotomic generation (Phi_m
 built from smaller cyclotomic polynomials), the exact division of the
-cyclotomic factors out of a polynomial, and the classical root-growth
-sequence D_n = prod_i |1 - lambda_i**n| of a monic polynomial, one n at a
-time, exactly over Z.
+cyclotomic factors out of a polynomial, the squarefree split and the
+rational roots of one part, and the classical root-growth sequence D_n =
+prod_i |1 - lambda_i**n| of a monic polynomial, one n at a time, over Z.
 """
 from __future__ import annotations
 
@@ -23,6 +23,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, ZeroPolynomial
+
+
+def as_integer(x) -> int:
+    """x as an int; a value that is not integral, which int() would
+    truncate, is an InputError."""
+    if type(x) is int:
+        return x
+    value = Fraction(x)
+    if value.denominator != 1:
+        raise InputError(f"entry {x!r} is not an integer")
+    return int(value)       # a builtin int, also for numpy integers
 
 
 def _trim(coeffs):
@@ -39,7 +50,7 @@ class IntPolynomial:
     coeffs: tuple
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", _trim([int(c) for c in coeffs]))
+        object.__setattr__(self, "coeffs", _trim(list(map(as_integer, coeffs))))
 
     @property
     def degree(self) -> int:
@@ -321,47 +332,36 @@ _FACTOR_CAP = 10**12
 
 
 def rational_roots(f: IntPolynomial):
-    """Extract all rational roots with multiplicity, exactly.
+    """The rational roots of the squarefree f, exactly, each simple.
 
-    Returns (roots, cofactor): roots is a list of (Fraction root, mult); the
-    cofactor has no rational roots, and f is the cofactor times the
-    primitive linear factors (b t - a) of the roots a/b.  A linear cofactor
-    is peeled directly.  Otherwise polynomials whose extreme coefficients
-    exceed _FACTOR_CAP skip the divisor search and give up only the linear
-    factors of their squarefree decomposition; their other rational roots
-    stay in the cofactor (the numeric stage handles them; only exactness of
-    the reporting degrades).
+    Returns (roots, cofactor): roots is the sorted list of the Fraction
+    roots, 0 included; f is the cofactor times the primitive linear factors
+    (b t - a) of the roots a/b.  A linear cofactor is peeled at any size and
+    keeps the content of f.  Otherwise the divisor search runs only when the
+    extreme coefficients of f, past a root 0, are within _FACTOR_CAP; the
+    rational roots it skips stay in the cofactor, for the numeric stage
+    (only exactness of the reporting degrades).
     """
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    g = f
-    roots = []
-    while g.degree >= 1 and g.constant_term() == 0:
-        roots.append((Fraction(0), 1))
+    roots, g = [], f
+    if g.degree >= 1 and g.constant_term() == 0:
+        roots.append(Fraction(0))
         g = IntPolynomial(g.coeffs[1:])
     if g.degree > 1 and abs(g.constant_term()) <= _FACTOR_CAP \
             and abs(g.lead) <= _FACTOR_CAP:
         for root in _candidate_roots(g):
-            linear = IntPolynomial((-root.numerator, root.denominator))
-            while g.degree > 1:
-                quot = try_exact_divide(g, linear)
-                if quot is None:
-                    break
-                roots.append((root, 1))
+            quot = try_exact_divide(g, IntPolynomial((-root.numerator, root.denominator)))
+            if quot is not None:
+                roots.append(root)
                 g = quot
-            if g.degree <= 1:
-                break
-    elif g.degree > 1:
-        for factor, k in squarefree_decomposition(g):
-            if factor.degree == 1:
-                roots.append((Fraction(-factor.coeffs[0], factor.coeffs[1]), k))
-                for _ in range(k):
-                    g = try_exact_divide(g, factor)
+                if g.degree <= 1:
+                    break
     if g.degree == 1:
         root = Fraction(-g.coeffs[0], g.coeffs[1])
-        roots.append((root, 1))
+        roots.append(root)
         g = IntPolynomial((g.coeffs[1] // root.denominator,))
-    return _merge_roots(roots), g
+    return sorted(roots), g
 
 
 def _candidate_roots(g: IntPolynomial):
@@ -372,13 +372,6 @@ def _candidate_roots(g: IntPolynomial):
             if math.gcd(p, q) == 1:
                 yield Fraction(p, q)
                 yield Fraction(-p, q)
-
-
-def _merge_roots(roots):
-    merged = {}
-    for r, k in roots:
-        merged[r] = merged.get(r, 0) + k
-    return sorted(merged.items())
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -2,13 +2,13 @@
 
 Strategy: split off the exactly-known structure first (squarefree
 decomposition, and for circle classification the cyclotomic factors and
-the rational roots), then run a simultaneous Aberth-Ehrlich iteration from
-deterministic initial guesses.  Each approximation carries an inclusion
-radius from the classical bound  min_i |z - lambda_i| <= deg * |f(z)/f'(z)|,
-padded by a small slack factor for evaluation error and by the rounding of
-the approximation to a complex double.  The disks of one squarefree factor
-must be pairwise disjoint: each holds at least one root, so deg disjoint
-disks hold exactly one root each.
+the rational roots of each part), then run a simultaneous Aberth-Ehrlich
+iteration from deterministic initial guesses.  Each approximation carries
+an inclusion radius from the classical bound  min_i |z - lambda_i| <= deg *
+|f(z)/f'(z)|, padded by a small slack factor for evaluation error and by
+the rounding of the approximation to a complex double.  The disks of one
+squarefree factor must be pairwise disjoint: each holds at least one root,
+so deg disjoint disks hold exactly one root each.
 
 One Aberth loop serves both precisions: it runs in double precision first
 (``_DOUBLE``, the builtin float, complex and cmath functions that
@@ -30,11 +30,12 @@ fixed angles, so the loop starts near the moduli of the roots and runs are
 reproducible bit-for-bit at a fixed precision.
 
 ``classify_unit_circle`` is the one exact peel of the toolkit: it divides
-out the cyclotomic factors, then the rational roots (0 included), and
-accounts for each root once.  Only the cofactor left after both reaches the
-Aberth loop, in one pass: a root is inside or outside when its annulus says
-so, and a boundary root otherwise, whose log|z| is then only known to lie
-in [0, log(|z| + r)].
+out the cyclotomic factors and the power of t, splits the rest once into
+squarefree parts, takes the rational roots out of each, and accounts for
+each root once.  What is left of the parts reaches the disk stage of
+``find_roots`` in one pass: a root is inside or outside when its annulus
+says so, and a boundary root otherwise, whose log|z| is then only known to
+lie in [0, log(|z| + r)].
 """
 from __future__ import annotations
 
@@ -107,21 +108,24 @@ def find_roots(f: IntPolynomial, tol: float = 1e-12) -> list:
     precision is raised until they are.  Roots of distinct factors are
     distinct, so their disks may overlap but are never merged.
     """
-    if not 0 < tol < math.inf:
-        raise InputError(f"tolerance must be positive and finite, got {tol!r}")
-    if f.is_zero():
-        raise InputError("zero polynomial")
-    if f.degree < 1:
+    parts = squarefree_decomposition(f)     # ZeroPolynomial for f = 0
+    if not parts:
         raise InputError("constant polynomials have no roots")
-    roots = []
-    for factor, mult in squarefree_decomposition(f):
-        for approx, radius in _roots_squarefree(factor, tol):
-            roots.append(CertifiedRoot(approx, radius, mult))
+    return _disks(parts, tol)
+
+
+def _disks(parts, tol: float) -> list:
+    """The disk stage of find_roots and classify_unit_circle: the certified
+    roots of coprime squarefree (factor, multiplicity) parts, by position."""
+    roots = [CertifiedRoot(approx, radius, k)
+             for factor, k in parts for approx, radius in _roots_squarefree(factor, tol)]
     roots.sort(key=lambda r: (round(r.approx.real, 9), round(r.approx.imag, 9)))
     return roots
 
 
 def _roots_squarefree(f: IntPolynomial, tol: float):
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol!r}")
     if f.degree == 1:
         root = Fraction(-f.coeffs[0], f.coeffs[1])
         try:
@@ -302,13 +306,12 @@ def _disjoint(pairs) -> bool:
 def classify_unit_circle(f: IntPolynomial, tol: float = 1e-12) -> CircleClassification:
     """Partition the roots of the primitive f against the unit circle.
 
-    The cyclotomic factors are divided out first, then the rational roots
-    of what is left; both are exact, so roots of unity are "on" and
-    rational roots are known with zero numerical ambiguity.  The order
-    matters: a linear cofactor is peeled whatever its size, while the
-    divisor search of ``rational_roots`` skips large extreme coefficients.
-    The roots of the remaining cofactor come from one call of find_roots;
-    each is inside or outside when its certified annulus lies strictly on
+    The cyclotomic factors and the power of t are divided out, and the rest
+    is split once into squarefree parts, each of which gives up its rational
+    roots with its multiplicity (``rational_roots``: a linear part at any
+    size, a nonlinear one when its own extreme coefficients are within the
+    cap).  What is left of every part goes to the disk stage of find_roots;
+    a root is inside or outside when its certified annulus lies strictly on
     that side of the circle, and a boundary root otherwise.
     """
     if f.is_zero():
@@ -316,15 +319,19 @@ def classify_unit_circle(f: IntPolynomial, tol: float = 1e-12) -> CircleClassifi
     if abs(f.content()) != 1:
         raise NotPrimitive("classification expects a primitive polynomial")
     on_exact, cofactor = strip_cyclotomic_factors(f if f.lead > 0 else -f)
-    rational, cofactor = rational_roots(cofactor)
+    zeros = next(i for i, c in enumerate(cofactor.coeffs) if c)
+    rational = [(Fraction(0), zeros)] if zeros else []
+    g = IntPolynomial(cofactor.coeffs[zeros:])
+    peeled = [(rational_roots(part), k) for part, k in squarefree_decomposition(g)]
+    rational += [(root, k) for (roots, _), k in peeled for root in roots]
+    rests = [(rest, k) for (_, rest), k in peeled if rest.degree >= 1]
     inside, outside, boundary = [], [], []
-    if cofactor.degree >= 1:
-        for root in find_roots(cofactor, tol):
-            if abs(root.approx) - root.radius > 1.0:
-                outside.append(root)
-            elif abs(root.approx) + root.radius < 1.0:
-                inside.append(root)
-            else:
-                boundary.append(root)
+    for root in _disks(rests, tol):
+        if abs(root.approx) - root.radius > 1.0:
+            outside.append(root)
+        elif abs(root.approx) + root.radius < 1.0:
+            inside.append(root)
+        else:
+            boundary.append(root)
     return CircleClassification(tuple(inside), tuple(on_exact), tuple(outside),
-                                tuple(boundary), tuple(rational))
+                                tuple(boundary), tuple(sorted(rational)))

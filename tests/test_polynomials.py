@@ -8,6 +8,7 @@ import pytest
 
 from entrokit import polynomials
 from entrokit.errors import InputError, NotPrimitive, ZeroPolynomial
+from entrokit.linalg import Lattice
 from entrokit.mahler import mahler_measure
 from entrokit.polynomials import (
     IntPolynomial,
@@ -102,27 +103,52 @@ def test_cyclotomic_matches_sympy():
 
 
 def test_rational_roots_rebuild_the_input():
-    # f = cofactor * prod (b t - a)**k; a linear cofactor is peeled even
-    # beyond _FACTOR_CAP, and its content stays in the cofactor
-    big = IntPolynomial((-10 ** 400, 1))
-    simple = IntPolynomial((-2, 0, 1)) * IntPolynomial((-3, 2)) * IntPolynomial((-10 ** 13, 1))
+    # f = cofactor * prod (b t - a) for a squarefree f, every root simple; a
+    # linear cofactor is peeled even beyond _FACTOR_CAP, and its content
+    # stays in the cofactor
+    quadratic = IntPolynomial((-2, 0, 1))
+    within = quadratic * IntPolynomial((-3, 2))
+    past = within * IntPolynomial((-10 ** 13, 1))
     cases = [
-        (IntPolynomial((6, 4)), [(Fraction(-3, 2), 1)], (2,)),
-        (IntPolynomial((10 ** 400, 1)), [(Fraction(-10 ** 400), 1)], (1,)),
+        (IntPolynomial((6, 4)), [Fraction(-3, 2)], (2,)),
+        (IntPolynomial((10 ** 400, 1)), [Fraction(-10 ** 400)], (1,)),
         (IntPolynomial((0, -2, 1)) * IntPolynomial((-1, 3)) * IntPolynomial((1, 1, 1)),
-         [(0, 1), (Fraction(1, 3), 1), (2, 1)], (1, 1, 1)),
-        # past _FACTOR_CAP only the linear squarefree factors are peeled:
-        # the square of t - 1e400, not the simple roots 3/2 and 1e13
-        (big * big * simple, [(Fraction(10 ** 400), 2)], simple.coeffs),
+         [0, Fraction(1, 3), 2], (1, 1, 1)),
+        (within, [Fraction(3, 2)], quadratic.coeffs),
+        # the extreme coefficients of f decide the divisor search: past
+        # _FACTOR_CAP it is skipped, and 3/2 and 1e13 stay in the cofactor
+        (past, [], past.coeffs),
     ]
     for f, want_roots, want_cofactor in cases:
         roots, cofactor = rational_roots(f)
         assert roots == want_roots and cofactor.coeffs == want_cofactor
         rebuilt = cofactor
-        for root, k in roots:
-            for _ in range(k):
-                rebuilt = rebuilt * IntPolynomial((-root.numerator, root.denominator))
+        for root in roots:
+            rebuilt = rebuilt * IntPolynomial((-root.numerator, root.denominator))
         assert rebuilt == f
+
+
+def test_non_integral_entries_are_input_errors():
+    # int() would read 2.9 as 2 (so the measure of 2.9 + t came out as
+    # exactly log 2), 1/2 as 0 and the column (1.5, 0) as (1, 0)
+    with pytest.raises(InputError, match="not an integer"):
+        mahler_measure(IntPolynomial([2.9, 1]))
+    with pytest.raises(InputError, match="not an integer"):
+        IntPolynomial([Fraction(1, 2), 1])
+    with pytest.raises(InputError, match="not an integer"):
+        Lattice.from_columns([[1.5, 0], [0, 2]])
+    # integral values of other types are read exactly
+    assert IntPolynomial([2.0, Fraction(4, 2), 1]).coeffs == (2, 2, 1)
+    assert Lattice.from_columns([[1.0, 0], [0, Fraction(4, 2)]]) \
+        == Lattice.from_columns([[1, 0], [0, 2]])
+
+
+def test_numpy_integers_become_builtin_ints():
+    # a numpy int64 coefficient would wrap around in products
+    np = pytest.importorskip("numpy")
+    p = IntPolynomial([np.int64(2 ** 62), np.int64(1)])
+    assert all(type(c) is int for c in p.coeffs)
+    assert (p * p).coeffs == (2 ** 124, 2 ** 63, 1)
 
 
 def test_is_zero_mahler():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -374,9 +375,12 @@ def test_classify_outside_product_matches_mahler():
 
 
 def test_classification_is_one_pass(monkeypatch):
-    # one find_roots call per classification, and one gcd, the squarefree
-    # check gcd(g, g') of the cofactor g that find_roots gets: no gcd(g, g*),
-    # whether boundary roots are present (Lehmer) or not (random degree 64)
+    # one squarefree split per classification and no find_roots call: the
+    # rational peel and the disk stage read the same parts.  A squarefree
+    # cofactor g costs one gcd, the check gcd(g, g'), whether boundary roots
+    # are present (Lehmer) or not (random degree 64); the capped input, whose
+    # cofactor passes _FACTOR_CAP but whose part 2t^3 - 3t^2 - 4t + 6 does
+    # not, still splits once and keeps 3/2 exact
     calls = []
 
     def counted(name, original):
@@ -386,17 +390,23 @@ def test_classification_is_one_pass(monkeypatch):
         return wrapper
 
     for module in (entrokit.roots, entrokit.polynomials):
-        for name in ("find_roots", "poly_gcd"):
+        for name in ("find_roots", "poly_gcd", "squarefree_decomposition"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     rng = random.Random(64)
-    for f in (LEHMER, IntPolynomial([rng.choice((-1, 1)) for _ in range(65)])):
+    big = IntPolynomial((-10 ** 13, 1))
+    capped = IntPolynomial((-3, 2)) * IntPolynomial((-2, 0, 1)) * big * big
+    for f in (LEHMER, IntPolynomial([rng.choice((-1, 1)) for _ in range(65)]), capped):
         calls.clear()
         cl = classify_unit_circle(f)
         assert classified_root_count(cl) == f.degree
-        assert [name for name, _ in calls] == ["find_roots", "poly_gcd"]
-        g = calls[0][1][0]
-        assert calls[1][1] == (g, g.derivative())
+        names = [name for name, _ in calls]
+        assert names.count("squarefree_decomposition") == 1 and "find_roots" not in names
+        if f is not capped:
+            assert names == ["squarefree_decomposition", "poly_gcd"]
+            g = calls[0][1][0]
+            assert calls[1][1] == (g, g.derivative())
+    assert cl.rational == ((Fraction(3, 2), 1), (Fraction(10 ** 13), 2))
 
 
 def _counts_60_digits(coeffs):
@@ -534,3 +544,65 @@ if given is not None:
             assert len(disks) == len(coeffs) - 1 and _pairwise_disjoint(disks)
             for root in _reference_roots(coeffs):
                 assert any(_contains(r, root) for r in disks)
+
+
+# ----------------------------------------------------------------------
+# the per-part rational peel against a planted factorization
+
+if given is not None:
+    _CAP = 10 ** 12        # the divisor search runs on parts within it
+
+    # a root a/b, 0 and +-1 left out: those come off before the split
+    _planted_root = st.builds(Fraction, st.integers(-10 ** 15, 10 ** 15),
+                              st.integers(1, 10 ** 15)).filter(lambda r: abs(r) not in (0, 1))
+
+    @st.composite
+    def _irreducible_quadratic(draw):
+        """(a, b, c) of a primitive a t^2 + b t + c, a > 0, with no rational
+        root (b^2 - 4ac is not a square) and not cyclotomic."""
+        a, b, c = draw(st.integers(1, 5)), draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+        disc = b * b - 4 * a * c
+        assume(math.gcd(a, b, c) == 1 and (a, abs(b), c) not in ((1, 0, 1), (1, 1, 1)))
+        assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+        return a, b, c
+
+    def _planted_roots_apart(roots, quadratics) -> bool:
+        """Every two planted roots further apart than 1e-6 of their size:
+        disks are centred on complex doubles, so two roots closer than about
+        2**-50 of their size cannot be told apart by the disk stage."""
+        zs = [complex(r) for r in roots]
+        for a, b, c in quadratics:
+            s = cmath.sqrt(b * b - 4 * a * c)
+            zs += [(-b + s) / (2 * a), (-b - s) / (2 * a)]
+        return all(abs(z - w) > 1e-6 * max(1.0, abs(z), abs(w))
+                   for i, z in enumerate(zs) for w in zs[:i])
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(_planted_root, st.integers(1, 3)), min_size=1, max_size=4,
+                    unique_by=lambda rk: rk[0]),
+           st.lists(st.tuples(_irreducible_quadratic(), st.integers(1, 3)), max_size=2,
+                    unique_by=lambda qk: qk[0]))
+    def test_rational_roots_are_peeled_part_by_part(linears, quadratics):
+        # f = prod (b t - a)**k * prod (a t^2 + b t + c)**k; the squarefree
+        # part of multiplicity k is the product of the factors planted with
+        # k, and its extreme coefficients are the products of theirs.  A root
+        # is exact when its part is its linear factor alone or is within
+        # the cap
+        assume(_planted_roots_apart([r for r, _ in linears], [q for q, _ in quadratics]))
+        factors = [((-r.numerator, r.denominator), k) for r, k in linears]
+        factors += [((c, b, a), k) for (a, b, c), k in quadratics]
+        f = math.prod([IntPolynomial(coeffs) for coeffs, k in factors for _ in range(k)],
+                      start=IntPolynomial((1,)))
+        parts = {}
+        for coeffs, k in factors:
+            parts.setdefault(k, []).append(coeffs)
+
+        def exact(k):
+            part = parts[k]
+            return len(part) == 1 and len(part[0]) == 2 or (
+                abs(math.prod(c[0] for c in part)) <= _CAP
+                and math.prod(c[-1] for c in part) <= _CAP)
+
+        cl = classify_unit_circle(f)
+        assert cl.rational == tuple(sorted((r, k) for r, k in linears if exact(k)))
+        assert classified_root_count(cl) == f.degree

@@ -82,10 +82,11 @@ def test_module_level_imports_are_used(path):
 # tracer, as marked, and README's library paragraph names it, so a new name or
 # method that only the tests call needs a decision too.
 LIBRARY_API = (
-    "bass_guivarch",       # ROADMAP item 10 (growth that states what it knows)
+    "bass_guivarch",       # ROADMAP item 26 (`oracle` states what it knows)
     "canonical_form",      # ROADMAP item 15 (one measure key)
-    "classify_growth",     # ROADMAP item 10
+    "classify_growth",     # ROADMAP item 26
     "delta_exact",         # ROADMAP item 16 (certified Perron roots, periodic points)
+    "find_roots",          # public root finder; `classify_unit_circle` shares its disk stage
     "lattice_intersect",   # perfbench tracer: perfbench/tracer.py wraps it as a layer
     "lattice_preimage",    # perfbench tracer
 )
