@@ -21,6 +21,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import InputError, ZeroPolynomial
 
@@ -200,7 +201,8 @@ def cyclotomic(m: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def cyclotomic_candidates(degree: int):
-    """All m with euler_phi(m) <= degree, in increasing order.
+    """All pairs (m, euler_phi(m)) with euler_phi(m) <= degree, in
+    increasing order of m.
 
     A depth-first walk builds them from prime powers: m = prod p**a has
     euler_phi(m) = prod p**(a-1) (p - 1), which only grows as a factor
@@ -214,7 +216,7 @@ def cyclotomic_candidates(degree: int):
     stack = [(1, 1, 0)]     # (m, euler_phi(m), index of the least prime left)
     while stack:
         m, phi, i = stack.pop()
-        out.append(m)
+        out.append((m, phi))
         for j in range(i, len(primes)):
             p = primes[j]
             q, phi_q = p, phi * (p - 1)
@@ -228,9 +230,26 @@ def cyclotomic_candidates(degree: int):
 
 @lru_cache(maxsize=None)
 def _cyclotomic_at_two(m: int):
-    """(Phi_m(2), Phi_m(-2)), neither of them 0."""
-    phi_m = cyclotomic(m)
-    return phi_m(2), phi_m(-2)
+    """(Phi_m(2), Phi_m(-2)), neither of them 0, without building Phi_m.
+
+    Phi_m(x) = prod_{d | m} (x**d - 1)**mu(m/d), and mu(m/d) is nonzero
+    only for d = m / s with s a product of distinct primes of m, of sign
+    (-1)**(number of primes); at x = +-2 no factor is 0, so each value is
+    one exact integer division.
+    """
+    primes = [p for p in _divisors(m) if is_prime(p)]
+    out = []
+    for x in (2, -2):
+        num = den = 1
+        for k in range(len(primes) + 1):
+            for s in combinations(primes, k):
+                term = x ** (m // math.prod(s)) - 1
+                if k % 2:
+                    den *= term
+                else:
+                    num *= term
+        out.append(num // den)
+    return tuple(out)
 
 
 def strip_cyclotomic_factors(f: IntPolynomial):
@@ -242,19 +261,20 @@ def strip_cyclotomic_factors(f: IntPolynomial):
     t = 2 and t = -2 (Phi_m | g forces Phi_m(2) | g(2) and Phi_m(-2) |
     g(-2) over Z) runs before every trial division and skips most of them;
     after each division g(2) and g(-2) are divided by Phi_m(2) and Phi_m(-2).
+    The screen reads Phi_m(+-2) off ``_cyclotomic_at_two``, so Phi_m itself
+    is built only for the m that pass it.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     factors = {}
     g = f
     g2, gm2 = g(2), g(-2)
-    for m in cyclotomic_candidates(f.degree):
-        phi_m = cyclotomic(m)
-        if phi_m.degree > g.degree:
+    for m, phi in cyclotomic_candidates(f.degree):
+        if phi > g.degree:
             continue
         a, b = _cyclotomic_at_two(m)
         while g2 % a == 0 and gm2 % b == 0:
-            q = try_exact_divide(g, phi_m)
+            q = try_exact_divide(g, cyclotomic(m))
             if q is None:
                 break
             factors[m] = factors.get(m, 0) + 1
@@ -281,6 +301,9 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     1 + |f|_inf <= xi/2 (Cauchy), so |k(xi)| > xi/2; hence k = 1.  The loop
     ends: gcd(f(xi), g(xi)) = G(xi) s, where s = gcd((f/G)(xi), (g/G)(xi))
     divides Res(f/G, g/G) != 0, and xi > 2 |Res| |G|_inf reads h = s G back.
+    When gcd(f(xi), g(xi)) = 1, G(xi) divides 1, while a non-constant G,
+    whose roots are roots of f, has |G(xi)| > (xi/2)**deg G > 1: G = 1 is
+    returned with no division.
     """
     if f.is_zero() or g.is_zero():
         h = f + g
@@ -289,6 +312,8 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     xi = 2 * min(max(map(abs, f.coeffs)), max(map(abs, g.coeffs))) + 2
     while True:
         gamma, half, digits = math.gcd(f(xi), g(xi)), xi // 2, []
+        if gamma == 1:
+            return IntPolynomial((1,))
         while gamma:
             gamma, d = divmod(gamma + half, xi)
             digits.append(d - half)
@@ -340,7 +365,9 @@ def rational_roots(f: IntPolynomial):
     keeps the content of f.  Otherwise the divisor search runs only when the
     extreme coefficients of f, past a root 0, are within _FACTOR_CAP; the
     rational roots it skips stay in the cofactor, for the numeric stage
-    (only exactness of the reporting degrades).
+    (only exactness of the reporting degrades).  A candidate p/q is divided
+    out only when q**n g(p/q), by integer Horner, is 0: then the primitive
+    q t - p divides g over Z (Gauss's lemma).
     """
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
@@ -351,10 +378,10 @@ def rational_roots(f: IntPolynomial):
     if g.degree > 1 and abs(g.constant_term()) <= _FACTOR_CAP \
             and abs(g.lead) <= _FACTOR_CAP:
         for root in _candidate_roots(g):
-            quot = try_exact_divide(g, IntPolynomial((-root.numerator, root.denominator)))
-            if quot is not None:
+            p, q = root.numerator, root.denominator
+            if _homogeneous_value(g, p, q) == 0:
                 roots.append(root)
-                g = quot
+                g = try_exact_divide(g, IntPolynomial((-p, q)))
                 if g.degree <= 1:
                     break
     if g.degree == 1:
@@ -362,6 +389,16 @@ def rational_roots(f: IntPolynomial):
         roots.append(root)
         g = IntPolynomial((g.coeffs[1] // root.denominator,))
     return sorted(roots), g
+
+
+def _homogeneous_value(g: IntPolynomial, p: int, q: int) -> int:
+    """q**n g(p/q) for n = deg g, by Horner over Z."""
+    *low, acc = g.coeffs
+    scale = 1
+    for c in reversed(low):
+        scale *= q
+        acc = acc * p + c * scale
+    return acc
 
 
 def _candidate_roots(g: IntPolynomial):

@@ -44,7 +44,10 @@ each characteristic polynomial (algebraic Yuzvinski formula).  det(tI - A)
 is affine in every row, so (n+1)^n Berkowitz polynomials, one per matrix
 whose rows are 0 or unit vectors, fix it on the whole box; the rows are
 then folded in one at a time, and every polynomial is an integer
-combination of table entries.
+combination of table entries.  Each polynomial is one int, its
+coefficients packed as signed digits wide enough for any characteristic
+polynomial of the box, so the fold and the count of distinct polynomials
+run on ints.
 """
 from __future__ import annotations
 
@@ -76,8 +79,12 @@ class SearchSpec:
     def __post_init__(self):
         if min(self.max_degree, self.max_height, self.top) < 1:
             raise InputError("degree, height and top bounds must be positive")
-        space = (2 * self.max_height + 1) ** (self.max_degree + 1)
-        if space > 400 * self.budget:
+        # base ** (d + 1) >= 2 ** ((d + 1) (bit_length - 1)), so an exponent
+        # at the cap's bit length proves the space too large without the
+        # power; below it the power has at most twice the cap's bits
+        base, cap = 2 * self.max_height + 1, 400 * self.budget
+        if (self.max_degree + 1) * (base.bit_length() - 1) >= cap.bit_length() \
+                or base ** (self.max_degree + 1) > cap:
             raise BudgetExceeded(self.budget, "search space")
 
 
@@ -317,39 +324,79 @@ def espectrum_sample(dimension: int, entry_bound: int,
     until the blocks are single polynomials.  Matrices are visited in
     row-major order and their polynomials counted in first-seen order; each
     distinct polynomial is measured once, and the stable sort keeps the
-    first matrix's value among equal floats."""
+    first matrix's value among equal floats.
+
+    Each polynomial is held as one int, its coefficients packed as signed
+    base-2^w digits (``_pack``), so the fold is int arithmetic and the count
+    hashes ints.  Packing is linear over Z and the fold only adds and
+    scales, so every table entry is the packing of its coefficients, however
+    large they are; only the leaves, the box polynomials, are counted and
+    unpacked, so only their digits must lie in [-2^(w-1), 2^(w-1)), where
+    packing is one-to-one and ``_unpack`` undoes it.  The coefficient of
+    t^(n-k) of chi_A is (-1)^k times the sum of the C(n, k) principal k x k
+    minors, each a sum of k! products of k entries, so its size is at most
+    C(n, k) k! b^k <= n! max(b, 1)^n; w is that bound's bit length plus a
+    sign bit and a guard bit."""
     if dimension < 1 or dimension > 3:
         raise InputError("spectrum sampling is desk-scale: dimension 1..3")
     if entry_bound < 0:
         raise InputError("entry bound must be non-negative")
     n = dimension
-    entries = range(-entry_bound, entry_bound + 1)
-    if len(entries) ** (n * n) > budget:
+    if (2 * entry_bound + 1) ** (n * n) > budget:
         raise BudgetExceeded(budget, "matrix box enumeration")
+    width = _digit_width(n, entry_bound)
+    entries = range(-entry_bound, entry_bound + 1)
     rows = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    stack = [tuple(c for choice in product(rows, repeat=n)
-                   for c in int_char_poly(choice))]
+    stack = [[_pack(int_char_poly(choice), width)
+              for choice in product(rows, repeat=n)]]
     counts = Counter()
     while stack:
         table = stack.pop()
         size = len(table) // (n + 1)
-        base = table[:size]
-        out, leaf = [base], size == n + 1
-        # tables are lists: freed small tuples would pile up in free lists
-        build = tuple if leaf else list
-        for j in range(size, len(table), size):
-            step = [c - b for c, b in zip(table[j:j + size], base)]
-            shifts = [[a * d for d in step] for a in entries]
-            out = [build(map(add, p, s)) for p in out for s in shifts]
-        if leaf:
+        if size == 1:       # the blocks are polynomials: fold the last row
+            base, out = table[0], table[:1]
+            for step in table[1:]:
+                shifts = [a * (step - base) for a in entries]
+                out = [p + s for p in out for s in shifts]
             counts.update(out)
         else:
+            base = table[:size]
+            out = [base]
+            for j in range(size, len(table), size):
+                step = list(map(sub, table[j:j + size], base))
+                shifts = [[a * d for d in step] for a in entries]
+                out = [list(map(add, p, s)) for p in out for s in shifts]
             stack.extend(reversed(out))
-    measured = sorted(((mahler_measure(IntPolynomial(key), tol), count)
-                       for key, count in counts.items()),
+    measured = sorted(((mahler_measure(IntPolynomial(_unpack(key, n + 1, width)), tol),
+                        count) for key, count in counts.items()),
                       key=lambda vc: (vc[0].as_float(), str(vc[0].kind)))
     minimal = next((v for v, _ in measured if not v.is_zero()), None)
     values = tuple(chain.from_iterable(repeat((v.as_float(), v.kind), count)
                                        for v, count in measured))
     return SpectrumReport(dimension, entry_bound, values, minimal,
                           sum(counts.values()))
+
+
+def _digit_width(n: int, bound: int) -> int:
+    """Bits per coefficient that hold every characteristic polynomial of an
+    n x n matrix with entries in [-bound, bound], sign and guard included."""
+    return (math.factorial(n) * max(bound, 1) ** n).bit_length() + 2
+
+
+def _pack(coeffs, width: int) -> int:
+    """sum_i coeffs[i] 2^(width i): the coefficients as signed digits."""
+    out = 0
+    for c in reversed(coeffs):
+        out = (out << width) + c
+    return out
+
+
+def _unpack(packed: int, length: int, width: int) -> tuple:
+    """The ``length`` signed digits of ``packed``, each in
+    [-2^(width-1), 2^(width-1)), lowest first: the inverse of _pack."""
+    half, mask, out = 1 << (width - 1), (1 << width) - 1, []
+    for _ in range(length):
+        digit = ((packed + half) & mask) - half
+        out.append(digit)
+        packed = (packed - digit) >> width
+    return tuple(out)

@@ -399,6 +399,32 @@ def strip_reference(f):
     return sorted(factors.items()), g
 
 
+def rational_roots_reference(coeffs):
+    """(sorted roots, cofactor coefficients) of a squarefree integer
+    polynomial with nonzero constant term, as ``rational_roots`` gives them
+    within its cap: every p/q with p | f(0) and q | lead is evaluated in
+    Fractions, and f is divided by q t - p at each root over Q."""
+    f = [Fraction(c) for c in coeffs]
+    roots = set()
+    for p in range(1, abs(coeffs[0]) + 1):
+        for q in range(1, abs(coeffs[-1]) + 1):
+            if coeffs[0] % p or coeffs[-1] % q or math.gcd(p, q) > 1:
+                continue
+            for r in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * r ** i for i, c in enumerate(coeffs)) == 0:
+                    roots.add(r)
+    for r in roots:
+        # synthetic division by t - r, then by the denominator of r
+        quot, acc = [], Fraction(0)
+        for c in reversed(f):
+            acc = acc * r + c
+            quot.append(acc)
+        assert quot.pop() == 0
+        f = [c / r.denominator for c in reversed(quot)]
+    assert all(c.denominator == 1 for c in f)
+    return sorted(roots), tuple(int(c) for c in f)
+
+
 def interval_contains(value: dict, reference) -> bool:
     """True when the JSON form of an approx value encloses the reference."""
     with mpmath.workdps(100):

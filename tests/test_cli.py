@@ -272,6 +272,20 @@ def test_espectrum_budget(capsys, budget, code):
     assert ("exceeded budget of 624" in capsys.readouterr().err) == (code == 3)
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["espectrum", "--dim", "2", "--bound", "99999999999999999999"], "matrix box enumeration"),
+    (["lehmer", "--max-degree", "99999999999999999999"], "search space"),
+    (["lehmer", "--max-degree", "2", "--height", "99999999999999999999"], "search space"),
+])
+def test_a_huge_box_or_degree_exits_3_at_once(argv, what):
+    # the box size and the search space are compared with the budget
+    # without building a huge power or a range whose length overflows
+    child = subprocess.run([sys.executable, "-m", "entrokit.cli", *argv],
+                           capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
+    assert child.returncode == 3 and child.stdout == ""
+    assert child.stderr == f"not certified: {what} exceeded budget of 5000000\n"
+
+
 def test_exit_code_budget(capsys):
     code = dispatch(["oracle", "--matrix", "2", "--set", "0;1",
                      "--horizon", "40", "--budget", "100"])

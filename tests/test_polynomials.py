@@ -27,7 +27,13 @@ from entrokit.polynomials import (
 )
 from entrokit.roots import classify_unit_circle
 
-from oracles import delta_reference, gcd_over_q, resultant, strip_reference
+from oracles import (
+    delta_reference,
+    gcd_over_q,
+    rational_roots_reference,
+    resultant,
+    strip_reference,
+)
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 
@@ -128,6 +134,42 @@ def test_rational_roots_rebuild_the_input():
         assert rebuilt == f
 
 
+def test_rational_roots_divide_only_at_roots(monkeypatch):
+    # seeded squarefree products of two to four non-monic linear factors
+    # (b t - a) and a quadratic with no real root: roots and cofactor
+    # are those of Fraction evaluation at every candidate, and the Horner
+    # screen leaves exactly one trial division per root
+    divides = []
+    divide = polynomials.try_exact_divide
+
+    def counted(a, d):
+        divides.append(d.coeffs)
+        return divide(a, d)
+
+    monkeypatch.setattr(polynomials, "try_exact_divide", counted)
+    rng = random.Random(39)
+    for _ in range(60):
+        f = IntPolynomial((rng.randint(1, 5), 1, rng.randint(1, 4)))
+        for _ in range(rng.randint(2, 4)):
+            b = rng.randint(2, 9)
+            a = rng.choice([a for a in range(-12, 13) if a and math.gcd(a, b) == 1])
+            f = f * IntPolynomial((-a, b))
+        if gcd_over_q(f.coeffs, f.derivative().coeffs) != (1,):
+            continue
+        divides.clear()
+        roots, cofactor = rational_roots(f)
+        assert (roots, cofactor.coeffs) == rational_roots_reference(f.coeffs)
+        assert len(roots) >= 2 and all(r.denominator > 1 for r in roots)
+        assert divides == [(-r.numerator, r.denominator) for r in
+                           sorted(roots, key=_candidate_order(f))]
+
+
+def _candidate_order(f):
+    """The position of a root in the candidate order of rational_roots."""
+    order = {c: i for i, c in enumerate(polynomials._candidate_roots(f))}
+    return order.__getitem__
+
+
 def test_non_integral_entries_are_input_errors():
     # int() would read 2.9 as 2 (so the measure of 2.9 + t came out as
     # exactly log 2), 1/2 as 0 and the column (1.5, 0) as (1, 0)
@@ -174,14 +216,15 @@ def test_is_zero_mahler_requires_primitive():
 
 
 def test_cyclotomic_candidates_match_brute_force_totients():
-    # euler_phi(m) as a gcd count, over 1..2 d^2 for d up to 40
+    # euler_phi(m) as a gcd count, over 1..2 d^2 for d up to 40; each m
+    # comes with its totient
     top = 2 * 40 * 40
     phi = [0] + [sum(map((1).__eq__, map(math.gcd, range(m), repeat(m))))
                  for m in range(1, top + 1)]
     for order in (range(1, 41), range(40, 0, -1)):
         cyclotomic_candidates.cache_clear()
         for d in order:
-            want = [m for m in range(1, 2 * d * d + 1) if phi[m] <= d]
+            want = [(m, phi[m]) for m in range(1, 2 * d * d + 1) if phi[m] <= d]
             assert cyclotomic_candidates(d) == want
     cyclotomic_candidates.cache_clear()
 
@@ -197,6 +240,20 @@ def test_cyclotomic_candidates_of_a_large_degree_stay_small():
         tracemalloc.stop()
         cyclotomic_candidates.cache_clear()
     assert len(candidates) == 3884 and peak < 2 * 10 ** 6
+
+
+def test_strip_builds_only_the_cyclotomics_that_pass_the_screen():
+    # a seeded +-1 polynomial of degree 1,000 has 1,941 candidates m; the
+    # values Phi_m(+-2) come without Phi_m, which is built only when the
+    # screen passes
+    rng = random.Random(1000)
+    f = IntPolynomial([rng.choice((-1, 1)) for _ in range(1001)])
+    cyclotomic.cache_clear()
+    polynomials._cyclotomic_at_two.cache_clear()
+    factors, rest = strip_cyclotomic_factors(f)
+    assert len(cyclotomic_candidates(1000)) == 1941
+    assert (factors, rest) == ([], f)
+    assert cyclotomic.cache_info().misses <= 3
 
 
 def test_strip_cyclotomic_factors():
@@ -306,6 +363,29 @@ def test_poly_gcd_grows_xi_until_the_candidate_divides(monkeypatch):
     monkeypatch.setattr(polynomials, "try_exact_divide", counted)
     assert poly_gcd(f, f.derivative()) == IntPolynomial((1,))
     assert divisors == [(1, 1), (-6, 1), (1,)]
+
+
+def test_poly_gcd_returns_1_at_a_unit_value_without_dividing(monkeypatch):
+    # t^2 + 1 and t + 2: xi = 4 gives gcd(17, 6) = 1, so G(4) divides 1
+    # and G = 1 with no trial division
+    calls = []
+    divide = polynomials.try_exact_divide
+    monkeypatch.setattr(polynomials, "try_exact_divide",
+                        lambda a, d: calls.append(d) or divide(a, d))
+    assert poly_gcd(IntPolynomial((1, 0, 1)), IntPolynomial((2, 1))) == IntPolynomial((1,))
+    assert calls == []
+
+
+def test_poly_gcd_matches_the_euclid_on_seeded_shared_factors():
+    # f = g a and h = g b with g of degree 1-4: the gcd is never constant
+    rng = random.Random(37)
+    for _ in range(300):
+        g, a, b = (IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+                                 + [rng.choice((-3, -1, 1, 2))]) for _ in range(3))
+        f, h = g * a, g * b
+        want = gcd_over_q(f.coeffs, h.coeffs)
+        assert len(want) > 1
+        assert poly_gcd(f, h).coeffs == want
 
 
 def test_poly_json_round_trip():
@@ -447,6 +527,11 @@ if given is not None:
 
     # ------------------------------------------------------------------
     # the screen of strip_cyclotomic_factors, against trial division
+
+    @given(st.integers(1, 400))
+    def test_cyclotomic_at_two_matches_the_built_polynomial(m):
+        phi_m = cyclotomic(m)
+        assert polynomials._cyclotomic_at_two(m) == (phi_m(2), phi_m(-2))
 
     @settings(max_examples=60)
     @given(st.lists(st.tuples(st.integers(1, 60), st.integers(1, 3)), min_size=1, max_size=4),

@@ -2,12 +2,14 @@ import concurrent.futures
 import functools
 import math
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from entrokit import search
 from entrokit.cli import dispatch
 from entrokit.errors import BudgetExceeded, InputError
+from entrokit.linalg import int_char_poly
 from entrokit.mahler import sum_logs
 from entrokit.polynomials import IntPolynomial, cyclotomic
 from entrokit.values import EntropyValue
@@ -301,6 +303,23 @@ if given is not None:
 
     _small = st.lists(st.integers(-3, 3), min_size=1, max_size=11)
 
+    @st.composite
+    def _box_matrix(draw):
+        # a matrix of a box with n <= 3 and bound <= 50, half of them with
+        # every entry +-bound
+        n, bound = draw(st.integers(1, 3)), draw(st.integers(0, 50))
+        entry = st.sampled_from((-bound, bound)) if draw(st.booleans()) \
+            else st.integers(-bound, bound)
+        return bound, [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+    @given(_box_matrix())
+    def test_espectrum_digit_width_holds_chi(box):
+        bound, rows = box
+        n, coeffs = len(rows), int_char_poly(rows)
+        width = search._digit_width(n, bound)
+        assert max(map(abs, coeffs)) < 1 << (width - 2)
+        assert search._unpack(search._pack(coeffs, width), n + 1, width) == coeffs
+
     @settings(max_examples=400)
     @given(st.one_of(_small.filter(any),
                      st.lists(st.integers(-3, 3), max_size=10).map(lambda c: c + [1])))
@@ -330,7 +349,8 @@ def test_espectrum_trivial_box():
 
 
 @pytest.mark.parametrize("dimension, bound", [
-    (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+    (1, 0), (1, 1), (1, 2), (1, 3), (1, 50), (2, 0), (2, 1), (2, 2), (2, 4),
+    (3, 0), (3, 1)])
 def test_espectrum_matches_brute_force(dimension, bound):
     values, scanned, minimal = espectrum_reference(dimension, bound)
     report = espectrum_sample(dimension, bound)
@@ -393,6 +413,18 @@ def test_espectrum_tol_reaches_every_measure(monkeypatch, capsys):
                      "--tol", "1e-20"]) == 0
     capsys.readouterr()
     assert tols and set(tols) == {1e-20}
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("bound", [1, 50])
+def test_espectrum_digits_hold_every_sign_pattern(dimension, bound):
+    # the matrices with every entry +-bound, where |det| is largest
+    width = search._digit_width(dimension, bound)
+    for signs in product((-bound, bound), repeat=dimension * dimension):
+        rows = [signs[i * dimension:(i + 1) * dimension] for i in range(dimension)]
+        coeffs = int_char_poly(rows)
+        assert max(map(abs, coeffs)) < 1 << (width - 2)
+        assert search._unpack(search._pack(coeffs, width), dimension + 1, width) == coeffs
 
 
 def test_espectrum_rejects_large_dimension():
